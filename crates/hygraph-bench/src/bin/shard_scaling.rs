@@ -1,19 +1,15 @@
 //! Shard-scaling benchmark: read **and commit** throughput under
-//! concurrency as a function of the engine's shard count and snapshot
-//! implementation.
+//! concurrency as a function of the engine's shard count.
 //!
 //! The single-shard engine serialises readers behind the writer's lock
 //! — every commit stalls every query for the commit's duration. The
 //! sharded engine publishes an immutable snapshot per commit and
 //! readers pin the latest epoch without touching the write path, so
 //! read throughput should hold (and scale) while the writer streams
-//! batches. That was the PR 9 story; this harness now also measures
-//! the other side of the ledger: what snapshot publication costs the
-//! *writer*. Under the legacy copy-on-write maps a publication clones
-//! O(graph); under the persistent-map (`pmap`) implementation it
-//! clones O(structure changed by the batch), so sharded commit
-//! throughput should approach the single-shard engine's (which never
-//! publishes at all).
+//! batches. The other side of the ledger is what snapshot publication
+//! costs the *writer*: the persistent maps clone O(structure changed
+//! by the batch), so sharded commit throughput should approach the
+//! single-shard engine's (which never publishes at all).
 //!
 //! Readers are **pinned readers**: each holds a pinned snapshot epoch
 //! ([`Engine::pin_snapshot`]) across a stretch of queries, the way an
@@ -21,20 +17,20 @@
 //! the writer streams, exactly the workload structural sharing is for.
 //!
 //! Correctness is gated first: at every shard count the engine's final
-//! state must be **byte identical** to the single-shard engine's, the
-//! two snapshot implementations must produce byte-identical state
-//! encodings, and a query corpus must answer byte-for-byte the same.
+//! state must be **byte identical** to the single-shard engine's, and a
+//! query corpus must answer byte-for-byte the same.
 //!
 //! Run with: `cargo run --release -p hygraph-bench --bin shard_scaling
 //! [--scale small|medium|large]`
 //!
-//! Emits `BENCH_PR10.json` in the working directory (override with
-//! `BENCH_PR10_JSON=<path>`) so CI and later PRs can diff the numbers.
+//! Emits `BENCH_PR12.json` in the working directory (override with
+//! `BENCH_PR12_JSON=<path>`) so CI and later PRs can diff the numbers;
+//! the committed `BENCH_PR10.json` is the last run that also swept the
+//! since-deleted copy-on-write collections.
 
 use hygraph_bench::Scale;
 use hygraph_persist::HgMutation;
 use hygraph_server::{Backend, Engine};
-use hygraph_types::pmap::SnapshotImpl;
 use hygraph_types::{props, Interval, Label, SeriesId, Timestamp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -84,7 +80,7 @@ const POINTS_PER_BATCH: usize = 50;
 /// makes commit cost a function of the *batch* — an element's first
 /// write after a publication copies that element, so a batch touching
 /// the whole fleet would re-copy the whole fleet's series payloads per
-/// commit under any snapshot implementation.
+/// commit.
 const STATIONS_PER_BATCH: usize = 16;
 
 /// Writer batch `b`: a burst of availability appends for its rotating
@@ -198,16 +194,10 @@ fn measure(shards: usize, stations: usize, window_ms: u64, readers: usize) -> Me
     }
 }
 
-/// One snapshot implementation's full timing sweep.
-fn sweep(
-    label: &str,
-    shard_counts: &[usize],
-    stations: usize,
-    window_ms: u64,
-    readers: usize,
-) -> Vec<Measured> {
+/// The timing sweep: one measured window per shard count.
+fn sweep(shard_counts: &[usize], stations: usize, window_ms: u64, readers: usize) -> Vec<Measured> {
     println!(
-        "\n[{label}] {:>7} {:>10} {:>10} {:>14} {:>14}",
+        "\n{:>7} {:>10} {:>10} {:>14} {:>14}",
         "shards", "reads", "commits", "reads/sec", "commits/sec"
     );
     shard_counts
@@ -215,7 +205,7 @@ fn sweep(
         .map(|&n| {
             let m = measure(n, stations, window_ms, readers);
             println!(
-                "[{label}] {:>7} {:>10} {:>10} {:>14.0} {:>14.1}",
+                "{:>7} {:>10} {:>10} {:>14.0} {:>14.1}",
                 m.shards, m.reads, m.commits, m.reads_per_sec, m.commits_per_sec
             );
             m
@@ -239,9 +229,8 @@ fn json_rows(rows: &[Measured]) -> String {
 fn main() {
     let scale = Scale::from_args();
     // Scale grows the *graph width* (station count), not just the
-    // window: commit cost under copy-on-write is O(graph), so the
-    // publication tax the persistent maps remove only becomes visible
-    // once the interior maps dwarf the per-batch touch set.
+    // window: a publication that cloned O(graph) would only show once
+    // the interior maps dwarf the per-batch touch set.
     // Short windows with few readers make the multi-vs-single read
     // comparison a coin flip on small hosts, so every scale keeps the
     // 3-reader / 2 s measurement geometry and scales the equivalence
@@ -259,8 +248,7 @@ fn main() {
 
     // ---- equivalence gates -------------------------------------------
     // every shard count byte-identical to single-shard, and the corpus
-    // answers identically — under the default (pmap) implementation
-    SnapshotImpl::Pmap.install();
+    // answers identically
     let (single, single_bytes) = final_state(1, stations, batches);
     for &n in &shard_counts[1..] {
         let (engine, bytes) = final_state(n, stations, batches);
@@ -274,90 +262,48 @@ fn main() {
             assert_eq!(got, want, "query diverges at {n} shards: {q}");
         }
     }
-    // the legacy copy-on-write implementation must produce the same
-    // canonical bytes — checkpoints are interchangeable between impls
-    SnapshotImpl::Cow.install();
-    let (_, cow_bytes) = final_state(1, stations, batches);
-    assert_eq!(
-        cow_bytes, single_bytes,
-        "cow- and pmap-built states must encode byte-identically"
-    );
     println!(
-        "equivalence gates passed: {} shard counts byte-identical, {} queries agree, \
-         cow == pmap encodings",
+        "equivalence gates passed: {} shard counts byte-identical, {} queries agree",
         shard_counts.len() - 1,
         QUERIES.len()
     );
 
     // ---- timing ------------------------------------------------------
-    let cow = sweep("cow ", &shard_counts, stations, window_ms, readers);
-    SnapshotImpl::Pmap.install();
-    let pmap = sweep("pmap", &shard_counts, stations, window_ms, readers);
-    SnapshotImpl::clear_install();
+    let rows = sweep(&shard_counts, stations, window_ms, readers);
 
-    let best_multi = |rows: &[Measured]| -> (usize, f64) {
-        rows[1..]
-            .iter()
-            .max_by(|a, b| a.reads_per_sec.total_cmp(&b.reads_per_sec))
-            .map(|m| (m.shards, m.reads_per_sec))
-            .expect("multi-shard rows")
-    };
-
-    // PR 9's architecture gate, in the configuration PR 9 shipped and
-    // gated (the cow collections): under a concurrent writer, snapshot
-    // readers must at least hold the single-shard read rate — they no
-    // longer queue behind the commit lock.
-    let (cow_best_shards, cow_best_reads) = best_multi(&cow);
+    // Reads get a wide parity band rather than a strict bar: on a host
+    // with no spare core the writer's path-copy allocation churn shares
+    // every cache level with the readers — observed single-core ratios
+    // swing 0.8–1.0x run to run. The 0.7 floor is a regression tripwire
+    // (a broken trie craters this to ~0.2x), not a performance claim.
+    let (best_shards, best_reads) = rows[1..]
+        .iter()
+        .max_by(|a, b| a.reads_per_sec.total_cmp(&b.reads_per_sec))
+        .map(|m| (m.shards, m.reads_per_sec))
+        .expect("multi-shard rows");
     println!(
-        "\nbest multi-shard reads [cow ]: {cow_best_shards} shards at {cow_best_reads:.0} \
-         reads/sec ({:.2}x single-shard)",
-        cow_best_reads / cow[0].reads_per_sec
+        "\nbest multi-shard reads: {best_shards} shards at {best_reads:.0} reads/sec \
+         ({:.2}x single-shard)",
+        best_reads / rows[0].reads_per_sec
     );
     assert!(
-        cow_best_reads >= cow[0].reads_per_sec,
-        "sharded snapshot reads fell below the single-shard rate: \
-         {cow_best_reads:.0} < {:.0} reads/sec",
-        cow[0].reads_per_sec
+        best_reads >= 0.7 * rows[0].reads_per_sec,
+        "snapshot reads fell below the single-shard parity band: \
+         {best_reads:.0} < 0.7x {:.0} reads/sec",
+        rows[0].reads_per_sec
     );
 
-    // The shipped default (pmap) gets a wide parity band rather than
-    // the strict bar: persistent-map scans are pointer-chasing where
-    // the cow BTreeMaps are cache-dense, and on a host with no spare
-    // core the writer's path-copy allocation churn shares every cache
-    // level with the readers — observed single-core ratios swing
-    // 0.8–1.0x run to run. The 0.7 floor is a regression tripwire (a
-    // broken trie craters this to ~0.2x), not a performance claim; the
-    // cross-impl read tax is reported for the JSON but not gated.
-    let (pmap_best_shards, pmap_best_reads) = best_multi(&pmap);
-    println!(
-        "best multi-shard reads [pmap]: {pmap_best_shards} shards at {pmap_best_reads:.0} \
-         reads/sec ({:.2}x single-shard, {:.2}x cow reads)",
-        pmap_best_reads / pmap[0].reads_per_sec,
-        pmap_best_reads / cow_best_reads
-    );
-    assert!(
-        pmap_best_reads >= 0.7 * pmap[0].reads_per_sec,
-        "pmap snapshot reads fell below the single-shard parity band: \
-         {pmap_best_reads:.0} < 0.7x {:.0} reads/sec",
-        pmap[0].reads_per_sec
-    );
-
-    // PR 10's gate: structural sharing must make snapshot publication
-    // cheap enough that the 8-shard engine commits at ≥ 0.75x the
-    // single-shard rate under pinned readers — the cow implementation
-    // pays an O(graph) map clone per publication and sits far below
-    // that, which is the second assertion: pmap at least doubles cow's
-    // 8-shard commit rate.
-    let single_commit_rate = pmap[0].commits_per_sec;
-    let eight = pmap.iter().find(|m| m.shards == 8).expect("8-shard row");
-    let cow_eight = cow.iter().find(|m| m.shards == 8).expect("8-shard row");
+    // Structural sharing must make snapshot publication cheap enough
+    // that the 8-shard engine commits at ≥ 0.75x the single-shard rate
+    // under pinned readers (an O(graph) clone per publication sits at
+    // ~0.3x).
+    let single_commit_rate = rows[0].commits_per_sec;
+    let eight = rows.iter().find(|m| m.shards == 8).expect("8-shard row");
     println!(
         "8-shard commit throughput under {readers} pinned readers: \
-         pmap {:.1}/sec ({:.2}x single-shard), cow {:.1}/sec ({:.2}x)",
+         {:.1}/sec ({:.2}x single-shard)",
         eight.commits_per_sec,
-        eight.commits_per_sec / single_commit_rate,
-        cow_eight.commits_per_sec,
-        cow_eight.commits_per_sec / single_commit_rate
+        eight.commits_per_sec / single_commit_rate
     );
     assert!(
         eight.commits_per_sec >= 0.75 * single_commit_rate,
@@ -366,23 +312,15 @@ fn main() {
         eight.commits_per_sec,
         single_commit_rate
     );
-    assert!(
-        eight.commits_per_sec >= 2.0 * cow_eight.commits_per_sec,
-        "structural sharing failed the publication-tax gate: pmap 8-shard \
-         commits at {:.1}/sec < 2x cow {:.1}/sec",
-        eight.commits_per_sec,
-        cow_eight.commits_per_sec
-    );
 
     let json = format!(
         "{{\n\"bench\": \"shard_scaling\",\n\"scale\": \"{scale:?}\",\n\"stations\": {stations},\n\
          \"window_ms\": {window_ms},\n\"readers\": {readers},\n\
          \"pin_hold_queries\": {PIN_HOLD_QUERIES},\n\
-         \"rows_cow\": [\n  {}\n],\n\"rows_pmap\": [\n  {}\n]\n}}\n",
-        json_rows(&cow),
-        json_rows(&pmap),
+         \"rows\": [\n  {}\n]\n}}\n",
+        json_rows(&rows),
     );
-    let path = std::env::var("BENCH_PR10_JSON").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
+    let path = std::env::var("BENCH_PR12_JSON").unwrap_or_else(|_| "BENCH_PR12.json".to_string());
     std::fs::write(&path, json).expect("write bench json");
     println!("wrote {path}");
 }

@@ -31,6 +31,7 @@ use crate::subgraph::Subgraph;
 use hygraph_graph::codec as graph_codec;
 use hygraph_ts::MultiSeries;
 use hygraph_types::bytes::{ByteReader, ByteWriter};
+use hygraph_types::pmap::PMap;
 use hygraph_types::{HyGraphError, Result, SeriesId, SubgraphId};
 
 const MAGIC: &[u8; 4] = b"HGB1";
@@ -82,7 +83,7 @@ pub fn encode_hygraph(hg: &HyGraph, w: &mut ByteWriter) {
         w.u64(e.raw());
         w.u64(s.raw());
     }
-    // series set, id-ordered (BTreeMap)
+    // series set, id-ordered
     w.len_of(hg.series.len());
     for (id, s) in hg.series.iter() {
         w.u64(id.raw());
@@ -100,7 +101,7 @@ pub fn encode_hygraph(hg: &HyGraph, w: &mut ByteWriter) {
             }
         }
     }
-    // subgraphs, id-ordered (BTreeMap)
+    // subgraphs, id-ordered
     w.len_of(hg.subgraphs.len());
     for (id, sg) in hg.subgraphs.iter() {
         w.u64(id.raw());
@@ -128,34 +129,31 @@ pub fn decode_hygraph(r: &mut ByteReader<'_>) -> Result<HyGraph> {
     let next_series = r.u64()?;
     let next_subgraph = r.u64()?;
     let graph = graph_codec::decode_graph(r)?;
-    // All side tables inherit the topology's snapshot mode so a decoded
-    // instance is uniformly cow or uniformly pmap.
-    let mode = graph.snapshot_impl();
-    let mut vertex_kind = hygraph_types::pmap::SnapMap::new_with(mode);
+    let mut vertex_kind = PMap::new();
     for v in graph.vertex_ids() {
         let kind = kind_from_byte(r.u8()?)?;
         vertex_kind.insert(v, kind);
     }
-    let mut edge_kind = hygraph_types::pmap::SnapMap::new_with(mode);
+    let mut edge_kind = PMap::new();
     for e in graph.edge_ids() {
         let kind = kind_from_byte(r.u8()?)?;
         edge_kind.insert(e, kind);
     }
-    let mut delta_v = hygraph_types::pmap::SnapMap::new_with(mode);
+    let mut delta_v = PMap::new();
     let n_dv = r.len_of()?;
     for _ in 0..n_dv {
         let v = hygraph_types::VertexId::new(r.u64()?);
         let s = SeriesId::new(r.u64()?);
         delta_v.insert(v, s);
     }
-    let mut delta_e = hygraph_types::pmap::SnapMap::new_with(mode);
+    let mut delta_e = PMap::new();
     let n_de = r.len_of()?;
     for _ in 0..n_de {
         let e = hygraph_types::EdgeId::new(r.u64()?);
         let s = SeriesId::new(r.u64()?);
         delta_e.insert(e, s);
     }
-    let mut series_set = hygraph_types::pmap::SnapMap::new_with(mode);
+    let mut series_set = PMap::new();
     let n_series = r.len_of()?;
     for _ in 0..n_series {
         let id = SeriesId::new(r.u64()?);
@@ -195,7 +193,7 @@ pub fn decode_hygraph(r: &mut ByteReader<'_>) -> Result<HyGraph> {
             ));
         }
     }
-    let mut subgraphs = hygraph_types::pmap::SnapMap::new_with(mode);
+    let mut subgraphs = PMap::new();
     let n_subgraphs = r.len_of()?;
     for _ in 0..n_subgraphs {
         let id = SubgraphId::new(r.u64()?);

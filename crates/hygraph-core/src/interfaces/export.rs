@@ -30,7 +30,7 @@ pub enum TsProjection {
 /// Extracts a [`TemporalGraph`] view.
 pub fn to_temporal_graph(hg: &HyGraph, projection: TsProjection) -> TemporalGraph {
     let g = hg.topology();
-    let mut out = TemporalGraph::with_capacity(g.vertex_count(), g.edge_count());
+    let mut out = TemporalGraph::new();
     // map old ids -> new ids (ts-exclusion makes ids non-dense)
     let mut vmap = std::collections::HashMap::new();
     for v in g.vertices() {

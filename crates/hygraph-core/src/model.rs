@@ -4,13 +4,13 @@
 //! in one [`TemporalGraph`], so every graph algorithm from
 //! `hygraph-graph` runs unchanged over a HyGraph. Side tables record
 //! each element's [`ElementKind`] and the δ mapping from ts-elements to
-//! their series. The series set TS is a `BTreeMap` of [`MultiSeries`]
-//! (deterministic iteration, dense ids).
+//! their series. The series set TS is a [`PMap`] of [`MultiSeries`]
+//! (deterministic ascending-id iteration, dense ids).
 
 use crate::subgraph::Subgraph;
 use hygraph_graph::TemporalGraph;
 use hygraph_ts::{MultiSeries, TimeSeries};
-use hygraph_types::pmap::{SnapMap, SnapshotImpl};
+use hygraph_types::pmap::PMap;
 use hygraph_types::{
     EdgeId, HyGraphError, Interval, Label, PropertyMap, PropertyValue, Result, SeriesId,
     SubgraphId, Timestamp, VertexId,
@@ -51,64 +51,33 @@ pub enum ElementRef {
 ///
 /// # Snapshot semantics
 ///
-/// Every interior collection is structurally shared ([`SnapMap`] /
-/// the dual-mode storage inside [`TemporalGraph`]), so `clone()` is a
-/// handful of reference-count bumps — O(pointers), not O(data). In the
-/// default `pmap` mode a mutation path-copies only the O(log n) trie
-/// nodes it touches, so a commit costs O(batch) *no matter how many
-/// older clones are pinned*. In the legacy `cow` mode
-/// (`HYGRAPH_SNAPSHOT_IMPL=cow`) the first write after a clone
-/// deep-copies the touched collection instead. Either way, this is what
-/// lets the sharded engine publish an immutable snapshot per commit and
-/// hand lock-free `&HyGraph` views to readers: a reader's pinned clone
-/// is never affected by later writes to the live instance, and vice
-/// versa. Series payloads stay behind their own `Arc<MultiSeries>`, so
-/// an append copies one series, never the set.
-#[derive(Clone, Debug)]
+/// Every interior collection is a persistent trie ([`PMap`] here, the
+/// slab and adjacency stores inside [`TemporalGraph`]), so `clone()` is
+/// a handful of reference-count bumps — O(pointers), not O(data) — and
+/// a mutation path-copies only the O(log n) trie nodes it touches: a
+/// commit costs O(batch) *no matter how many older clones are pinned*.
+/// This is what lets the sharded engine publish an immutable snapshot
+/// per commit and hand lock-free `&HyGraph` views to readers: a
+/// reader's pinned clone is never affected by later writes to the live
+/// instance, and vice versa. Series payloads stay behind their own
+/// `Arc<MultiSeries>`, so an append copies one series, never the set.
+#[derive(Clone, Debug, Default)]
 pub struct HyGraph {
     pub(crate) graph: TemporalGraph,
-    pub(crate) vertex_kind: SnapMap<VertexId, ElementKind>,
-    pub(crate) edge_kind: SnapMap<EdgeId, ElementKind>,
-    pub(crate) series: SnapMap<SeriesId, Arc<MultiSeries>>,
-    pub(crate) delta_v: SnapMap<VertexId, SeriesId>,
-    pub(crate) delta_e: SnapMap<EdgeId, SeriesId>,
-    pub(crate) subgraphs: SnapMap<SubgraphId, Subgraph>,
+    pub(crate) vertex_kind: PMap<VertexId, ElementKind>,
+    pub(crate) edge_kind: PMap<EdgeId, ElementKind>,
+    pub(crate) series: PMap<SeriesId, Arc<MultiSeries>>,
+    pub(crate) delta_v: PMap<VertexId, SeriesId>,
+    pub(crate) delta_e: PMap<EdgeId, SeriesId>,
+    pub(crate) subgraphs: PMap<SubgraphId, Subgraph>,
     pub(crate) next_series: u64,
     pub(crate) next_subgraph: u64,
 }
 
-impl Default for HyGraph {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl HyGraph {
-    /// An empty HyGraph in the process-configured snapshot mode.
+    /// An empty HyGraph.
     pub fn new() -> Self {
-        Self::with_snapshot_impl(SnapshotImpl::configured())
-    }
-
-    /// An empty HyGraph with an explicit snapshot implementation. Tests
-    /// and the bench pin modes this way; everything else should use
-    /// [`Self::new`] and the `HYGRAPH_SNAPSHOT_IMPL` environment knob.
-    pub fn with_snapshot_impl(mode: SnapshotImpl) -> Self {
-        Self {
-            graph: TemporalGraph::new_with_impl(mode),
-            vertex_kind: SnapMap::new_with(mode),
-            edge_kind: SnapMap::new_with(mode),
-            series: SnapMap::new_with(mode),
-            delta_v: SnapMap::new_with(mode),
-            delta_e: SnapMap::new_with(mode),
-            subgraphs: SnapMap::new_with(mode),
-            next_series: 0,
-            next_subgraph: 0,
-        }
-    }
-
-    /// The snapshot implementation this instance's storage was built in.
-    pub fn snapshot_impl(&self) -> SnapshotImpl {
-        self.graph.snapshot_impl()
+        Self::default()
     }
 
     // ---- TS: the series set ------------------------------------------
@@ -136,10 +105,10 @@ impl HyGraph {
 
     /// Mutable access to a series (for appends — R3 ingest path).
     ///
-    /// One map traversal: [`SnapMap::get_mut`] probes presence itself,
+    /// One map traversal: [`PMap::get_mut`] probes presence itself,
     /// so a miss neither copies nor un-shares anything, and a hit
-    /// path-copies only the touched trie path (pmap mode) before the
-    /// per-series `Arc::make_mut` un-shares just that series.
+    /// path-copies only the touched trie path before the per-series
+    /// `Arc::make_mut` un-shares just that series.
     pub fn series_mut(&mut self, id: SeriesId) -> Result<&mut MultiSeries> {
         self.series
             .get_mut(&id)

@@ -96,7 +96,7 @@ impl BikeDataset {
 pub fn generate(cfg: BikeConfig) -> BikeDataset {
     assert!(cfg.stations > 0, "need at least one station");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut graph = TemporalGraph::with_capacity(cfg.stations, cfg.stations * cfg.avg_degree);
+    let mut graph = TemporalGraph::new();
     let start = Timestamp::from_millis(0);
 
     // stations on a jittered grid (Manhattan-ish)

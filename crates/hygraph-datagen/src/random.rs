@@ -20,7 +20,7 @@ pub fn random_graph(
     assert!(n > 0, "need at least one vertex");
     assert!(!labels.is_empty(), "need at least one label");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = TemporalGraph::with_capacity(n, m);
+    let mut g = TemporalGraph::new();
     let span = horizon.len().millis().max(2);
     let rand_iv = |rng: &mut StdRng| {
         let a = rng.random_range(0..span - 1);

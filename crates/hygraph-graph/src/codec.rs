@@ -53,8 +53,6 @@ pub fn decode_graph(r: &mut ByteReader<'_>) -> Result<TemporalGraph> {
     let vertex_slots = r.len_of()?;
     for i in 0..vertex_slots {
         let id = VertexId::from(i);
-        g.out_adj.push_empty();
-        g.in_adj.push_empty();
         if !r.bool()? {
             g.vertices.push_slot(None);
             continue;

@@ -13,7 +13,7 @@
 //!   tombstone the element entirely (physical delete).
 
 use crate::store::{SnapAdj, SnapSlab};
-use hygraph_types::pmap::{SnapMap, SnapshotImpl};
+use hygraph_types::pmap::PMap;
 use hygraph_types::{
     EdgeId, HyGraphError, Interval, Label, PropertyMap, Result, Timestamp, VertexId,
 };
@@ -73,14 +73,11 @@ impl EdgeData {
 
 /// A directed temporal property graph.
 ///
-/// Interior collections are dual-mode ([`SnapshotImpl`], chosen at
-/// construction): the default persistent tries make `clone` O(1) and
-/// mutation O(log n) path copies, so snapshot publication in the
+/// Interior collections are persistent tries: `clone` is O(1) and a
+/// mutation path-copies O(log n) nodes, so snapshot publication in the
 /// sharded engine costs O(batch) per commit even while readers pin old
-/// epochs; the `cow` mode keeps the legacy deep-copy-on-shared-write
-/// vectors as a rollback path. Both modes present identical semantics
-/// and identical (ascending-id) iteration order.
-#[derive(Clone, Debug)]
+/// epochs. Iteration is in ascending id order.
+#[derive(Clone, Debug, Default)]
 pub struct TemporalGraph {
     pub(crate) vertices: SnapSlab<VertexData>,
     pub(crate) edges: SnapSlab<EdgeData>,
@@ -89,55 +86,15 @@ pub struct TemporalGraph {
     // label -> vertices carrying it (kept in insertion order; tombstoned
     // entries are pruned on removal). Accelerates label-seeded pattern
     // matching and HyQL candidate generation.
-    pub(crate) vertex_label_index: SnapMap<Label, Vec<VertexId>>,
+    pub(crate) vertex_label_index: PMap<Label, Vec<VertexId>>,
     pub(crate) live_vertices: usize,
     pub(crate) live_edges: usize,
 }
 
-impl Default for TemporalGraph {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TemporalGraph {
-    /// An empty graph in the process-configured snapshot mode.
+    /// An empty graph.
     pub fn new() -> Self {
-        Self::new_with_impl(SnapshotImpl::configured())
-    }
-
-    /// An empty graph with an explicit snapshot implementation (tests
-    /// and decoders pin the mode; everything else uses [`Self::new`]).
-    pub fn new_with_impl(mode: SnapshotImpl) -> Self {
-        Self {
-            vertices: SnapSlab::new_with(mode),
-            edges: SnapSlab::new_with(mode),
-            out_adj: SnapAdj::new_with(mode),
-            in_adj: SnapAdj::new_with(mode),
-            vertex_label_index: SnapMap::new_with(mode),
-            live_vertices: 0,
-            live_edges: 0,
-        }
-    }
-
-    /// An empty graph with reserved capacity (meaningful in `cow` mode;
-    /// the persistent tries allocate per node and ignore the hint).
-    pub fn with_capacity(vertices: usize, edges: usize) -> Self {
-        let mode = SnapshotImpl::configured();
-        Self {
-            vertices: SnapSlab::with_capacity(mode, vertices),
-            edges: SnapSlab::with_capacity(mode, edges),
-            out_adj: SnapAdj::with_capacity(mode, vertices),
-            in_adj: SnapAdj::with_capacity(mode, vertices),
-            vertex_label_index: SnapMap::new_with(mode),
-            live_vertices: 0,
-            live_edges: 0,
-        }
-    }
-
-    /// The snapshot implementation this graph's storage was built in.
-    pub fn snapshot_impl(&self) -> SnapshotImpl {
-        self.vertices.mode()
+        Self::default()
     }
 
     // ---- construction ------------------------------------------------
@@ -186,8 +143,6 @@ impl TemporalGraph {
             props,
             validity,
         }));
-        self.out_adj.push_empty();
-        self.in_adj.push_empty();
         self.live_vertices += 1;
         id
     }
@@ -309,12 +264,12 @@ impl TemporalGraph {
 
     // ---- iteration ----------------------------------------------------
 
-    /// Iterates all live vertices (ascending id order in both modes).
+    /// Iterates all live vertices (ascending id order).
     pub fn vertices(&self) -> impl Iterator<Item = &VertexData> {
         self.vertices.iter_live()
     }
 
-    /// Iterates all live edges (ascending id order in both modes).
+    /// Iterates all live edges (ascending id order).
     pub fn edges(&self) -> impl Iterator<Item = &EdgeData> {
         self.edges.iter_live()
     }

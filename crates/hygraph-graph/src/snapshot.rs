@@ -24,7 +24,7 @@ pub fn slice(g: &TemporalGraph, window: &Interval) -> TemporalGraph {
 }
 
 fn filtered(g: &TemporalGraph, keep: impl Fn(&Interval) -> bool) -> TemporalGraph {
-    let mut out = TemporalGraph::with_capacity(g.vertex_count(), g.edge_count());
+    let mut out = TemporalGraph::new();
     // Rebuild with identical ids: allocate tombstoned gaps by inserting
     // placeholder vertices and removing them afterwards would be wasteful;
     // instead we exploit that ids are dense and insertion order defines

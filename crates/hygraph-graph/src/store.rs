@@ -1,157 +1,81 @@
-//! Dual-mode interior storage for [`TemporalGraph`](crate::TemporalGraph).
+//! Interior storage for [`TemporalGraph`](crate::TemporalGraph).
 //!
-//! Each commit-path collection exists in two modes, selected per store
-//! at construction by [`SnapshotImpl`] (see `hygraph-types::pmap`):
+//! Both collections are persistent tries keyed by dense id
+//! (`hygraph-types::pmap`): `clone` is O(1) and a write path-copies
+//! O(log n) nodes no matter how many snapshots are pinned. They are
+//! wrapped rather than used bare because each hides a shape rule the
+//! callers must not have to know: a slab's absent key is a tombstone
+//! below the allocation high-water mark, and an adjacency never stores
+//! an empty set (so equal logical state means an equal trie).
 //!
-//! * **Dense** — the legacy layout (`Arc<Vec<…>>` + `make_mut`): the
-//!   first write after a snapshot is pinned deep-copies the whole
-//!   vector. Kept as the `cow` rollback path.
-//! * **Pmap** — persistent tries keyed by dense id: writes path-copy
-//!   O(log n) nodes no matter how many snapshots are pinned.
-//!
-//! Both modes iterate in ascending id order (dense index order on one
-//! side, identity-hash trie order on the other), so canonical encodings
-//! and adjacency orders are byte-identical across modes.
+//! Identity-hashed keys iterate in ascending id order, which is what
+//! the canonical encodings and adjacency orders are built on.
 
-use hygraph_types::pmap::{PMap, PSet, SnapshotImpl};
+use hygraph_types::pmap::{PMap, PSet};
 use hygraph_types::EdgeId;
 use std::fmt;
-use std::sync::Arc;
-
-/// Chains two iterator shapes behind one `impl Iterator` return type.
-pub(crate) enum EitherIter<A, B> {
-    A(A),
-    B(B),
-}
-
-impl<A, B, T> Iterator for EitherIter<A, B>
-where
-    A: Iterator<Item = T>,
-    B: Iterator<Item = T>,
-{
-    type Item = T;
-
-    #[inline]
-    fn next(&mut self) -> Option<T> {
-        match self {
-            EitherIter::A(it) => it.next(),
-            EitherIter::B(it) => it.next(),
-        }
-    }
-}
 
 /// A dense-id slot store (vertex or edge table): ids are allocated
 /// sequentially, removal tombstones the slot, and the slot count only
-/// grows. The Pmap mode stores only live slots (absent key = tombstone)
-/// plus the allocation high-water mark.
-pub(crate) enum SnapSlab<T> {
-    Dense(Arc<Vec<Option<T>>>),
-    Pmap { map: PMap<u64, T>, slots: u64 },
+/// grows. Only live slots are stored (absent key = tombstone) plus the
+/// allocation high-water mark.
+#[derive(Clone)]
+pub(crate) struct SnapSlab<T> {
+    map: PMap<u64, T>,
+    slots: u64,
+}
+
+// not derived: a derive would demand `T: Default`
+impl<T> Default for SnapSlab<T> {
+    fn default() -> Self {
+        Self {
+            map: PMap::default(),
+            slots: 0,
+        }
+    }
 }
 
 impl<T: Clone> SnapSlab<T> {
-    pub(crate) fn new_with(mode: SnapshotImpl) -> Self {
-        Self::with_capacity(mode, 0)
-    }
-
-    pub(crate) fn with_capacity(mode: SnapshotImpl, cap: usize) -> Self {
-        match mode {
-            SnapshotImpl::Cow => SnapSlab::Dense(Arc::new(Vec::with_capacity(cap))),
-            SnapshotImpl::Pmap => SnapSlab::Pmap {
-                map: PMap::new(),
-                slots: 0,
-            },
-        }
-    }
-
-    pub(crate) fn mode(&self) -> SnapshotImpl {
-        match self {
-            SnapSlab::Dense(_) => SnapshotImpl::Cow,
-            SnapSlab::Pmap { .. } => SnapshotImpl::Pmap,
-        }
-    }
-
     /// Total slots ever allocated (live + tombstoned) — the next id.
     pub(crate) fn slots(&self) -> usize {
-        match self {
-            SnapSlab::Dense(v) => v.len(),
-            SnapSlab::Pmap { slots, .. } => *slots as usize,
-        }
+        self.slots as usize
     }
 
     /// Number of live (non-tombstoned) slots.
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
-        match self {
-            SnapSlab::Dense(v) => v.iter().filter(|s| s.is_some()).count(),
-            SnapSlab::Pmap { map, .. } => map.len(),
-        }
+        self.map.len()
     }
 
     /// Appends the next slot (decode path appends tombstones verbatim;
     /// the construction path always appends `Some`). Returns its index.
     pub(crate) fn push_slot(&mut self, value: Option<T>) -> usize {
-        match self {
-            SnapSlab::Dense(v) => {
-                let idx = v.len();
-                Arc::make_mut(v).push(value);
-                idx
-            }
-            SnapSlab::Pmap { map, slots } => {
-                let idx = *slots;
-                if let Some(value) = value {
-                    map.insert(idx, value);
-                }
-                *slots += 1;
-                idx as usize
-            }
+        let idx = self.slots;
+        if let Some(value) = value {
+            self.map.insert(idx, value);
         }
+        self.slots += 1;
+        idx as usize
     }
 
     pub(crate) fn get(&self, idx: usize) -> Option<&T> {
-        match self {
-            SnapSlab::Dense(v) => v.get(idx).and_then(Option::as_ref),
-            SnapSlab::Pmap { map, .. } => map.get(&(idx as u64)),
-        }
+        self.map.get(&(idx as u64))
     }
 
     /// Mutable slot access; a miss (out of range or tombstone) copies
-    /// nothing in either mode.
+    /// nothing.
     pub(crate) fn get_mut(&mut self, idx: usize) -> Option<&mut T> {
-        self.get(idx)?;
-        match self {
-            SnapSlab::Dense(v) => Arc::make_mut(v).get_mut(idx).and_then(Option::as_mut),
-            SnapSlab::Pmap { map, .. } => map.get_mut(&(idx as u64)),
-        }
+        self.map.get_mut(&(idx as u64))
     }
 
     /// Tombstones a slot, returning its value; a miss copies nothing.
     pub(crate) fn take(&mut self, idx: usize) -> Option<T> {
-        self.get(idx)?;
-        match self {
-            SnapSlab::Dense(v) => Arc::make_mut(v).get_mut(idx).and_then(Option::take),
-            SnapSlab::Pmap { map, .. } => map.remove(&(idx as u64)),
-        }
+        self.map.remove(&(idx as u64))
     }
 
     /// Live slots in ascending id order.
     pub(crate) fn iter_live(&self) -> impl Iterator<Item = &T> {
-        match self {
-            SnapSlab::Dense(v) => EitherIter::A(v.iter().filter_map(Option::as_ref)),
-            SnapSlab::Pmap { map, .. } => EitherIter::B(map.values()),
-        }
-    }
-}
-
-impl<T: Clone> Clone for SnapSlab<T> {
-    fn clone(&self) -> Self {
-        match self {
-            SnapSlab::Dense(v) => SnapSlab::Dense(Arc::clone(v)),
-            SnapSlab::Pmap { map, slots } => SnapSlab::Pmap {
-                map: map.clone(),
-                slots: *slots,
-            },
-        }
+        self.map.values()
     }
 }
 
@@ -161,101 +85,54 @@ impl<T: Clone + fmt::Debug> fmt::Debug for SnapSlab<T> {
     }
 }
 
-/// Per-vertex adjacency (out or in). Lists are maintained in ascending
-/// edge-id order by construction — edges allocate monotonically and
-/// removal preserves order — so the Pmap mode's `PSet` (which iterates
-/// ascending id) reproduces the dense `Vec` order exactly.
-pub(crate) enum SnapAdj {
-    Dense(Arc<Vec<Vec<EdgeId>>>),
-    Pmap(PMap<u64, PSet<EdgeId>>),
+/// Per-vertex adjacency (out or in). A vertex with no incident edge has
+/// no entry — absence *is* empty — so the trie for a given edge set is
+/// canonical. Edges allocate monotonically and the `PSet` iterates
+/// ascending id, so a vertex's list is always in ascending edge-id order.
+#[derive(Clone, Default)]
+pub(crate) struct SnapAdj {
+    adj: PMap<u64, PSet<EdgeId>>,
 }
 
 impl SnapAdj {
-    pub(crate) fn new_with(mode: SnapshotImpl) -> Self {
-        Self::with_capacity(mode, 0)
-    }
-
-    pub(crate) fn with_capacity(mode: SnapshotImpl, cap: usize) -> Self {
-        match mode {
-            SnapshotImpl::Cow => SnapAdj::Dense(Arc::new(Vec::with_capacity(cap))),
-            SnapshotImpl::Pmap => SnapAdj::Pmap(PMap::new()),
-        }
-    }
-
-    /// Registers a newly allocated vertex slot (its adjacency starts
-    /// empty; in Pmap mode absence *is* empty, so nothing is stored).
-    pub(crate) fn push_empty(&mut self) {
-        if let SnapAdj::Dense(v) = self {
-            Arc::make_mut(v).push(Vec::new());
-        }
-    }
-
-    /// Appends an incident edge to vertex `v`'s list. Callers only ever
-    /// append freshly allocated (maximal) edge ids, preserving ascending
-    /// order in both modes.
+    /// Adds incident edge `e` to vertex `v`'s list.
     pub(crate) fn add(&mut self, v: usize, e: EdgeId) {
-        match self {
-            SnapAdj::Dense(adj) => Arc::make_mut(adj)[v].push(e),
-            SnapAdj::Pmap(adj) => {
-                let key = v as u64;
-                if adj.get(&key).is_none() {
-                    adj.insert(key, PSet::new());
-                }
-                adj.get_mut(&key).expect("inserted above").insert(e);
-            }
+        let key = v as u64;
+        if self.adj.get(&key).is_none() {
+            self.adj.insert(key, PSet::new());
         }
+        self.adj.get_mut(&key).expect("inserted above").insert(e);
     }
 
-    /// Drops edge `e` from vertex `v`'s list (edge removal). An empty
-    /// Pmap entry is removed entirely so the trie stays canonical.
+    /// Drops edge `e` from vertex `v`'s list (edge removal). An emptied
+    /// entry is removed entirely so the trie stays canonical.
     pub(crate) fn remove(&mut self, v: usize, e: EdgeId) {
-        match self {
-            SnapAdj::Dense(adj) => Arc::make_mut(adj)[v].retain(|&x| x != e),
-            SnapAdj::Pmap(adj) => {
-                let key = v as u64;
-                let emptied = match adj.get_mut(&key) {
-                    Some(set) => {
-                        set.remove(&e);
-                        set.is_empty()
-                    }
-                    None => false,
-                };
-                if emptied {
-                    adj.remove(&key);
-                }
+        let key = v as u64;
+        let emptied = match self.adj.get_mut(&key) {
+            Some(set) => {
+                set.remove(&e);
+                set.is_empty()
             }
+            None => false,
+        };
+        if emptied {
+            self.adj.remove(&key);
         }
     }
 
     /// Vertex `v`'s incident edge ids in ascending id order; an unknown
     /// vertex yields an empty iterator.
     pub(crate) fn edge_ids(&self, v: usize) -> impl Iterator<Item = EdgeId> + '_ {
-        match self {
-            SnapAdj::Dense(adj) => EitherIter::A(adj.get(v).into_iter().flatten().copied()),
-            SnapAdj::Pmap(adj) => EitherIter::B(
-                adj.get(&(v as u64))
-                    .into_iter()
-                    .flat_map(|set| set.iter().copied()),
-            ),
-        }
-    }
-}
-
-impl Clone for SnapAdj {
-    fn clone(&self) -> Self {
-        match self {
-            SnapAdj::Dense(v) => SnapAdj::Dense(Arc::clone(v)),
-            SnapAdj::Pmap(m) => SnapAdj::Pmap(m.clone()),
-        }
+        self.adj
+            .get(&(v as u64))
+            .into_iter()
+            .flat_map(|set| set.iter().copied())
     }
 }
 
 impl fmt::Debug for SnapAdj {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapAdj::Dense(v) => f.debug_list().entries(v.iter()).finish(),
-            SnapAdj::Pmap(m) => f.debug_map().entries(m.iter()).finish(),
-        }
+        f.debug_map().entries(self.adj.iter()).finish()
     }
 }
 
@@ -263,66 +140,37 @@ impl fmt::Debug for SnapAdj {
 mod tests {
     use super::*;
 
-    fn both_modes(f: impl Fn(SnapshotImpl)) {
-        f(SnapshotImpl::Cow);
-        f(SnapshotImpl::Pmap);
-    }
-
     #[test]
     fn slab_alloc_take_and_iteration_order() {
-        both_modes(|mode| {
-            let mut s: SnapSlab<u32> = SnapSlab::new_with(mode);
-            assert_eq!(s.push_slot(Some(10)), 0);
-            assert_eq!(s.push_slot(None), 1);
-            assert_eq!(s.push_slot(Some(30)), 2);
-            assert_eq!(s.slots(), 3);
-            assert_eq!(s.live(), 2);
-            assert_eq!(s.get(0), Some(&10));
-            assert_eq!(s.get(1), None);
-            assert_eq!(s.take(2), Some(30));
-            assert_eq!(s.take(2), None);
-            assert_eq!(s.slots(), 3, "tombstoning keeps the high-water mark");
-            *s.get_mut(0).unwrap() = 11;
-            let live: Vec<u32> = s.iter_live().copied().collect();
-            assert_eq!(live, vec![11]);
-        });
+        let mut s: SnapSlab<u32> = SnapSlab::default();
+        assert_eq!(s.push_slot(Some(10)), 0);
+        assert_eq!(s.push_slot(None), 1);
+        assert_eq!(s.push_slot(Some(30)), 2);
+        assert_eq!(s.slots(), 3);
+        assert_eq!(s.live(), 2);
+        assert_eq!(s.get(0), Some(&10));
+        assert_eq!(s.get(1), None);
+        assert_eq!(s.take(2), Some(30));
+        assert_eq!(s.take(2), None);
+        assert_eq!(s.slots(), 3, "tombstoning keeps the high-water mark");
+        *s.get_mut(0).unwrap() = 11;
+        let live: Vec<u32> = s.iter_live().copied().collect();
+        assert_eq!(live, vec![11]);
     }
 
     #[test]
     fn adj_add_remove_and_order() {
-        both_modes(|mode| {
-            let mut a = SnapAdj::new_with(mode);
-            a.push_empty();
-            a.push_empty();
-            a.add(0, EdgeId::new(0));
-            a.add(0, EdgeId::new(3));
-            a.add(1, EdgeId::new(5));
-            let ids: Vec<u64> = a.edge_ids(0).map(|e| e.raw()).collect();
-            assert_eq!(ids, vec![0, 3]);
-            a.remove(0, EdgeId::new(0));
-            let ids: Vec<u64> = a.edge_ids(0).map(|e| e.raw()).collect();
-            assert_eq!(ids, vec![3]);
-            assert_eq!(a.edge_ids(99).count(), 0);
-        });
-    }
-
-    #[test]
-    fn modes_produce_identical_views() {
-        let mut d = SnapAdj::new_with(SnapshotImpl::Cow);
-        let mut p = SnapAdj::new_with(SnapshotImpl::Pmap);
-        for adj in [&mut d, &mut p] {
-            for _ in 0..4 {
-                adj.push_empty();
-            }
-            for e in 0..12u64 {
-                adj.add((e % 4) as usize, EdgeId::new(e));
-            }
-            adj.remove(2, EdgeId::new(6));
-        }
-        for v in 0..4 {
-            let dv: Vec<_> = d.edge_ids(v).collect();
-            let pv: Vec<_> = p.edge_ids(v).collect();
-            assert_eq!(dv, pv);
-        }
+        let mut a = SnapAdj::default();
+        a.add(0, EdgeId::new(0));
+        a.add(0, EdgeId::new(3));
+        a.add(1, EdgeId::new(5));
+        let ids: Vec<u64> = a.edge_ids(0).map(|e| e.raw()).collect();
+        assert_eq!(ids, vec![0, 3]);
+        a.remove(0, EdgeId::new(0));
+        let ids: Vec<u64> = a.edge_ids(0).map(|e| e.raw()).collect();
+        assert_eq!(ids, vec![3]);
+        assert_eq!(a.edge_ids(99).count(), 0);
+        a.remove(1, EdgeId::new(5));
+        assert_eq!(a.adj.len(), 1, "an emptied entry is removed, not kept");
     }
 }

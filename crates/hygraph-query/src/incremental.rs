@@ -113,7 +113,9 @@ impl Delta {
         let mut ops = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let tag = r.u8()?;
-            let at = r.len_of()?;
+            // a row position, not a length: it allocates nothing, so
+            // it must not be bounded by the bytes remaining
+            let at = r.u64()? as usize;
             ops.push(match tag {
                 0 => DeltaOp::Insert {
                     at,
@@ -743,6 +745,27 @@ mod tests {
         let hostile = w.into_bytes();
         let mut r = ByteReader::new(&hostile);
         assert!(Delta::decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn delta_codec_roundtrips_a_position_far_past_the_frame_length() {
+        for op in [
+            DeltaOp::Insert {
+                at: 10_000,
+                row: vec![Value::Int(7)],
+            },
+            DeltaOp::Update {
+                at: 10_000,
+                row: vec![Value::Int(7)],
+            },
+            DeltaOp::Remove { at: 10_000 },
+        ] {
+            let d = Delta { ops: vec![op] };
+            let mut w = ByteWriter::new();
+            d.encode(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(Delta::decode(&mut ByteReader::new(&bytes)).unwrap(), d);
+        }
     }
 
     use hygraph_types::Value;

@@ -13,9 +13,9 @@
 //! (writers serialise on it; readers never touch it), and after every
 //! committed batch the writer publishes a new immutable
 //! [`Arc<HyGraph>`] snapshot into a dedicated slot. Queries pin the
-//! current snapshot (one `Arc` clone — the interior is copy-on-write,
-//! so publication is O(changed structure), not O(data)) and execute
-//! against it without blocking behind writers, through the
+//! current snapshot (one `Arc` clone — the interior is persistent
+//! tries, so publication is O(changed structure), not O(data)) and
+//! execute against it without blocking behind writers, through the
 //! scatter-gather physical path partitioned by the same
 //! [`ShardRouter`] that places WAL frames. A snapshot is published
 //! only after the whole batch applied (and, for durable backends,

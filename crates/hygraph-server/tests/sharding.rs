@@ -9,10 +9,11 @@ use hygraph_server::{Backend, Engine};
 use hygraph_temporal::HistoryConfig;
 use hygraph_types::{Interval, Label, PropertyMap, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const BATCH: usize = 7; // vertices per committed batch
 const BATCHES: usize = 40;
+const READERS: usize = 3;
 
 fn station_batch() -> Vec<HgMutation> {
     (0..BATCH)
@@ -39,18 +40,22 @@ fn observed_count(engine: &Engine) -> i64 {
 
 /// Drives `engine` with one writer committing whole batches while
 /// reader threads hammer snapshot queries; every observation is
-/// checked for batch-atomicity and per-reader monotonicity.
+/// checked for batch-atomicity and per-reader monotonicity. The writer
+/// starts only once every reader has observed once — memory commits
+/// are fast enough to all finish before a reader is first scheduled.
 fn readers_never_observe_torn_batches(engine: Arc<Engine>) {
     assert_eq!(engine.shards(), 4, "the test must run the sharded path");
     let done = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..3)
+    let all_observing = Arc::new(Barrier::new(READERS + 1));
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let engine = Arc::clone(&engine);
             let done = Arc::clone(&done);
+            let all_observing = Arc::clone(&all_observing);
             std::thread::spawn(move || {
                 let mut observations = 0usize;
                 let mut last = 0i64;
-                while !done.load(Ordering::Acquire) {
+                loop {
                     let n = observed_count(&engine);
                     assert_eq!(
                         n % BATCH as i64,
@@ -60,18 +65,26 @@ fn readers_never_observe_torn_batches(engine: Arc<Engine>) {
                     assert!(n >= last, "snapshot went backwards: {n} after {last}");
                     last = n;
                     observations += 1;
+                    if observations == 1 {
+                        all_observing.wait();
+                    }
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
                 observations
             })
         })
         .collect();
 
+    all_observing.wait();
     for _ in 0..BATCHES {
         engine.mutate_batch(station_batch()).expect("commit");
     }
     done.store(true, Ordering::Release);
-    let total: usize = readers.into_iter().map(|r| r.join().unwrap()).sum();
-    assert!(total > 0, "readers must have observed at least once");
+    for r in readers {
+        assert!(r.join().unwrap() > 0, "every reader must have observed");
+    }
 
     assert_eq!(observed_count(&engine), (BATCH * BATCHES) as i64);
     assert_eq!(

@@ -219,6 +219,32 @@ fn standing_queries_track_commits_byte_identically() {
     server.shutdown().expect("shutdown");
 }
 
+/// A delta op's row position is not a length: a one-cell insert landing
+/// past row 200 of a standing result is a few bytes on the wire, and
+/// the client must decode and apply it like any other.
+#[test]
+fn insert_far_down_a_long_standing_result_is_pushed_and_applied() {
+    let _g = guard();
+    let server = Server::serve(Backend::memory(instance()), &config(2, 32, 5_000)).expect("serve");
+    let mut subscriber = Client::connect(server.local_addr()).expect("connect subscriber");
+    let mut oracle = Client::connect(server.local_addr()).expect("connect oracle");
+    oracle
+        .mutate_batch((0..300).map(|i| add_user(&format!("u{i}"), 40)).collect())
+        .expect("bulk load");
+
+    let mut subs = vec![(subscriber.subscribe(Q_USERS).expect("subscribe"), Q_USERS)];
+    assert!(subs[0].0.rows().rows.len() > 200);
+    let mut seen = Vec::new();
+    oracle
+        .mutate_batch(vec![add_user("z", 40)])
+        .expect("commit");
+    settle(&mut subscriber, &mut oracle, &mut subs, &mut seen);
+
+    assert_eq!(seen, [subs[0].0.id()], "exactly one delta frame");
+    assert!(subs[0].0.closed().is_none());
+    server.shutdown().expect("shutdown");
+}
+
 /// A push frame sitting in the socket buffer ahead of pipelined replies
 /// must not break correlation: replies are matched by id (here
 /// deliberately collected out of order) and the delta is routed to the

@@ -1,6 +1,6 @@
 //! Persistent (structurally shared) maps for snapshot publication.
 //!
-//! The sharded engine publishes an immutable [`HyGraph`] snapshot per
+//! The sharded engine publishes an immutable `HyGraph` snapshot per
 //! commit epoch and readers pin it wait-free. With ordinary `HashMap`s
 //! behind `Arc::make_mut`, a pinned snapshot forces the *next* commit to
 //! deep-copy every interior map it touches — O(graph) per commit the
@@ -35,22 +35,9 @@
 //!   therefore canonical for a given key set — and dense id ranges,
 //!   whose hashes share all their high bits, stay 2–3 levels deep
 //!   instead of descending one near-empty level per shared 6-bit chunk.
-//!
-//! # Choosing an implementation
-//!
-//! [`SnapshotImpl`] selects between the legacy copy-on-write collections
-//! (`cow`) and the persistent ones (`pmap`, the default) at store
-//! construction time, via the same layered precedence as
-//! [`crate::shard::ShardConfig`]: explicit argument, else installed
-//! override, else the `HYGRAPH_SNAPSHOT_IMPL` environment variable, else
-//! `pmap`. [`SnapMap`] is the dual-mode map the model layers store so
-//! either implementation can be picked per store without generics
-//! leaking through every signature.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::ids::{EdgeId, Label, PropertyKey, SeriesId, SubgraphId, VertexId};
 
@@ -660,258 +647,6 @@ impl<K: PmapKey> PartialEq for PSet<K> {
 
 impl<K: PmapKey> Eq for PSet<K> {}
 
-// ---------------------------------------------------------------------------
-// Snapshot implementation selection
-// ---------------------------------------------------------------------------
-
-/// Which collection family the model layers use for snapshot-published
-/// state. `Pmap` (the default) gives O(batch) commits under pinned
-/// readers; `Cow` is the pre-PR-10 copy-on-write rollback path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SnapshotImpl {
-    /// Legacy `Arc<std map>` + `make_mut`: first write after a snapshot
-    /// is pinned deep-copies the whole map.
-    Cow,
-    /// Persistent HAMT: writes path-copy O(log n) nodes regardless of
-    /// how many snapshots are pinned.
-    #[default]
-    Pmap,
-}
-
-// 0 = unset, 1 = Cow, 2 = Pmap.
-static IMPL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-fn env_impl() -> Option<SnapshotImpl> {
-    static CACHE: OnceLock<Option<SnapshotImpl>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let raw = std::env::var("HYGRAPH_SNAPSHOT_IMPL").ok()?;
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "cow" => Some(SnapshotImpl::Cow),
-            "pmap" => Some(SnapshotImpl::Pmap),
-            _ => None,
-        }
-    })
-}
-
-impl SnapshotImpl {
-    /// Applies this choice process-wide (between the explicit-argument
-    /// and environment precedence layers). Repeatable; the last call
-    /// wins — the bench uses this to measure both modes in one process.
-    pub fn install(self) {
-        let v = match self {
-            SnapshotImpl::Cow => 1,
-            SnapshotImpl::Pmap => 2,
-        };
-        IMPL_OVERRIDE.store(v, Ordering::Relaxed);
-    }
-
-    /// Clears an installed override, falling back to the environment /
-    /// default layers.
-    pub fn clear_install() {
-        IMPL_OVERRIDE.store(0, Ordering::Relaxed);
-    }
-
-    /// Resolves the effective implementation: installed override, else
-    /// `HYGRAPH_SNAPSHOT_IMPL` (`cow` | `pmap`), else `Pmap`.
-    pub fn configured() -> Self {
-        match IMPL_OVERRIDE.load(Ordering::Relaxed) {
-            1 => SnapshotImpl::Cow,
-            2 => SnapshotImpl::Pmap,
-            _ => env_impl().unwrap_or_default(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SnapMap: the dual-mode map stores actually hold
-// ---------------------------------------------------------------------------
-
-/// A map that is either the legacy copy-on-write `Arc<BTreeMap>` or a
-/// persistent [`PMap`], chosen per store at construction time. The two
-/// variants expose identical semantics; for identity-hashed id keys
-/// they also iterate in the identical (ascending id) order, which keeps
-/// canonical encodings byte-identical across modes.
-pub enum SnapMap<K, V> {
-    /// Legacy mode: whole-map deep copy on first write while shared.
-    Cow(Arc<BTreeMap<K, V>>),
-    /// Structural sharing: O(log n) path copy per write.
-    Pmap(PMap<K, V>),
-}
-
-impl<K, V> Clone for SnapMap<K, V> {
-    #[inline]
-    fn clone(&self) -> Self {
-        match self {
-            SnapMap::Cow(m) => SnapMap::Cow(Arc::clone(m)),
-            SnapMap::Pmap(m) => SnapMap::Pmap(m.clone()),
-        }
-    }
-}
-
-impl<K: PmapKey, V: Clone> Default for SnapMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: PmapKey, V: Clone> SnapMap<K, V> {
-    /// An empty map in the process-configured mode
-    /// ([`SnapshotImpl::configured`]).
-    pub fn new() -> Self {
-        Self::new_with(SnapshotImpl::configured())
-    }
-
-    /// An empty map in an explicit mode (tests and the bench pin modes
-    /// this way; stores built from a checkpoint inherit the decoder's).
-    pub fn new_with(mode: SnapshotImpl) -> Self {
-        match mode {
-            SnapshotImpl::Cow => SnapMap::Cow(Arc::new(BTreeMap::new())),
-            SnapshotImpl::Pmap => SnapMap::Pmap(PMap::new()),
-        }
-    }
-
-    /// Builds a map of `mode` from entries (decode paths).
-    pub fn from_entries<I: IntoIterator<Item = (K, V)>>(mode: SnapshotImpl, entries: I) -> Self {
-        match mode {
-            SnapshotImpl::Cow => SnapMap::Cow(Arc::new(entries.into_iter().collect())),
-            SnapshotImpl::Pmap => SnapMap::Pmap(entries.into_iter().collect()),
-        }
-    }
-
-    /// The mode this map was built in.
-    pub fn mode(&self) -> SnapshotImpl {
-        match self {
-            SnapMap::Cow(_) => SnapshotImpl::Cow,
-            SnapMap::Pmap(_) => SnapshotImpl::Pmap,
-        }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match self {
-            SnapMap::Cow(m) => m.len(),
-            SnapMap::Pmap(m) => m.len(),
-        }
-    }
-
-    /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        match self {
-            SnapMap::Cow(m) => m.get(key),
-            SnapMap::Pmap(m) => m.get(key),
-        }
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Mutable point lookup; a miss never un-shares or copies in either
-    /// mode (presence is probed before any `make_mut`).
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self {
-            SnapMap::Cow(m) => {
-                if !m.contains_key(key) {
-                    return None;
-                }
-                Arc::make_mut(m).get_mut(key)
-            }
-            SnapMap::Pmap(m) => m.get_mut(key),
-        }
-    }
-
-    /// Inserts `key → value`, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self {
-            SnapMap::Cow(m) => Arc::make_mut(m).insert(key, value),
-            SnapMap::Pmap(m) => m.insert(key, value),
-        }
-    }
-
-    /// Removes `key`, returning its value if present; a miss never
-    /// un-shares or copies in either mode.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        match self {
-            SnapMap::Cow(m) => {
-                if !m.contains_key(key) {
-                    return None;
-                }
-                Arc::make_mut(m).remove(key)
-            }
-            SnapMap::Pmap(m) => m.remove(key),
-        }
-    }
-
-    /// Iterates entries. For identity-hashed id keys both modes yield
-    /// ascending id order; for string keys the orders differ (`Cow` is
-    /// lexicographic, `Pmap` hash-ordered) but each is deterministic.
-    pub fn iter(&self) -> SnapMapIter<'_, K, V> {
-        match self {
-            SnapMap::Cow(m) => SnapMapIter::Cow(m.iter()),
-            SnapMap::Pmap(m) => SnapMapIter::Pmap(m.iter()),
-        }
-    }
-
-    /// Iterates keys in [`Self::iter`] order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterates values in [`Self::iter`] order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
-    }
-}
-
-/// Iterator over a [`SnapMap`], whichever mode it is in.
-pub enum SnapMapIter<'a, K, V> {
-    #[doc(hidden)]
-    Cow(std::collections::btree_map::Iter<'a, K, V>),
-    #[doc(hidden)]
-    Pmap(PMapIter<'a, K, V>),
-}
-
-impl<'a, K, V> Iterator for SnapMapIter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            SnapMapIter::Cow(it) => it.next(),
-            SnapMapIter::Pmap(it) => it.next(),
-        }
-    }
-}
-
-impl<'a, K: PmapKey, V: Clone> IntoIterator for &'a SnapMap<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = SnapMapIter<'a, K, V>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<K: PmapKey + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for SnapMap<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
-    }
-}
-
-/// Content equality regardless of mode (lookup-based, so the string-key
-/// iteration-order difference between modes cannot cause false negatives).
-impl<K: PmapKey, V: Clone + PartialEq> PartialEq for SnapMap<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().all(|(k, v)| other.get(k) == Some(v))
-    }
-}
-
-impl<K: PmapKey, V: Clone + Eq> Eq for SnapMap<K, V> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1071,42 +806,5 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(fnv1a(b"hello"), fnv1a(b"hello"));
-    }
-
-    #[test]
-    fn snapshot_impl_precedence() {
-        // No override installed in this test binary unless we install one.
-        SnapshotImpl::clear_install();
-        let base = SnapshotImpl::configured(); // env or default
-        SnapshotImpl::Cow.install();
-        assert_eq!(SnapshotImpl::configured(), SnapshotImpl::Cow);
-        SnapshotImpl::Pmap.install();
-        assert_eq!(SnapshotImpl::configured(), SnapshotImpl::Pmap);
-        SnapshotImpl::clear_install();
-        assert_eq!(SnapshotImpl::configured(), base);
-    }
-
-    #[test]
-    fn snapmap_modes_agree() {
-        let entries: Vec<(u64, u64)> = (0..50).map(|i| (i * 3 % 50, i)).collect();
-        let mut cow = SnapMap::new_with(SnapshotImpl::Cow);
-        let mut pm = SnapMap::new_with(SnapshotImpl::Pmap);
-        for &(k, v) in &entries {
-            assert_eq!(cow.insert(k, v), pm.insert(k, v));
-        }
-        assert_eq!(cow, pm);
-        assert_eq!(
-            cow.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-            pm.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-            "id-keyed SnapMaps iterate identically across modes"
-        );
-        assert_eq!(cow.remove(&3), pm.remove(&3));
-        assert_eq!(cow.remove(&999), None);
-        assert_eq!(pm.remove(&999), None);
-        assert_eq!(cow.get_mut(&999), None);
-        assert_eq!(pm.get_mut(&999), None);
-        *cow.get_mut(&6).unwrap() = 1;
-        *pm.get_mut(&6).unwrap() = 1;
-        assert_eq!(cow, pm);
     }
 }

@@ -5,7 +5,7 @@
 //! must be a pure function of the key set — the property the canonical
 //! checkpoint and WAL encodings are built on.
 
-use hygraph_types::pmap::{PMap, PmapKey, SnapMap, SnapshotImpl};
+use hygraph_types::pmap::{PMap, PmapKey};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -182,24 +182,5 @@ proptest! {
         let mut want: Vec<u64> = model.keys().copied().collect();
         want.sort_by_key(|&k| (k % 4, k));
         prop_assert_eq!(got, want, "collision leaves iterate (hash, key)-sorted");
-    }
-
-    /// The dual-mode [`SnapMap`] answers identically in both modes for
-    /// any op sequence (and, id keys, iterates identically too).
-    #[test]
-    fn snapmap_modes_are_indistinguishable(raw in raw_ops(150)) {
-        let mut cow: SnapMap<u64, u32> = SnapMap::new_with(SnapshotImpl::Cow);
-        let mut pm: SnapMap<u64, u32> = SnapMap::new_with(SnapshotImpl::Pmap);
-        for op in decode(&raw) {
-            match op {
-                Op::Insert(k, v) => prop_assert_eq!(cow.insert(k, v), pm.insert(k, v)),
-                Op::Remove(k) => prop_assert_eq!(cow.remove(&k), pm.remove(&k)),
-                Op::Get(k) => prop_assert_eq!(cow.get(&k), pm.get(&k)),
-            }
-            prop_assert_eq!(cow.len(), pm.len());
-        }
-        let a: Vec<(u64, u32)> = cow.iter().map(|(k, v)| (*k, *v)).collect();
-        let b: Vec<(u64, u32)> = pm.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(a, b, "id-keyed SnapMaps iterate identically across modes");
     }
 }
