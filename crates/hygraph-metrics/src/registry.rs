@@ -1,28 +1,33 @@
-//! The metrics registry: every instrument the stack records into, a
-//! plain-data [`Snapshot`] of the lot, an exact binary codec for
-//! shipping snapshots over the wire, and a Prometheus-style text
-//! exposition.
+//! The metrics registry: one table declaring every instrument the
+//! stack records into, and everything derived from it — the live
+//! groups, a plain-data [`Snapshot`] of the lot, a self-describing
+//! binary codec for shipping snapshots over the wire, and a
+//! Prometheus-style text exposition.
 //!
 //! The registry is a fixed, strongly-typed tree — no string lookups on
 //! the hot path, no allocation, no locks beyond the slow-query ring.
 //! Each domain (serving, durability, query execution, time series) has
 //! its own group so call sites read like
 //! `m.server.queue_wait_us.observe_duration(w)`.
+//!
+//! ## Adding an instrument
+//!
+//! One line in the `instruments!` table below — doc comment, field
+//! name, kind, exposition name — plus the call site that feeds it.
+//! Both structs, [`Registry::snapshot`], both codec directions and
+//! [`Snapshot::render_text`] follow from that line, and the wire needs
+//! no version bump: a reader that does not know the name skips it.
 
 use crate::counter::{Counter, Gauge};
 use crate::hist::{Histogram, HistogramSnapshot, BUCKETS};
 use crate::slow::{SlowQueryEntry, SlowQueryLog};
+use std::collections::HashMap;
 
-/// Magic version byte leading every encoded [`Snapshot`].
-///
-/// Version 2 added the plan-cache counters, the per-physical-operator
-/// group, and the plan fingerprint on slow-query entries. Version 3
-/// added the time-series compression gauges and rollup counters.
-/// Version 4 added the standing-subscription group. Version 5 added
-/// the temporal-history group. Version 6 added the per-shard group.
-/// Version 7 added the snapshot-publication instruments
-/// (commit-publish latency and the pinned-snapshot gauge).
-const SNAPSHOT_VERSION: u8 = 7;
+/// Leading byte of every encoded [`Snapshot`]: the self-describing
+/// record format. Its predecessors 1–7 were positional layouts that
+/// changed with every instrument added; this one names each value, so
+/// the byte never moves again.
+const SNAPSHOT_FORMAT: u8 = 8;
 
 /// Per-shard gauge lanes held by the registry. Mirrors
 /// `hygraph_types::shard::MAX_SHARDS` (this crate is dependency-free,
@@ -33,218 +38,445 @@ pub const MAX_SHARD_LANES: usize = 64;
 // Operator taxonomy
 // ---------------------------------------------------------------------
 
-/// The paper's Table 2 operator taxonomy — the key space for per-class
-/// query-execution metrics.
+/// Declares the key space of a labelled family: an enum whose variants
+/// index the family's members, each with its metric-name label beside
+/// it.
+macro_rules! label_keys {
+    ($(
+        $(#[$doc:meta])*
+        $key:ident {
+            $( $(#[$variant_doc:meta])* $variant:ident = $label:literal, )*
+        }
+    )*) => {$(
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum $key {
+            $( $(#[$variant_doc])* $variant, )*
+        }
+
+        impl $key {
+            /// Number of variants (the dimension of the family's array).
+            pub const COUNT: usize = [$( $label, )*].len();
+
+            /// Every variant, in index order.
+            pub const ALL: [$key; $key::COUNT] = [$( $key::$variant, )*];
+
+            /// The stable metric-name label of this variant.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $key::$variant => $label, )*
+                }
+            }
+        }
+    )*};
+}
+
+label_keys! {
+    /// The paper's Table 2 operator taxonomy — the key space for per-class
+    /// query-execution metrics ([`QueryMetrics::classes`]).
+    ///
+    /// HyQL queries classify into the four query rows (Q1–Q4); the
+    /// analytics layers map onto the remaining rows (feature extraction,
+    /// detection, embedding, pattern mining).
+    OpClass {
+        /// Q1 — (sub)pattern matching.
+        Q1Match = "q1_match",
+        /// Q2 — aggregation / grouping / downsampling.
+        Q2Aggregate = "q2_aggregate",
+        /// Q3 — traversal, reachability, correlation.
+        Q3Traverse = "q3_traverse",
+        /// Q4 — snapshot / segmentation retrieval.
+        Q4Snapshot = "q4_snapshot",
+        /// C — feature extraction and classification.
+        CFeature = "c_feature",
+        /// D — outlier / anomaly / community detection.
+        DDetect = "d_detect",
+        /// E — embedding.
+        EEmbed = "e_embed",
+        /// PM — pattern mining (motifs, discords).
+        PmMine = "pm_mine",
+    }
+
+    /// The physical operators of the plan-based HyQL executor — the key
+    /// space for per-operator query metrics ([`QueryMetrics::operators`],
+    /// `hygraph-query::physical`).
+    PlanOp {
+        /// Pattern matching / binding materialisation (with pushed preds).
+        Match = "match",
+        /// Residual WHERE evaluation over bindings.
+        Filter = "filter",
+        /// Flat projection (RETURN items, incl. series aggregates).
+        Project = "project",
+        /// Grouped projection: key eval + row-aggregate fold + HAVING.
+        Aggregate = "aggregate",
+        /// DISTINCT row deduplication.
+        Distinct = "distinct",
+        /// ORDER BY sort.
+        Sort = "sort",
+        /// LIMIT truncation.
+        Limit = "limit",
+    }
+}
+
+// ---------------------------------------------------------------------
+// The walk: how the codec and the renderer see an instrument
+// ---------------------------------------------------------------------
+
+/// One instrument's plain value — the variant is its kind. Generic
+/// over how the walk borrows it: shared for the encoder and the
+/// renderer ([`Value`]), exclusive for the decoder ([`Slot`]).
+enum Cell<C, G, H> {
+    Counter(C),
+    Gauge(G),
+    Histogram(H),
+}
+
+type Value<'a> = Cell<&'a u64, &'a i64, &'a HistogramSnapshot>;
+type Slot<'a> = Cell<&'a mut u64, &'a mut i64, &'a mut HistogramSnapshot>;
+
+impl<C, G, H> Cell<C, G, H> {
+    /// The kind byte of this instrument's wire record.
+    fn kind(&self) -> u8 {
+        match self {
+            Cell::Counter(_) => 0,
+            Cell::Gauge(_) => 1,
+            Cell::Histogram(_) => 2,
+        }
+    }
+}
+
+/// An instrument's exposition name: the table's literal, with the
+/// `<…>` placeholder of a labelled family's template replaced by the
+/// member's label.
+fn expand(template: &str, label: &str) -> String {
+    match (template.find('<'), template.find('>')) {
+        (Some(open), Some(close)) => {
+            format!("{}{label}{}", &template[..open], &template[close + 1..])
+        }
+        _ => template.to_owned(),
+    }
+}
+
+/// The label of the `i`-th member of a family (empty for a group that
+/// is not one).
+type Label = fn(usize) -> String;
+
+/// What the shared walk calls per instrument, in table order, with the
+/// table's name literal and the member's label (see [`expand`]).
+type Visit<'f> = dyn for<'a> FnMut(&'static str, &'a str, Value<'a>) + 'f;
+
+/// What the exclusive walk calls per instrument: the decoder, filling
+/// the slots it has a record for.
+type VisitMut<'f> = dyn for<'a> FnMut(&'static str, &'a str, Slot<'a>) + 'f;
+
+// ---------------------------------------------------------------------
+// The instrument table
+// ---------------------------------------------------------------------
+
+/// The walks every plain group has — a trait so that a family's walk
+/// can be called on its member slice without naming the member type.
+/// Both go over a slice of groups field by field, so a family's members
+/// stay adjacent per instrument (the text exposition needs each
+/// metric's samples in one run).
+trait Group: Sized {
+    fn walk(items: &[Self], label: Label, f: &mut Visit<'_>);
+    fn walk_mut(items: &mut [Self], label: Label, f: &mut VisitMut<'_>);
+}
+
+macro_rules! plain_ty {
+    (Counter) => {
+        u64
+    };
+    (Gauge) => {
+        i64
+    };
+    (Histogram) => {
+        HistogramSnapshot
+    };
+}
+
+macro_rules! read {
+    (Histogram $live:expr) => {
+        $live.snapshot()
+    };
+    ($kind:ident $live:expr) => {
+        $live.get()
+    };
+}
+
+/// Declares instrument groups: `field: Kind("exposition name")` per
+/// instrument and, under `+ families`, `field: Live => Plain, by label`
+/// per labelled family — an array of member groups live, an array or a
+/// `Vec` of their snapshots plain, `label` naming the `i`-th member.
+/// Families nest one level deep (their members hold instruments only),
+/// and a family labelled in `{…}` braces holds counters and gauges only
+/// — a summary's `quantile` label would need merging into the braces.
 ///
-/// HyQL queries classify into the four query rows (Q1–Q4); the
-/// analytics layers map onto the remaining rows (feature extraction,
-/// detection, embedding, pattern mining).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum OpClass {
-    /// Q1 — (sub)pattern matching.
-    Q1Match = 0,
-    /// Q2 — aggregation / grouping / downsampling.
-    Q2Aggregate = 1,
-    /// Q3 — traversal, reachability, correlation.
-    Q3Traverse = 2,
-    /// Q4 — snapshot / segmentation retrieval.
-    Q4Snapshot = 3,
-    /// C — feature extraction and classification.
-    CFeature = 4,
-    /// D — outlier / anomaly / community detection.
-    DDetect = 5,
-    /// E — embedding.
-    EEmbed = 6,
-    /// PM — pattern mining (motifs, discords).
-    PmMine = 7,
-}
-
-impl OpClass {
-    /// Number of classes (array dimension of [`QueryMetrics::classes`]).
-    pub const COUNT: usize = 8;
-
-    /// Every class, in index order.
-    pub const ALL: [OpClass; OpClass::COUNT] = [
-        OpClass::Q1Match,
-        OpClass::Q2Aggregate,
-        OpClass::Q3Traverse,
-        OpClass::Q4Snapshot,
-        OpClass::CFeature,
-        OpClass::DDetect,
-        OpClass::EEmbed,
-        OpClass::PmMine,
-    ];
-
-    /// The stable metric-name suffix for this class.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::Q1Match => "q1_match",
-            OpClass::Q2Aggregate => "q2_aggregate",
-            OpClass::Q3Traverse => "q3_traverse",
-            OpClass::Q4Snapshot => "q4_snapshot",
-            OpClass::CFeature => "c_feature",
-            OpClass::DDetect => "d_detect",
-            OpClass::EEmbed => "e_embed",
-            OpClass::PmMine => "pm_mine",
+/// Per group this generates the live struct call sites record into, the
+/// plain-data struct a [`Snapshot`] holds (same field names, same docs),
+/// `Default` for the live struct, the live → plain `read`, and
+/// [`Group`].
+macro_rules! instruments {
+    ($(
+        $(#[$group_doc:meta])*
+        $live:ident => $plain:ident {
+            $( $(#[$doc:meta])* $field:ident: $kind:ident($name:literal), )*
         }
-    }
-}
-
-/// The physical operators of the plan-based HyQL executor — the key
-/// space for per-operator query metrics (`hygraph-query::physical`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum PlanOp {
-    /// Pattern matching / binding materialisation (with pushed preds).
-    Match = 0,
-    /// Residual WHERE evaluation over bindings.
-    Filter = 1,
-    /// Flat projection (RETURN items, incl. series aggregates).
-    Project = 2,
-    /// Grouped projection: key eval + row-aggregate fold + HAVING.
-    Aggregate = 3,
-    /// DISTINCT row deduplication.
-    Distinct = 4,
-    /// ORDER BY sort.
-    Sort = 5,
-    /// LIMIT truncation.
-    Limit = 6,
-}
-
-impl PlanOp {
-    /// Number of operators (array dimension of
-    /// [`QueryMetrics::operators`]).
-    pub const COUNT: usize = 7;
-
-    /// Every operator, in index order.
-    pub const ALL: [PlanOp; PlanOp::COUNT] = [
-        PlanOp::Match,
-        PlanOp::Filter,
-        PlanOp::Project,
-        PlanOp::Aggregate,
-        PlanOp::Distinct,
-        PlanOp::Sort,
-        PlanOp::Limit,
-    ];
-
-    /// The stable metric-name suffix for this operator.
-    pub fn name(self) -> &'static str {
-        match self {
-            PlanOp::Match => "match",
-            PlanOp::Filter => "filter",
-            PlanOp::Project => "project",
-            PlanOp::Aggregate => "aggregate",
-            PlanOp::Distinct => "distinct",
-            PlanOp::Sort => "sort",
-            PlanOp::Limit => "limit",
+        $( + families {
+            $(
+                $(#[$family_doc:meta])*
+                $family:ident: $family_live:ty => $family_plain:ty, by $family_label:expr,
+            )*
+        } )?
+    )*) => {$(
+        $(#[$group_doc])*
+        #[derive(Debug)]
+        pub struct $live {
+            $( $(#[$doc])* pub $field: $kind, )*
+            $($( $(#[$family_doc])* pub $family: $family_live, )*)?
         }
+
+        #[doc = concat!("Plain-data copy of [`", stringify!($live), "`].")]
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct $plain {
+            $( $(#[$doc])* pub $field: plain_ty!($kind), )*
+            $($( $(#[$family_doc])* pub $family: $family_plain, )*)?
+        }
+
+        impl Default for $live {
+            fn default() -> Self {
+                Self {
+                    $( $field: $kind::new(), )*
+                    $($( $family: std::array::from_fn(|_| Default::default()), )*)?
+                }
+            }
+        }
+
+        impl $live {
+            fn read(&self) -> $plain {
+                $plain {
+                    $( $field: read!($kind self.$field), )*
+                    $($( $family: self.$family.each_ref().map(|member| member.read()).into(), )*)?
+                }
+            }
+        }
+
+        impl Group for $plain {
+            fn walk(items: &[Self], label: Label, f: &mut Visit<'_>) {
+                $( for (i, s) in items.iter().enumerate() {
+                    f($name, &label(i), Cell::$kind(&s.$field));
+                } )*
+                $($( for s in items {
+                    Group::walk(&s.$family[..], $family_label, f);
+                } )*)?
+            }
+
+            fn walk_mut(items: &mut [Self], label: Label, f: &mut VisitMut<'_>) {
+                $( for (i, s) in items.iter_mut().enumerate() {
+                    f($name, &label(i), Cell::$kind(&mut s.$field));
+                } )*
+                $($( for s in items.iter_mut() {
+                    Group::walk_mut(&mut s.$family[..], $family_label, f);
+                } )*)?
+            }
+        }
+    )*};
+}
+
+instruments! {
+    /// Serving-layer instruments (`hygraph-server`).
+    ServerMetrics => ServerSnapshot {
+        /// Requests admitted to the queue.
+        admitted: Counter("hygraph_server_admitted_total"),
+        /// Requests a worker finished (any outcome).
+        completed: Counter("hygraph_server_completed_total"),
+        /// Requests rejected because the admission queue was full.
+        rejected_overload: Counter("hygraph_server_rejected_overload_total"),
+        /// Admitted requests dropped at dequeue past their deadline.
+        rejected_deadline: Counter("hygraph_server_rejected_deadline_total"),
+        /// Requests refused because the server was draining.
+        rejected_shutdown: Counter("hygraph_server_rejected_shutdown_total"),
+        /// Frames rejected before decoding (CRC failures).
+        bad_frames: Counter("hygraph_server_bad_frames_total"),
+        /// Deadline drops that happened during the shutdown drain.
+        drain_deadline_drops: Counter("hygraph_server_drain_deadline_drops_total"),
+        /// Requests currently queued (admitted, not yet picked up).
+        queue_depth: Gauge("hygraph_server_queue_depth"),
+        /// Workers currently executing a request.
+        workers_busy: Gauge("hygraph_server_workers_busy"),
+        /// Open client connections.
+        connections: Gauge("hygraph_server_connections"),
+        /// Reader-side admission time: frame decoded → queued (µs).
+        admission_us: Histogram("hygraph_server_admission_us"),
+        /// Queue wait: admitted → picked up by a worker (µs).
+        queue_wait_us: Histogram("hygraph_server_queue_wait_us"),
+        /// Engine execution time per request (µs).
+        execute_us: Histogram("hygraph_server_execute_us"),
+        /// Response encode + socket write time (µs).
+        encode_us: Histogram("hygraph_server_encode_us"),
     }
-}
 
-// ---------------------------------------------------------------------
-// Live instrument groups
-// ---------------------------------------------------------------------
+    /// Durability-layer instruments (`hygraph-persist`).
+    PersistMetrics => PersistSnapshot {
+        /// Records appended to the WAL batch.
+        wal_appends: Counter("hygraph_persist_wal_appends_total"),
+        /// Successful group-commit syncs.
+        wal_syncs: Counter("hygraph_persist_wal_syncs_total"),
+        /// Segment rotations (new segment files opened).
+        wal_rotations: Counter("hygraph_persist_wal_rotations_total"),
+        /// Bytes made durable by syncs.
+        wal_synced_bytes: Counter("hygraph_persist_wal_synced_bytes_total"),
+        /// Checkpoints written.
+        checkpoints: Counter("hygraph_persist_checkpoints_total"),
+        /// Store recoveries performed.
+        recoveries: Counter("hygraph_persist_recoveries_total"),
+        /// WAL frames replayed during recoveries.
+        recovery_frames_replayed: Counter("hygraph_persist_recovery_frames_replayed_total"),
+        /// Torn/corrupt tails truncated during recoveries.
+        recovery_truncations: Counter("hygraph_persist_recovery_truncations_total"),
+        /// Per-record WAL append time (µs).
+        wal_append_us: Histogram("hygraph_persist_wal_append_us"),
+        /// Group-commit sync time: one write + fdatasync (µs).
+        wal_sync_us: Histogram("hygraph_persist_wal_sync_us"),
+        /// Checkpoint write time (µs).
+        checkpoint_us: Histogram("hygraph_persist_checkpoint_us"),
+        /// Full recovery time on open (µs).
+        recovery_us: Histogram("hygraph_persist_recovery_us"),
+        /// Frames per group-commit batch (a size, not a latency).
+        group_commit_frames: Histogram("hygraph_persist_group_commit_frames"),
+    }
 
-/// Serving-layer instruments (`hygraph-server`).
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    /// Requests admitted to the queue.
-    pub admitted: Counter,
-    /// Requests a worker finished (any outcome).
-    pub completed: Counter,
-    /// Requests rejected because the admission queue was full.
-    pub rejected_overload: Counter,
-    /// Admitted requests dropped at dequeue past their deadline.
-    pub rejected_deadline: Counter,
-    /// Requests refused because the server was draining.
-    pub rejected_shutdown: Counter,
-    /// Frames rejected before decoding (CRC failures).
-    pub bad_frames: Counter,
-    /// Deadline drops that happened during the shutdown drain.
-    pub drain_deadline_drops: Counter,
-    /// Requests currently queued (admitted, not yet picked up).
-    pub queue_depth: Gauge,
-    /// Workers currently executing a request.
-    pub workers_busy: Gauge,
-    /// Open client connections.
-    pub connections: Gauge,
-    /// Reader-side admission time: frame decoded → queued (µs).
-    pub admission_us: Histogram,
-    /// Queue wait: admitted → picked up by a worker (µs).
-    pub queue_wait_us: Histogram,
-    /// Engine execution time per request (µs).
-    pub execute_us: Histogram,
-    /// Response encode + socket write time (µs).
-    pub encode_us: Histogram,
-}
+    /// Per-operator-class instruments; `<class>` is [`OpClass::name`].
+    OpMetrics => OpSnapshot {
+        /// Executions.
+        count: Counter("hygraph_query_<class>_total"),
+        /// Executions that returned an error.
+        errors: Counter("hygraph_query_<class>_errors_total"),
+        /// Execution time (µs).
+        time_us: Histogram("hygraph_query_<class>_us"),
+    }
 
-/// Durability-layer instruments (`hygraph-persist`).
-#[derive(Debug, Default)]
-pub struct PersistMetrics {
-    /// Records appended to the WAL batch.
-    pub wal_appends: Counter,
-    /// Successful group-commit syncs.
-    pub wal_syncs: Counter,
-    /// Segment rotations (new segment files opened).
-    pub wal_rotations: Counter,
-    /// Bytes made durable by syncs.
-    pub wal_synced_bytes: Counter,
-    /// Checkpoints written.
-    pub checkpoints: Counter,
-    /// Store recoveries performed.
-    pub recoveries: Counter,
-    /// WAL frames replayed during recoveries.
-    pub recovery_frames_replayed: Counter,
-    /// Torn/corrupt tails truncated during recoveries.
-    pub recovery_truncations: Counter,
-    /// Per-record WAL append time (µs).
-    pub wal_append_us: Histogram,
-    /// Group-commit sync time: one write + fdatasync (µs).
-    pub wal_sync_us: Histogram,
-    /// Checkpoint write time (µs).
-    pub checkpoint_us: Histogram,
-    /// Full recovery time on open (µs).
-    pub recovery_us: Histogram,
-    /// Frames per group-commit batch (a size, not a latency).
-    pub group_commit_frames: Histogram,
-}
+    /// Per-physical-operator instruments (`hygraph-query::physical`);
+    /// `<op>` is [`PlanOp::name`].
+    OperatorMetrics => OperatorSnapshot {
+        /// Operator executions.
+        invocations: Counter("hygraph_query_op_<op>_total"),
+        /// Rows (or bindings) the operator emitted.
+        rows_out: Counter("hygraph_query_op_<op>_rows_total"),
+        /// Execution time (µs).
+        time_us: Histogram("hygraph_query_op_<op>_us"),
+    }
 
-/// Per-operator-class instruments.
-#[derive(Debug, Default)]
-pub struct OpMetrics {
-    /// Executions.
-    pub count: Counter,
-    /// Executions that returned an error.
-    pub errors: Counter,
-    /// Execution time (µs).
-    pub time_us: Histogram,
-}
+    /// Query-layer instruments (`hygraph-query`), keyed by [`OpClass`].
+    QueryMetrics => QuerySnapshot {
+        /// HyQL texts that failed to parse (never classified).
+        parse_errors: Counter("hygraph_query_parse_errors_total"),
+        /// Queries answered from the server's plan cache.
+        plan_cache_hits: Counter("hygraph_query_plan_cache_hits_total"),
+        /// Queries planned from scratch (cache cold, full, or disabled).
+        plan_cache_misses: Counter("hygraph_query_plan_cache_misses_total"),
+    } + families {
+        /// One group per Table 2 row, indexed by `OpClass as usize`.
+        classes: [OpMetrics; OpClass::COUNT] => [OpSnapshot; OpClass::COUNT],
+            by |i| OpClass::ALL[i].name().to_owned(),
+        /// One group per physical operator, indexed by `PlanOp as usize`.
+        operators: [OperatorMetrics; PlanOp::COUNT] => [OperatorSnapshot; PlanOp::COUNT],
+            by |i| PlanOp::ALL[i].name().to_owned(),
+    }
 
-/// Per-physical-operator instruments (`hygraph-query::physical`).
-#[derive(Debug, Default)]
-pub struct OperatorMetrics {
-    /// Operator executions.
-    pub invocations: Counter,
-    /// Rows (or bindings) the operator emitted.
-    pub rows_out: Counter,
-    /// Execution time (µs).
-    pub time_us: Histogram,
-}
+    /// Time-series-layer instruments (`hygraph-ts`).
+    TsMetrics => TsSnapshot {
+        /// Insert calls into the chunked store.
+        inserts: Counter("hygraph_ts_inserts_total"),
+        /// Observations inserted.
+        points_inserted: Counter("hygraph_ts_points_inserted_total"),
+        /// Precomputed rollup-pyramid nodes merged by interval aggregates.
+        rollup_hits: Counter("hygraph_ts_rollup_hits_total"),
+        /// Sealed boundary chunks an aggregate had to decode and scan.
+        rollup_boundary_decodes: Counter("hygraph_ts_rollup_boundary_decodes_total"),
+        /// Chunks currently sealed (compressed) across all stores.
+        sealed_chunks: Gauge("hygraph_ts_sealed_chunks"),
+        /// Uncompressed size of the sealed data (bytes).
+        raw_bytes: Gauge("hygraph_ts_raw_bytes"),
+        /// Compressed size of the sealed data (bytes).
+        compressed_bytes: Gauge("hygraph_ts_compressed_bytes"),
+    }
 
-/// Query-layer instruments (`hygraph-query`), keyed by [`OpClass`].
-#[derive(Debug, Default)]
-pub struct QueryMetrics {
-    /// One group per Table 2 row, indexed by `OpClass as usize`.
-    pub classes: [OpMetrics; OpClass::COUNT],
-    /// HyQL texts that failed to parse (never classified).
-    pub parse_errors: Counter,
-    /// Queries answered from the server's plan cache.
-    pub plan_cache_hits: Counter,
-    /// Queries planned from scratch (cache cold, full, or disabled).
-    pub plan_cache_misses: Counter,
-    /// One group per physical operator, indexed by `PlanOp as usize`.
-    pub operators: [OperatorMetrics; PlanOp::COUNT],
+    /// Standing-subscription instruments (`hygraph-sub`).
+    SubMetrics => SubSnapshot {
+        /// Standing queries currently registered.
+        active: Gauge("hygraph_sub_active"),
+        /// Non-empty delta frames handed to subscriber push buffers.
+        deltas_pushed: Counter("hygraph_sub_deltas_pushed_total"),
+        /// Commits a subscription answered by full re-execution (rerun-mode
+        /// plans and forced incremental rebuilds) instead of a seeded
+        /// incremental pass.
+        fallback_reruns: Counter("hygraph_sub_fallback_reruns_total"),
+        /// Subscriptions force-closed because their push buffer was full.
+        slow_consumer_drops: Counter("hygraph_sub_slow_consumer_drops_total"),
+    }
+
+    /// One shard's WAL-stream gauges; `<shard>` is the shard index.
+    /// These are **per-stream frame counters** — every shard's WAL
+    /// numbers its frames independently from 0 — so they measure stream
+    /// depth and sync lag, not global commit sequence numbers;
+    /// cross-shard durability is the separate
+    /// [`ShardMetrics::watermark`] gauge.
+    ShardLaneMetrics => ShardLaneSnapshot {
+        /// Next LSN the shard's WAL will assign (its append frontier).
+        next_lsn: Gauge("hygraph_shard_next_lsn{shard=\"<shard>\"}"),
+        /// Highest LSN the shard has fsynced (its durable frontier).
+        durable_lsn: Gauge("hygraph_shard_durable_lsn{shard=\"<shard>\"}"),
+    }
+
+    /// Sharded-engine instruments: per-shard WAL positions and the
+    /// cross-shard watermark. All zero on unsharded (or memory) engines.
+    ShardMetrics => ShardsSnapshot {
+        /// Configured shard count (0 until a sharded store reports in).
+        shards: Gauge("hygraph_shards"),
+        /// Cross-shard durable watermark in **commit sequence numbers**:
+        /// every commit strictly below it is durable on all shards. Fed
+        /// from the sharded store's per-shard durable CSN frontiers (see
+        /// `hygraph_temporal::ShardWatermark`) — not from the per-stream
+        /// lane LSNs, which are numbered independently per shard.
+        watermark: Gauge("hygraph_shard_watermark"),
+        /// Snapshot-publication time per committed batch (µs): the writer's
+        /// cost of cloning the instance (structural sharing makes this
+        /// O(changed structure)) and swapping it into the read slot.
+        commit_publish_us: Histogram("hygraph_commit_publish_us"),
+        /// Published snapshot versions currently kept alive — the slot's
+        /// current epoch plus every retired epoch a reader still pins.
+        snapshot_pinned: Gauge("hygraph_snapshot_pinned"),
+    } + families {
+        /// Per-shard lanes, indexed by shard; only the first
+        /// [`ShardMetrics::shards`] are meaningful, and a snapshot holds
+        /// exactly those.
+        lanes: [ShardLaneMetrics; MAX_SHARD_LANES] => Vec<ShardLaneSnapshot>,
+            by |i| i.to_string(),
+    }
+
+    /// Temporal-history instruments (`hygraph-temporal`).
+    TemporalMetrics => TemporalSnapshot {
+        /// `AS OF` queries resolved against the history store.
+        asof_queries: Counter("hygraph_temporal_asof_queries_total"),
+        /// `BETWEEN` queries resolved against the history store.
+        between_queries: Counter("hygraph_temporal_between_queries_total"),
+        /// Past snapshots reconstructed by replay (cache misses).
+        snapshot_rebuilds: Counter("hygraph_temporal_snapshot_rebuilds_total"),
+        /// Past snapshots served from the snapshot cache.
+        snapshot_cache_hits: Counter("hygraph_temporal_snapshot_cache_hits_total"),
+        /// Commits retired from history by retention GC.
+        gc_commits_folded: Counter("hygraph_temporal_gc_commits_folded_total"),
+        /// Commit records currently retained in history.
+        history_commits: Gauge("hygraph_temporal_history_commits"),
+        /// Approximate bytes held by history (base state + deltas).
+        history_bytes: Gauge("hygraph_temporal_history_bytes"),
+        /// Longest per-entity version chain currently retained.
+        version_chain_max: Gauge("hygraph_temporal_version_chain_max"),
+        /// End-to-end `AS OF` snapshot resolution time (µs).
+        asof_us: Histogram("hygraph_temporal_asof_us"),
+    }
 }
 
 impl QueryMetrics {
@@ -259,86 +491,15 @@ impl QueryMetrics {
     }
 }
 
-/// Time-series-layer instruments (`hygraph-ts`).
-#[derive(Debug, Default)]
-pub struct TsMetrics {
-    /// Insert calls into the chunked store.
-    pub inserts: Counter,
-    /// Observations inserted.
-    pub points_inserted: Counter,
-    /// Precomputed rollup-pyramid nodes merged by interval aggregates.
-    pub rollup_hits: Counter,
-    /// Sealed boundary chunks an aggregate had to decode and scan.
-    pub rollup_boundary_decodes: Counter,
-    /// Chunks currently sealed (compressed) across all stores.
-    pub sealed_chunks: Gauge,
-    /// Uncompressed size of the sealed data (bytes).
-    pub raw_bytes: Gauge,
-    /// Compressed size of the sealed data (bytes).
-    pub compressed_bytes: Gauge,
-}
+impl QuerySnapshot {
+    /// The snapshot for `class`.
+    pub fn class(&self, class: OpClass) -> &OpSnapshot {
+        &self.classes[class as usize]
+    }
 
-/// Standing-subscription instruments (`hygraph-sub`).
-#[derive(Debug, Default)]
-pub struct SubMetrics {
-    /// Standing queries currently registered.
-    pub active: Gauge,
-    /// Non-empty delta frames handed to subscriber push buffers.
-    pub deltas_pushed: Counter,
-    /// Commits a subscription answered by full re-execution (rerun-mode
-    /// plans and forced incremental rebuilds) instead of a seeded
-    /// incremental pass.
-    pub fallback_reruns: Counter,
-    /// Subscriptions force-closed because their push buffer was full.
-    pub slow_consumer_drops: Counter,
-}
-
-/// One shard's WAL-stream gauges. These are **per-stream frame
-/// counters** — every shard's WAL numbers its frames independently
-/// from 0 — so they measure stream depth and sync lag, not global
-/// commit sequence numbers; cross-shard durability is the separate
-/// [`ShardMetrics::watermark`] gauge.
-#[derive(Debug, Default)]
-pub struct ShardLaneMetrics {
-    /// Next LSN the shard's WAL will assign (its append frontier).
-    pub next_lsn: Gauge,
-    /// Highest LSN the shard has fsynced (its durable frontier).
-    pub durable_lsn: Gauge,
-}
-
-/// Sharded-engine instruments: per-shard WAL positions and the
-/// cross-shard watermark. All zero on unsharded (or memory) engines.
-#[derive(Debug)]
-pub struct ShardMetrics {
-    /// Configured shard count (0 until a sharded store reports in).
-    pub shards: Gauge,
-    /// Cross-shard durable watermark in **commit sequence numbers**:
-    /// every commit strictly below it is durable on all shards. Fed
-    /// from the sharded store's per-shard durable CSN frontiers (see
-    /// `hygraph_temporal::ShardWatermark`) — not from the per-stream
-    /// lane LSNs, which are numbered independently per shard.
-    pub watermark: Gauge,
-    /// Per-shard lanes, indexed by shard; only the first
-    /// [`ShardMetrics::shards`] are meaningful.
-    pub lanes: [ShardLaneMetrics; MAX_SHARD_LANES],
-    /// Snapshot-publication time per committed batch (µs): the writer's
-    /// cost of cloning the instance (structural sharing makes this
-    /// O(changed structure)) and swapping it into the read slot.
-    pub commit_publish_us: Histogram,
-    /// Published snapshot versions currently kept alive — the slot's
-    /// current epoch plus every retired epoch a reader still pins.
-    pub snapshot_pinned: Gauge,
-}
-
-impl Default for ShardMetrics {
-    fn default() -> Self {
-        Self {
-            shards: Gauge::default(),
-            watermark: Gauge::default(),
-            lanes: std::array::from_fn(|_| ShardLaneMetrics::default()),
-            commit_publish_us: Histogram::default(),
-            snapshot_pinned: Gauge::default(),
-        }
+    /// The snapshot for physical operator `op`.
+    pub fn operator(&self, op: PlanOp) -> &OperatorSnapshot {
+        &self.operators[op as usize]
     }
 }
 
@@ -356,399 +517,128 @@ impl ShardMetrics {
     }
 }
 
-/// Temporal-history instruments (`hygraph-temporal`).
-#[derive(Debug, Default)]
-pub struct TemporalMetrics {
-    /// `AS OF` queries resolved against the history store.
-    pub asof_queries: Counter,
-    /// `BETWEEN` queries resolved against the history store.
-    pub between_queries: Counter,
-    /// Past snapshots reconstructed by replay (cache misses).
-    pub snapshot_rebuilds: Counter,
-    /// Past snapshots served from the snapshot cache.
-    pub snapshot_cache_hits: Counter,
-    /// Commits retired from history by retention GC.
-    pub gc_commits_folded: Counter,
-    /// Commit records currently retained in history.
-    pub history_commits: Gauge,
-    /// Approximate bytes held by history (base state + deltas).
-    pub history_bytes: Gauge,
-    /// Longest per-entity version chain currently retained.
-    pub version_chain_max: Gauge,
-    /// End-to-end `AS OF` snapshot resolution time (µs).
-    pub asof_us: Histogram,
-}
-
-/// The process-wide instrument tree (see [`crate::get`]).
-#[derive(Debug)]
-pub struct Registry {
-    /// Serving layer.
-    pub server: ServerMetrics,
-    /// Durability layer.
-    pub persist: PersistMetrics,
-    /// Query layer.
-    pub query: QueryMetrics,
-    /// Time-series layer.
-    pub ts: TsMetrics,
-    /// Standing-subscription layer.
-    pub sub: SubMetrics,
-    /// Temporal-history layer.
-    pub temporal: TemporalMetrics,
-    /// Sharded-engine layer.
-    pub shard: ShardMetrics,
-    /// Slow-query ring buffer.
-    pub slow: SlowQueryLog,
-}
-
-impl Registry {
-    /// A fresh registry whose slow-query ring holds `slow_capacity`
-    /// entries.
-    pub fn new(slow_capacity: usize) -> Self {
-        Self {
-            server: ServerMetrics::default(),
-            persist: PersistMetrics::default(),
-            query: QueryMetrics::default(),
-            ts: TsMetrics::default(),
-            sub: SubMetrics::default(),
-            temporal: TemporalMetrics::default(),
-            shard: ShardMetrics::default(),
-            slow: SlowQueryLog::new(slow_capacity),
-        }
-    }
-
-    /// A plain-data copy of every instrument at this instant.
-    pub fn snapshot(&self) -> Snapshot {
-        let s = &self.server;
-        let p = &self.persist;
-        let (slow_queries, slow_dropped) = self.slow.snapshot();
-        Snapshot {
-            server: ServerSnapshot {
-                admitted: s.admitted.get(),
-                completed: s.completed.get(),
-                rejected_overload: s.rejected_overload.get(),
-                rejected_deadline: s.rejected_deadline.get(),
-                rejected_shutdown: s.rejected_shutdown.get(),
-                bad_frames: s.bad_frames.get(),
-                drain_deadline_drops: s.drain_deadline_drops.get(),
-                queue_depth: s.queue_depth.get(),
-                workers_busy: s.workers_busy.get(),
-                connections: s.connections.get(),
-                admission_us: s.admission_us.snapshot(),
-                queue_wait_us: s.queue_wait_us.snapshot(),
-                execute_us: s.execute_us.snapshot(),
-                encode_us: s.encode_us.snapshot(),
-            },
-            persist: PersistSnapshot {
-                wal_appends: p.wal_appends.get(),
-                wal_syncs: p.wal_syncs.get(),
-                wal_rotations: p.wal_rotations.get(),
-                wal_synced_bytes: p.wal_synced_bytes.get(),
-                checkpoints: p.checkpoints.get(),
-                recoveries: p.recoveries.get(),
-                recovery_frames_replayed: p.recovery_frames_replayed.get(),
-                recovery_truncations: p.recovery_truncations.get(),
-                wal_append_us: p.wal_append_us.snapshot(),
-                wal_sync_us: p.wal_sync_us.snapshot(),
-                checkpoint_us: p.checkpoint_us.snapshot(),
-                recovery_us: p.recovery_us.snapshot(),
-                group_commit_frames: p.group_commit_frames.snapshot(),
-            },
-            query: QuerySnapshot {
-                classes: OpClass::ALL.map(|c| {
-                    let om = self.query.class(c);
-                    OpSnapshot {
-                        count: om.count.get(),
-                        errors: om.errors.get(),
-                        time_us: om.time_us.snapshot(),
-                    }
-                }),
-                parse_errors: self.query.parse_errors.get(),
-                plan_cache_hits: self.query.plan_cache_hits.get(),
-                plan_cache_misses: self.query.plan_cache_misses.get(),
-                operators: PlanOp::ALL.map(|op| {
-                    let om = self.query.operator(op);
-                    OperatorSnapshot {
-                        invocations: om.invocations.get(),
-                        rows_out: om.rows_out.get(),
-                        time_us: om.time_us.snapshot(),
-                    }
-                }),
-            },
-            ts: TsSnapshot {
-                inserts: self.ts.inserts.get(),
-                points_inserted: self.ts.points_inserted.get(),
-                rollup_hits: self.ts.rollup_hits.get(),
-                rollup_boundary_decodes: self.ts.rollup_boundary_decodes.get(),
-                sealed_chunks: self.ts.sealed_chunks.get(),
-                raw_bytes: self.ts.raw_bytes.get(),
-                compressed_bytes: self.ts.compressed_bytes.get(),
-            },
-            sub: SubSnapshot {
-                active: self.sub.active.get(),
-                deltas_pushed: self.sub.deltas_pushed.get(),
-                fallback_reruns: self.sub.fallback_reruns.get(),
-                slow_consumer_drops: self.sub.slow_consumer_drops.get(),
-            },
-            shard: ShardsSnapshot {
-                shards: self.shard.shards.get(),
-                watermark: self.shard.watermark.get(),
-                lanes: self
-                    .shard
-                    .lanes
-                    .iter()
-                    .take(self.shard.shards.get().clamp(0, MAX_SHARD_LANES as i64) as usize)
-                    .map(|l| ShardLaneSnapshot {
-                        next_lsn: l.next_lsn.get(),
-                        durable_lsn: l.durable_lsn.get(),
-                    })
-                    .collect(),
-                commit_publish_us: self.shard.commit_publish_us.snapshot(),
-                snapshot_pinned: self.shard.snapshot_pinned.get(),
-            },
-            temporal: TemporalSnapshot {
-                asof_queries: self.temporal.asof_queries.get(),
-                between_queries: self.temporal.between_queries.get(),
-                snapshot_rebuilds: self.temporal.snapshot_rebuilds.get(),
-                snapshot_cache_hits: self.temporal.snapshot_cache_hits.get(),
-                gc_commits_folded: self.temporal.gc_commits_folded.get(),
-                history_commits: self.temporal.history_commits.get(),
-                history_bytes: self.temporal.history_bytes.get(),
-                version_chain_max: self.temporal.version_chain_max.get(),
-                asof_us: self.temporal.asof_us.snapshot(),
-            },
-            slow_queries,
-            slow_dropped,
-        }
+impl ShardsSnapshot {
+    /// A snapshot holds exactly the configured lanes. Both of its
+    /// sources start from every possible lane — the fixed live array,
+    /// or whatever lane records an encoding carries — and cut `lanes`
+    /// to `shards` entries here, so the count needs no field of its own
+    /// on the wire.
+    fn trim_lanes(&mut self) {
+        let shards = self.shards.clamp(0, MAX_SHARD_LANES as i64);
+        self.lanes.truncate(shards as usize);
     }
 }
 
 // ---------------------------------------------------------------------
-// Snapshots
+// Registry and snapshot
 // ---------------------------------------------------------------------
 
-/// Plain-data copy of [`ServerMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerSnapshot {
-    /// See [`ServerMetrics::admitted`].
-    pub admitted: u64,
-    /// See [`ServerMetrics::completed`].
-    pub completed: u64,
-    /// See [`ServerMetrics::rejected_overload`].
-    pub rejected_overload: u64,
-    /// See [`ServerMetrics::rejected_deadline`].
-    pub rejected_deadline: u64,
-    /// See [`ServerMetrics::rejected_shutdown`].
-    pub rejected_shutdown: u64,
-    /// See [`ServerMetrics::bad_frames`].
-    pub bad_frames: u64,
-    /// See [`ServerMetrics::drain_deadline_drops`].
-    pub drain_deadline_drops: u64,
-    /// See [`ServerMetrics::queue_depth`].
-    pub queue_depth: i64,
-    /// See [`ServerMetrics::workers_busy`].
-    pub workers_busy: i64,
-    /// See [`ServerMetrics::connections`].
-    pub connections: i64,
-    /// See [`ServerMetrics::admission_us`].
-    pub admission_us: HistogramSnapshot,
-    /// See [`ServerMetrics::queue_wait_us`].
-    pub queue_wait_us: HistogramSnapshot,
-    /// See [`ServerMetrics::execute_us`].
-    pub execute_us: HistogramSnapshot,
-    /// See [`ServerMetrics::encode_us`].
-    pub encode_us: HistogramSnapshot,
+/// [`Snapshot::slow_dropped`] is the one instrument outside the groups
+/// (the ring counts its own evictions under its mutex).
+const SLOW_DROPPED: &str = "hygraph_slow_queries_dropped_total";
+
+/// Declares the registry's layers — one instrument group each — and
+/// with them the [`Registry`] tree, the [`Snapshot`] of it, and the
+/// order the snapshot's walks visit the groups in.
+macro_rules! layers {
+    ($( $(#[$doc:meta])* $field:ident: $live:ident => $plain:ident, )*) => {
+        /// The process-wide instrument tree (see [`crate::get`]).
+        #[derive(Debug)]
+        pub struct Registry {
+            $( $(#[$doc])* pub $field: $live, )*
+            /// Slow-query ring buffer.
+            pub slow: SlowQueryLog,
+        }
+
+        impl Registry {
+            /// A fresh registry whose slow-query ring holds
+            /// `slow_capacity` entries.
+            pub fn new(slow_capacity: usize) -> Self {
+                Self {
+                    $( $field: $live::default(), )*
+                    slow: SlowQueryLog::new(slow_capacity),
+                }
+            }
+
+            /// A plain-data copy of every instrument at this instant.
+            pub fn snapshot(&self) -> Snapshot {
+                let (slow_queries, slow_dropped) = self.slow.snapshot();
+                let mut snap = Snapshot {
+                    $( $field: self.$field.read(), )*
+                    slow_queries,
+                    slow_dropped,
+                };
+                snap.shard.trim_lanes();
+                snap
+            }
+        }
+
+        /// A full point-in-time copy of the registry: what the `Stats`
+        /// wire request returns and what [`Snapshot::render_text`]
+        /// renders.
+        ///
+        /// Deliberately contains no wall-clock field, so encoding is a
+        /// pure function of the instrument values — two snapshots of an
+        /// idle registry encode to identical bytes.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct Snapshot {
+            $( $(#[$doc])* pub $field: $plain, )*
+            /// Slow-query ring contents, oldest first.
+            pub slow_queries: Vec<SlowQueryEntry>,
+            /// Slow queries evicted from the ring since startup.
+            pub slow_dropped: u64,
+        }
+
+        impl Snapshot {
+            /// Calls `f` for every instrument, in table order — the one
+            /// walk [`Snapshot::to_bytes`] and [`Snapshot::render_text`]
+            /// share.
+            fn walk(&self, f: &mut Visit<'_>) {
+                $( $plain::walk(std::slice::from_ref(&self.$field), |_| String::new(), f); )*
+                f(SLOW_DROPPED, "", Cell::Counter(&self.slow_dropped));
+            }
+
+            /// [`Snapshot::walk`] with exclusive access, for the decoder.
+            fn walk_mut(&mut self, f: &mut VisitMut<'_>) {
+                $( $plain::walk_mut(std::slice::from_mut(&mut self.$field), |_| String::new(), f); )*
+                f(SLOW_DROPPED, "", Cell::Counter(&mut self.slow_dropped));
+            }
+        }
+    };
 }
 
-/// Plain-data copy of [`PersistMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PersistSnapshot {
-    /// See [`PersistMetrics::wal_appends`].
-    pub wal_appends: u64,
-    /// See [`PersistMetrics::wal_syncs`].
-    pub wal_syncs: u64,
-    /// See [`PersistMetrics::wal_rotations`].
-    pub wal_rotations: u64,
-    /// See [`PersistMetrics::wal_synced_bytes`].
-    pub wal_synced_bytes: u64,
-    /// See [`PersistMetrics::checkpoints`].
-    pub checkpoints: u64,
-    /// See [`PersistMetrics::recoveries`].
-    pub recoveries: u64,
-    /// See [`PersistMetrics::recovery_frames_replayed`].
-    pub recovery_frames_replayed: u64,
-    /// See [`PersistMetrics::recovery_truncations`].
-    pub recovery_truncations: u64,
-    /// See [`PersistMetrics::wal_append_us`].
-    pub wal_append_us: HistogramSnapshot,
-    /// See [`PersistMetrics::wal_sync_us`].
-    pub wal_sync_us: HistogramSnapshot,
-    /// See [`PersistMetrics::checkpoint_us`].
-    pub checkpoint_us: HistogramSnapshot,
-    /// See [`PersistMetrics::recovery_us`].
-    pub recovery_us: HistogramSnapshot,
-    /// See [`PersistMetrics::group_commit_frames`].
-    pub group_commit_frames: HistogramSnapshot,
-}
-
-/// Plain-data copy of one [`OpMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct OpSnapshot {
-    /// Executions.
-    pub count: u64,
-    /// Failed executions.
-    pub errors: u64,
-    /// Execution-time distribution (µs).
-    pub time_us: HistogramSnapshot,
-}
-
-/// Plain-data copy of one [`OperatorMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct OperatorSnapshot {
-    /// Operator executions.
-    pub invocations: u64,
-    /// Rows the operator emitted.
-    pub rows_out: u64,
-    /// Execution-time distribution (µs).
-    pub time_us: HistogramSnapshot,
-}
-
-/// Plain-data copy of [`QueryMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct QuerySnapshot {
-    /// Per-class stats, indexed by `OpClass as usize`.
-    pub classes: [OpSnapshot; OpClass::COUNT],
-    /// See [`QueryMetrics::parse_errors`].
-    pub parse_errors: u64,
-    /// See [`QueryMetrics::plan_cache_hits`].
-    pub plan_cache_hits: u64,
-    /// See [`QueryMetrics::plan_cache_misses`].
-    pub plan_cache_misses: u64,
-    /// Per-operator stats, indexed by `PlanOp as usize`.
-    pub operators: [OperatorSnapshot; PlanOp::COUNT],
-}
-
-impl QuerySnapshot {
-    /// The snapshot for `class`.
-    pub fn class(&self, class: OpClass) -> &OpSnapshot {
-        &self.classes[class as usize]
-    }
-
-    /// The snapshot for physical operator `op`.
-    pub fn operator(&self, op: PlanOp) -> &OperatorSnapshot {
-        &self.operators[op as usize]
-    }
-}
-
-/// Plain-data copy of [`TsMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TsSnapshot {
-    /// See [`TsMetrics::inserts`].
-    pub inserts: u64,
-    /// See [`TsMetrics::points_inserted`].
-    pub points_inserted: u64,
-    /// See [`TsMetrics::rollup_hits`].
-    pub rollup_hits: u64,
-    /// See [`TsMetrics::rollup_boundary_decodes`].
-    pub rollup_boundary_decodes: u64,
-    /// See [`TsMetrics::sealed_chunks`].
-    pub sealed_chunks: i64,
-    /// See [`TsMetrics::raw_bytes`].
-    pub raw_bytes: i64,
-    /// See [`TsMetrics::compressed_bytes`].
-    pub compressed_bytes: i64,
-}
-
-/// Plain-data copy of [`SubMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SubSnapshot {
-    /// See [`SubMetrics::active`].
-    pub active: i64,
-    /// See [`SubMetrics::deltas_pushed`].
-    pub deltas_pushed: u64,
-    /// See [`SubMetrics::fallback_reruns`].
-    pub fallback_reruns: u64,
-    /// See [`SubMetrics::slow_consumer_drops`].
-    pub slow_consumer_drops: u64,
-}
-
-/// Plain-data copy of one [`ShardLaneMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardLaneSnapshot {
-    /// See [`ShardLaneMetrics::next_lsn`].
-    pub next_lsn: i64,
-    /// See [`ShardLaneMetrics::durable_lsn`].
-    pub durable_lsn: i64,
-}
-
-/// Plain-data copy of [`ShardMetrics`] — only the configured lanes.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardsSnapshot {
-    /// See [`ShardMetrics::shards`].
-    pub shards: i64,
-    /// See [`ShardMetrics::watermark`].
-    pub watermark: i64,
-    /// Per-shard lanes, indexed by shard (length = `shards`).
-    pub lanes: Vec<ShardLaneSnapshot>,
-    /// See [`ShardMetrics::commit_publish_us`].
-    pub commit_publish_us: HistogramSnapshot,
-    /// See [`ShardMetrics::snapshot_pinned`].
-    pub snapshot_pinned: i64,
-}
-
-/// Plain-data copy of [`TemporalMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TemporalSnapshot {
-    /// See [`TemporalMetrics::asof_queries`].
-    pub asof_queries: u64,
-    /// See [`TemporalMetrics::between_queries`].
-    pub between_queries: u64,
-    /// See [`TemporalMetrics::snapshot_rebuilds`].
-    pub snapshot_rebuilds: u64,
-    /// See [`TemporalMetrics::snapshot_cache_hits`].
-    pub snapshot_cache_hits: u64,
-    /// See [`TemporalMetrics::gc_commits_folded`].
-    pub gc_commits_folded: u64,
-    /// See [`TemporalMetrics::history_commits`].
-    pub history_commits: i64,
-    /// See [`TemporalMetrics::history_bytes`].
-    pub history_bytes: i64,
-    /// See [`TemporalMetrics::version_chain_max`].
-    pub version_chain_max: i64,
-    /// See [`TemporalMetrics::asof_us`].
-    pub asof_us: HistogramSnapshot,
-}
-
-/// A full point-in-time copy of the registry: what the `Stats` wire
-/// request returns and what [`Snapshot::render_text`] renders.
-///
-/// Deliberately contains no wall-clock field, so encoding is a pure
-/// function of the instrument values — two snapshots of an idle
-/// registry encode to identical bytes.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Snapshot {
+layers! {
     /// Serving layer.
-    pub server: ServerSnapshot,
+    server: ServerMetrics => ServerSnapshot,
     /// Durability layer.
-    pub persist: PersistSnapshot,
+    persist: PersistMetrics => PersistSnapshot,
     /// Query layer.
-    pub query: QuerySnapshot,
+    query: QueryMetrics => QuerySnapshot,
     /// Time-series layer.
-    pub ts: TsSnapshot,
+    ts: TsMetrics => TsSnapshot,
     /// Standing-subscription layer.
-    pub sub: SubSnapshot,
+    sub: SubMetrics => SubSnapshot,
     /// Sharded-engine layer.
-    pub shard: ShardsSnapshot,
+    shard: ShardMetrics => ShardsSnapshot,
     /// Temporal-history layer.
-    pub temporal: TemporalSnapshot,
-    /// Slow-query ring contents, oldest first.
-    pub slow_queries: Vec<SlowQueryEntry>,
-    /// Slow queries evicted from the ring since startup.
-    pub slow_dropped: u64,
+    temporal: TemporalMetrics => TemporalSnapshot,
 }
 
 // ---------------------------------------------------------------------
 // Binary codec
 // ---------------------------------------------------------------------
+//
+// format byte
+// record*      u16 name length (> 0) · name · u8 kind · u32 payload
+//              length · payload — one per instrument, in table order
+// u16 0        end of records
+// slow ring    u32 count · (u32 length · text · u64 µs · u64 rows ·
+//              u64 plan fingerprint)*
+//
+// All integers little-endian; a counter's payload is a u64, a gauge's
+// an i64, a histogram's what `put_hist` writes. The name carries its
+// labels (`hygraph_shard_next_lsn{shard="0"}`); (name, kind) identifies
+// an instrument and the length lets a reader skip one it does not know.
 
 /// A malformed [`Snapshot`] encoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -766,47 +656,42 @@ fn err(msg: impl Into<String>) -> DecodeError {
     DecodeError(msg.into())
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+/// The unread rest of an encoding.
+struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| err("truncated"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
+        let (head, rest) = self.0.split_at_checked(n).ok_or_else(|| err("truncated"))?;
+        self.0 = rest;
+        Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+    /// The next `N` bytes, for `from_le_bytes`.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
     fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    fn str(&mut self, len: usize) -> Result<&'a str, DecodeError> {
+        std::str::from_utf8(self.take(len)?).map_err(|_| err("invalid utf-8"))
     }
 
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| err("invalid utf-8"))
+    fn finish(&self, what: &str) -> Result<(), DecodeError> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(err(format!("{n} trailing bytes after {what}"))),
+        }
     }
 }
 
@@ -858,112 +743,40 @@ fn get_hist(r: &mut Reader<'_>) -> Result<HistogramSnapshot, DecodeError> {
     })
 }
 
+fn put_record(out: &mut Vec<u8>, name: &str, value: Value<'_>) {
+    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
+    out.push(value.kind());
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    match value {
+        Cell::Counter(n) => out.extend_from_slice(&n.to_le_bytes()),
+        Cell::Gauge(n) => out.extend_from_slice(&n.to_le_bytes()),
+        Cell::Histogram(h) => put_hist(out, h),
+    }
+    let len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+fn get_payload(slot: Slot<'_>, payload: &[u8]) -> Result<(), DecodeError> {
+    let mut r = Reader(payload);
+    match slot {
+        Cell::Counter(n) => *n = r.u64()?,
+        Cell::Gauge(n) => *n = i64::from_le_bytes(r.array()?),
+        Cell::Histogram(h) => *h = get_hist(&mut r)?,
+    }
+    r.finish("record payload")
+}
+
 impl Snapshot {
     /// Encodes the snapshot into its exact binary form. The encoding is
     /// canonical: `from_bytes(to_bytes(s))` returns `s`, and re-encoding
     /// the result reproduces the input bytes bit for bit.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(512);
-        out.push(SNAPSHOT_VERSION);
-
-        let s = &self.server;
-        for v in [
-            s.admitted,
-            s.completed,
-            s.rejected_overload,
-            s.rejected_deadline,
-            s.rejected_shutdown,
-            s.bad_frames,
-            s.drain_deadline_drops,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in [s.queue_depth, s.workers_busy, s.connections] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for h in [
-            &s.admission_us,
-            &s.queue_wait_us,
-            &s.execute_us,
-            &s.encode_us,
-        ] {
-            put_hist(&mut out, h);
-        }
-
-        let p = &self.persist;
-        for v in [
-            p.wal_appends,
-            p.wal_syncs,
-            p.wal_rotations,
-            p.wal_synced_bytes,
-            p.checkpoints,
-            p.recoveries,
-            p.recovery_frames_replayed,
-            p.recovery_truncations,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for h in [
-            &p.wal_append_us,
-            &p.wal_sync_us,
-            &p.checkpoint_us,
-            &p.recovery_us,
-            &p.group_commit_frames,
-        ] {
-            put_hist(&mut out, h);
-        }
-
-        for c in &self.query.classes {
-            out.extend_from_slice(&c.count.to_le_bytes());
-            out.extend_from_slice(&c.errors.to_le_bytes());
-            put_hist(&mut out, &c.time_us);
-        }
-        out.extend_from_slice(&self.query.parse_errors.to_le_bytes());
-        out.extend_from_slice(&self.query.plan_cache_hits.to_le_bytes());
-        out.extend_from_slice(&self.query.plan_cache_misses.to_le_bytes());
-        for o in &self.query.operators {
-            out.extend_from_slice(&o.invocations.to_le_bytes());
-            out.extend_from_slice(&o.rows_out.to_le_bytes());
-            put_hist(&mut out, &o.time_us);
-        }
-
-        out.extend_from_slice(&self.ts.inserts.to_le_bytes());
-        out.extend_from_slice(&self.ts.points_inserted.to_le_bytes());
-        out.extend_from_slice(&self.ts.rollup_hits.to_le_bytes());
-        out.extend_from_slice(&self.ts.rollup_boundary_decodes.to_le_bytes());
-        out.extend_from_slice(&self.ts.sealed_chunks.to_le_bytes());
-        out.extend_from_slice(&self.ts.raw_bytes.to_le_bytes());
-        out.extend_from_slice(&self.ts.compressed_bytes.to_le_bytes());
-
-        out.extend_from_slice(&self.sub.active.to_le_bytes());
-        out.extend_from_slice(&self.sub.deltas_pushed.to_le_bytes());
-        out.extend_from_slice(&self.sub.fallback_reruns.to_le_bytes());
-        out.extend_from_slice(&self.sub.slow_consumer_drops.to_le_bytes());
-
-        out.extend_from_slice(&self.shard.shards.to_le_bytes());
-        out.extend_from_slice(&self.shard.watermark.to_le_bytes());
-        out.extend_from_slice(&(self.shard.lanes.len() as u32).to_le_bytes());
-        for lane in &self.shard.lanes {
-            out.extend_from_slice(&lane.next_lsn.to_le_bytes());
-            out.extend_from_slice(&lane.durable_lsn.to_le_bytes());
-        }
-        out.extend_from_slice(&self.shard.snapshot_pinned.to_le_bytes());
-        put_hist(&mut out, &self.shard.commit_publish_us);
-
-        let t = &self.temporal;
-        for v in [
-            t.asof_queries,
-            t.between_queries,
-            t.snapshot_rebuilds,
-            t.snapshot_cache_hits,
-            t.gc_commits_folded,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in [t.history_commits, t.history_bytes, t.version_chain_max] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        put_hist(&mut out, &t.asof_us);
+        let mut out = Vec::with_capacity(8 * 1024);
+        out.push(SNAPSHOT_FORMAT);
+        self.walk(&mut |name, label, value| put_record(&mut out, &expand(name, label), value));
+        out.extend_from_slice(&0u16.to_le_bytes());
 
         out.extend_from_slice(&(self.slow_queries.len() as u32).to_le_bytes());
         for e in &self.slow_queries {
@@ -973,152 +786,82 @@ impl Snapshot {
             out.extend_from_slice(&e.rows.to_le_bytes());
             out.extend_from_slice(&e.plan_fp.to_le_bytes());
         }
-        out.extend_from_slice(&self.slow_dropped.to_le_bytes());
         out
     }
 
-    /// Decodes an encoding produced by [`Snapshot::to_bytes`]. Input is
-    /// untrusted: malformed bytes error, never panic.
+    /// Decodes an encoding produced by [`Snapshot::to_bytes`] — by this
+    /// build or by one with a different instrument table: a record
+    /// whose name or kind this build does not know is skipped, and an
+    /// instrument the encoding does not mention reads as zero. Input is
+    /// untrusted: malformed bytes (duplicate records, known records out
+    /// of table order, truncation, trailing bytes, a pre-record-format
+    /// payload) error, never panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(err(format!("unsupported snapshot version {version}")));
+        let mut r = Reader(bytes);
+        let [format] = r.array()?;
+        if format != SNAPSHOT_FORMAT {
+            return Err(err(format!("unsupported snapshot format {format}")));
         }
-        let server = ServerSnapshot {
-            admitted: r.u64()?,
-            completed: r.u64()?,
-            rejected_overload: r.u64()?,
-            rejected_deadline: r.u64()?,
-            rejected_shutdown: r.u64()?,
-            bad_frames: r.u64()?,
-            drain_deadline_drops: r.u64()?,
-            queue_depth: r.i64()?,
-            workers_busy: r.i64()?,
-            connections: r.i64()?,
-            admission_us: get_hist(&mut r)?,
-            queue_wait_us: get_hist(&mut r)?,
-            execute_us: get_hist(&mut r)?,
-            encode_us: get_hist(&mut r)?,
-        };
-        let persist = PersistSnapshot {
-            wal_appends: r.u64()?,
-            wal_syncs: r.u64()?,
-            wal_rotations: r.u64()?,
-            wal_synced_bytes: r.u64()?,
-            checkpoints: r.u64()?,
-            recoveries: r.u64()?,
-            recovery_frames_replayed: r.u64()?,
-            recovery_truncations: r.u64()?,
-            wal_append_us: get_hist(&mut r)?,
-            wal_sync_us: get_hist(&mut r)?,
-            checkpoint_us: get_hist(&mut r)?,
-            recovery_us: get_hist(&mut r)?,
-            group_commit_frames: get_hist(&mut r)?,
-        };
-        let mut classes: [OpSnapshot; OpClass::COUNT] = Default::default();
-        for c in classes.iter_mut() {
-            *c = OpSnapshot {
-                count: r.u64()?,
-                errors: r.u64()?,
-                time_us: get_hist(&mut r)?,
+        // (name, kind) → (position in the encoding, payload); grows
+        // only as fast as records are actually read
+        let mut records: HashMap<(&str, u8), (usize, &[u8])> = HashMap::new();
+        loop {
+            let name_len = r.u16()? as usize;
+            if name_len == 0 {
+                break;
+            }
+            let name = r.str(name_len)?;
+            let [kind] = r.array()?;
+            let payload_len = r.u32()? as usize;
+            let payload = r.take(payload_len)?;
+            let position = records.len();
+            if records.insert((name, kind), (position, payload)).is_some() {
+                return Err(err(format!("duplicate record {name}")));
+            }
+        }
+
+        let mut snap = Snapshot::default();
+        // every possible lane is offered to the walk, then trimmed
+        snap.shard
+            .lanes
+            .resize_with(MAX_SHARD_LANES, Default::default);
+        let mut last = None;
+        let mut failure = None;
+        snap.walk_mut(&mut |name, label, slot| {
+            let name = expand(name, label);
+            let Some(&(position, payload)) = records.get(&(name.as_str(), slot.kind())) else {
+                return;
             };
-        }
-        let parse_errors = r.u64()?;
-        let plan_cache_hits = r.u64()?;
-        let plan_cache_misses = r.u64()?;
-        let mut operators: [OperatorSnapshot; PlanOp::COUNT] = Default::default();
-        for o in operators.iter_mut() {
-            *o = OperatorSnapshot {
-                invocations: r.u64()?,
-                rows_out: r.u64()?,
-                time_us: get_hist(&mut r)?,
+            let filled = if last.replace(position).is_some_and(|l| position < l) {
+                Err(err(format!("record {name} out of order")))
+            } else {
+                get_payload(slot, payload)
             };
+            if let Err(e) = filled {
+                failure.get_or_insert(e);
+            }
+        });
+        if let Some(e) = failure {
+            return Err(e);
         }
-        let query = QuerySnapshot {
-            classes,
-            parse_errors,
-            plan_cache_hits,
-            plan_cache_misses,
-            operators,
-        };
-        let ts = TsSnapshot {
-            inserts: r.u64()?,
-            points_inserted: r.u64()?,
-            rollup_hits: r.u64()?,
-            rollup_boundary_decodes: r.u64()?,
-            sealed_chunks: r.i64()?,
-            raw_bytes: r.i64()?,
-            compressed_bytes: r.i64()?,
-        };
-        let sub = SubSnapshot {
-            active: r.i64()?,
-            deltas_pushed: r.u64()?,
-            fallback_reruns: r.u64()?,
-            slow_consumer_drops: r.u64()?,
-        };
-        let shard_count = r.i64()?;
-        let shard_watermark = r.i64()?;
-        let n_lanes = r.u32()? as usize;
-        if n_lanes > MAX_SHARD_LANES {
-            return Err(err(format!("implausible shard lane count {n_lanes}")));
-        }
-        let mut lanes = Vec::with_capacity(n_lanes);
-        for _ in 0..n_lanes {
-            lanes.push(ShardLaneSnapshot {
-                next_lsn: r.i64()?,
-                durable_lsn: r.i64()?,
-            });
-        }
-        let shard = ShardsSnapshot {
-            shards: shard_count,
-            watermark: shard_watermark,
-            lanes,
-            snapshot_pinned: r.i64()?,
-            commit_publish_us: get_hist(&mut r)?,
-        };
-        let temporal = TemporalSnapshot {
-            asof_queries: r.u64()?,
-            between_queries: r.u64()?,
-            snapshot_rebuilds: r.u64()?,
-            snapshot_cache_hits: r.u64()?,
-            gc_commits_folded: r.u64()?,
-            history_commits: r.i64()?,
-            history_bytes: r.i64()?,
-            version_chain_max: r.i64()?,
-            asof_us: get_hist(&mut r)?,
-        };
+        snap.shard.trim_lanes();
+
         let n_slow = r.u32()? as usize;
         if n_slow > 1 << 20 {
             return Err(err(format!("implausible slow-query count {n_slow}")));
         }
-        let mut slow_queries = Vec::with_capacity(n_slow.min(1024));
+        snap.slow_queries.reserve(n_slow.min(1024));
         for _ in 0..n_slow {
-            slow_queries.push(SlowQueryEntry {
-                query: r.str()?,
+            let len = r.u32()? as usize;
+            snap.slow_queries.push(SlowQueryEntry {
+                query: r.str(len)?.to_owned(),
                 duration_us: r.u64()?,
                 rows: r.u64()?,
                 plan_fp: r.u64()?,
             });
         }
-        let slow_dropped = r.u64()?;
-        if r.pos != bytes.len() {
-            return Err(err(format!(
-                "{} trailing bytes after snapshot",
-                bytes.len() - r.pos
-            )));
-        }
-        Ok(Self {
-            server,
-            persist,
-            query,
-            ts,
-            sub,
-            shard,
-            temporal,
-            slow_queries,
-            slow_dropped,
-        })
+        r.finish("snapshot")?;
+        Ok(snap)
     }
 
     /// Renders the snapshot as Prometheus-style text exposition:
@@ -1127,191 +870,45 @@ impl Snapshot {
     /// ring as trailing comment lines.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, v: u64| {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-        };
-
-        let s = &self.server;
-        counter("hygraph_server_admitted_total", s.admitted);
-        counter("hygraph_server_completed_total", s.completed);
-        counter(
-            "hygraph_server_rejected_overload_total",
-            s.rejected_overload,
-        );
-        counter(
-            "hygraph_server_rejected_deadline_total",
-            s.rejected_deadline,
-        );
-        counter(
-            "hygraph_server_rejected_shutdown_total",
-            s.rejected_shutdown,
-        );
-        counter("hygraph_server_bad_frames_total", s.bad_frames);
-        counter(
-            "hygraph_server_drain_deadline_drops_total",
-            s.drain_deadline_drops,
-        );
-        let p = &self.persist;
-        counter("hygraph_persist_wal_appends_total", p.wal_appends);
-        counter("hygraph_persist_wal_syncs_total", p.wal_syncs);
-        counter("hygraph_persist_wal_rotations_total", p.wal_rotations);
-        counter("hygraph_persist_wal_synced_bytes_total", p.wal_synced_bytes);
-        counter("hygraph_persist_checkpoints_total", p.checkpoints);
-        counter("hygraph_persist_recoveries_total", p.recoveries);
-        counter(
-            "hygraph_persist_recovery_frames_replayed_total",
-            p.recovery_frames_replayed,
-        );
-        counter(
-            "hygraph_persist_recovery_truncations_total",
-            p.recovery_truncations,
-        );
-        for (class, c) in OpClass::ALL.iter().zip(self.query.classes.iter()) {
-            counter(&format!("hygraph_query_{}_total", class.name()), c.count);
-            counter(
-                &format!("hygraph_query_{}_errors_total", class.name()),
-                c.errors,
-            );
-        }
-        counter("hygraph_query_parse_errors_total", self.query.parse_errors);
-        counter(
-            "hygraph_query_plan_cache_hits_total",
-            self.query.plan_cache_hits,
-        );
-        counter(
-            "hygraph_query_plan_cache_misses_total",
-            self.query.plan_cache_misses,
-        );
-        for (op, o) in PlanOp::ALL.iter().zip(self.query.operators.iter()) {
-            counter(
-                &format!("hygraph_query_op_{}_total", op.name()),
-                o.invocations,
-            );
-            counter(
-                &format!("hygraph_query_op_{}_rows_total", op.name()),
-                o.rows_out,
-            );
-        }
-        counter("hygraph_ts_inserts_total", self.ts.inserts);
-        counter("hygraph_ts_points_inserted_total", self.ts.points_inserted);
-        counter("hygraph_ts_rollup_hits_total", self.ts.rollup_hits);
-        counter(
-            "hygraph_ts_rollup_boundary_decodes_total",
-            self.ts.rollup_boundary_decodes,
-        );
-        counter("hygraph_sub_deltas_pushed_total", self.sub.deltas_pushed);
-        counter(
-            "hygraph_sub_fallback_reruns_total",
-            self.sub.fallback_reruns,
-        );
-        counter(
-            "hygraph_sub_slow_consumer_drops_total",
-            self.sub.slow_consumer_drops,
-        );
-        counter(
-            "hygraph_temporal_asof_queries_total",
-            self.temporal.asof_queries,
-        );
-        counter(
-            "hygraph_temporal_between_queries_total",
-            self.temporal.between_queries,
-        );
-        counter(
-            "hygraph_temporal_snapshot_rebuilds_total",
-            self.temporal.snapshot_rebuilds,
-        );
-        counter(
-            "hygraph_temporal_snapshot_cache_hits_total",
-            self.temporal.snapshot_cache_hits,
-        );
-        counter(
-            "hygraph_temporal_gc_commits_folded_total",
-            self.temporal.gc_commits_folded,
-        );
-        counter("hygraph_slow_queries_dropped_total", self.slow_dropped);
-
-        let mut gauge = |name: &str, v: i64| {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", v.max(0));
-        };
-        gauge("hygraph_server_queue_depth", s.queue_depth);
-        gauge("hygraph_server_workers_busy", s.workers_busy);
-        gauge("hygraph_server_connections", s.connections);
-        gauge("hygraph_ts_sealed_chunks", self.ts.sealed_chunks);
-        gauge("hygraph_ts_raw_bytes", self.ts.raw_bytes);
-        gauge("hygraph_ts_compressed_bytes", self.ts.compressed_bytes);
-        gauge("hygraph_sub_active", self.sub.active);
-        gauge("hygraph_shards", self.shard.shards);
-        gauge("hygraph_shard_watermark", self.shard.watermark);
-        gauge("hygraph_snapshot_pinned", self.shard.snapshot_pinned);
-        gauge(
-            "hygraph_temporal_history_commits",
-            self.temporal.history_commits,
-        );
-        gauge(
-            "hygraph_temporal_history_bytes",
-            self.temporal.history_bytes,
-        );
-        gauge(
-            "hygraph_temporal_version_chain_max",
-            self.temporal.version_chain_max,
-        );
-
-        if !self.shard.lanes.is_empty() {
-            let _ = writeln!(out, "# TYPE hygraph_shard_next_lsn gauge");
-            for (i, lane) in self.shard.lanes.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "hygraph_shard_next_lsn{{shard=\"{i}\"}} {}",
-                    lane.next_lsn.max(0)
-                );
+        let mut out = String::with_capacity(16 * 1024);
+        let mut family = String::new();
+        self.walk(&mut |name, label, value| {
+            let name = expand(name, label);
+            // the members of a brace-labelled family share one TYPE line
+            let base = name.split('{').next().unwrap_or(&name);
+            if base != family {
+                let kind = match value {
+                    Cell::Counter(_) => "counter",
+                    Cell::Gauge(_) => "gauge",
+                    Cell::Histogram(_) => "summary",
+                };
+                let _ = writeln!(out, "# TYPE {base} {kind}");
+                family.clear();
+                family.push_str(base);
             }
-            let _ = writeln!(out, "# TYPE hygraph_shard_durable_lsn gauge");
-            for (i, lane) in self.shard.lanes.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "hygraph_shard_durable_lsn{{shard=\"{i}\"}} {}",
-                    lane.durable_lsn.max(0)
-                );
-            }
-        }
-
-        let mut summary = |name: &str, h: &HistogramSnapshot| {
-            let _ = writeln!(out, "# TYPE {name} summary");
-            for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", h.quantile(q));
-            }
-            let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum, h.count);
-        };
-        summary("hygraph_server_admission_us", &s.admission_us);
-        summary("hygraph_server_queue_wait_us", &s.queue_wait_us);
-        summary("hygraph_server_execute_us", &s.execute_us);
-        summary("hygraph_server_encode_us", &s.encode_us);
-        summary("hygraph_persist_wal_append_us", &p.wal_append_us);
-        summary("hygraph_persist_wal_sync_us", &p.wal_sync_us);
-        summary("hygraph_persist_checkpoint_us", &p.checkpoint_us);
-        summary("hygraph_persist_recovery_us", &p.recovery_us);
-        summary(
-            "hygraph_persist_group_commit_frames",
-            &p.group_commit_frames,
-        );
-        for (class, c) in OpClass::ALL.iter().zip(self.query.classes.iter()) {
-            summary(&format!("hygraph_query_{}_us", class.name()), &c.time_us);
-        }
-        for (op, o) in PlanOp::ALL.iter().zip(self.query.operators.iter()) {
-            summary(&format!("hygraph_query_op_{}_us", op.name()), &o.time_us);
-        }
-        summary("hygraph_temporal_asof_us", &self.temporal.asof_us);
-        summary("hygraph_commit_publish_us", &self.shard.commit_publish_us);
-
+            let _ = match value {
+                Cell::Counter(n) => writeln!(out, "{name} {n}"),
+                Cell::Gauge(n) => writeln!(out, "{name} {}", (*n).max(0)),
+                Cell::Histogram(h) => {
+                    for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+                        let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", h.quantile(q));
+                    }
+                    writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum, h.count)
+                }
+            };
+        });
         for e in &self.slow_queries {
+            // HyQL string literals may hold any control character; none
+            // may split the comment line for a line-oriented scraper
+            let text: String = e
+                .query
+                .chars()
+                .map(|c| if c.is_control() { ' ' } else { c })
+                .collect();
             let _ = writeln!(
                 out,
-                "# SLOW {}us rows={} fp=0x{:016x} {}",
-                e.duration_us,
-                e.rows,
-                e.plan_fp,
-                e.query.replace('\n', " ")
+                "# SLOW {}us rows={} fp=0x{:016x} {text}",
+                e.duration_us, e.rows, e.plan_fp
             );
         }
         out
@@ -1478,6 +1075,84 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    /// Names, `# TYPE` kinds, label text and values are pinned to what
+    /// the last hand-written renderer (PR 12) produced for this fixture;
+    /// only the line order follows the table.
+    #[test]
+    fn render_text_matches_the_golden_exposition() {
+        let text = busy_registry().snapshot().render_text();
+        let mut got: Vec<&str> = text.lines().collect();
+        let mut want: Vec<&str> = include_str!("../tests/golden/busy_registry.prom")
+            .lines()
+            .collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn every_family_is_typed_once_and_stays_in_one_run() {
+        let text = busy_registry().snapshot().render_text();
+        let mut typed = Vec::new();
+        let mut current = "";
+        for line in text.lines().filter(|l| !l.starts_with("# SLOW")) {
+            match line.strip_prefix("# TYPE ") {
+                Some(rest) => {
+                    current = rest.split(' ').next().unwrap();
+                    assert!(!typed.contains(&current), "{current} typed twice");
+                    typed.push(current);
+                }
+                None => assert!(
+                    line.starts_with(current),
+                    "sample {line:?} outside the run of {current}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn control_characters_cannot_split_a_slow_query_line() {
+        let mut snap = Snapshot::default();
+        snap.slow_queries.push(SlowQueryEntry {
+            query: "RETURN 'a\r\nb\u{0085}c' AS s".into(),
+            duration_us: 5,
+            rows: 1,
+            plan_fp: 2,
+        });
+        let text = snap.render_text();
+        let slow: Vec<&str> = text.split('\n').filter(|l| l.contains("SLOW")).collect();
+        assert_eq!(
+            slow,
+            ["# SLOW 5us rows=1 fp=0x0000000000000002 RETURN 'a  b c' AS s"]
+        );
+        assert_eq!(
+            text.chars().filter(|c| c.is_control()).count(),
+            text.lines().count(),
+            "the only control characters are the line ends"
+        );
+    }
+
+    /// OPERATIONS.md lists every instrument by the literal the table
+    /// declares (a family by its `<…>` template).
+    #[test]
+    fn operations_md_lists_every_instrument() {
+        let doc = include_str!("../../../OPERATIONS.md");
+        let mut snap = Snapshot::default();
+        snap.shard.lanes.push(ShardLaneSnapshot::default());
+        let mut seen = 0;
+        snap.walk(&mut |name, _, value| {
+            let kind = match value {
+                Cell::Counter(_) => "counter",
+                Cell::Gauge(_) => "gauge",
+                Cell::Histogram(_) => "histogram",
+            };
+            let row = format!("| `{name}` | {kind} |");
+            assert!(doc.contains(&row), "OPERATIONS.md lacks the row {row}");
+            seen += 1;
+        });
+        assert!(seen > 100, "the walk covered the families ({seen} series)");
     }
 
     #[test]

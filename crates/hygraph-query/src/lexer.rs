@@ -342,25 +342,29 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
                 }
             }
             '\'' => {
+                // The scan for the closing quote is byte-wise (0x27 is
+                // never a UTF-8 continuation byte); the text between
+                // quotes is copied as `str` slices so multi-byte
+                // characters survive intact.
                 let mut j = i + 1;
+                let mut run = j;
                 let mut s = String::new();
                 loop {
                     match bytes.get(j) {
                         None => return Err(err(start, "unterminated string literal")),
                         Some(b'\'') => {
+                            s.push_str(&src[run..j]);
                             // doubled quote escapes a quote
                             if bytes.get(j + 1) == Some(&b'\'') {
                                 s.push('\'');
                                 j += 2;
+                                run = j;
                             } else {
                                 j += 1;
                                 break;
                             }
                         }
-                        Some(&b) => {
-                            s.push(b as char);
-                            j += 1;
-                        }
+                        Some(_) => j += 1,
                     }
                 }
                 out.push(Token {
@@ -560,6 +564,14 @@ mod tests {
             tokenize("'open").unwrap_err(),
             HyGraphError::Parse { .. }
         ));
+    }
+
+    #[test]
+    fn string_literals_keep_multibyte_text() {
+        assert_eq!(
+            kinds("'Zürich — 東京 it''s'")[0],
+            TokenKind::Str("Zürich — 東京 it's".into())
+        );
     }
 
     #[test]

@@ -279,26 +279,17 @@ pub fn run_instrumented(
     text: &str,
     cache: Option<&dyn PlanCacheHook>,
 ) -> Result<QueryResult> {
-    run_instrumented_temporal(hg, text, cache, None)
+    run_instrumented_bound(hg, text, cache, None, None)
 }
 
-/// [`run_instrumented`] with an optional [`TemporalResolver`]: queries
-/// carrying an `AS OF`/`BETWEEN` bound execute against the historical
-/// state(s) the resolver reconstructs instead of `hg`. Without a
-/// resolver, `AS OF NOW()` degrades gracefully to the live graph (the
-/// two are equivalent by definition) and any other bound is a typed
-/// error — time travel needs a history store behind it.
-pub fn run_instrumented_temporal(
-    hg: &HyGraph,
-    text: &str,
-    cache: Option<&dyn PlanCacheHook>,
-    resolver: Option<&mut dyn TemporalResolver>,
-) -> Result<QueryResult> {
-    run_instrumented_bound(hg, text, cache, resolver, None)
-}
-
-/// [`run_instrumented_temporal`] with an optional *injected* temporal
-/// bound: when `bound` is `Some`, the query executes as if its text
+/// [`run_instrumented`] with an optional [`TemporalResolver`] and an
+/// optional *injected* temporal bound. Queries carrying an
+/// `AS OF`/`BETWEEN` bound execute against the historical state(s) the
+/// resolver reconstructs instead of `hg`; without a resolver,
+/// `AS OF NOW()` degrades gracefully to the live graph (the two are
+/// equivalent by definition) and any other bound is a typed error —
+/// time travel needs a history store behind it. When `bound` is
+/// `Some`, the query executes as if its text
 /// carried that `AS OF`/`BETWEEN` clause. This backs structured wire
 /// requests (a client pins a timestamp without splicing it into HyQL
 /// text). A query that already carries its own bound rejects the

@@ -186,7 +186,7 @@ fn ts_compression_metrics_cross_the_wire() {
     server.shutdown().expect("shutdown");
 }
 
-/// Snapshot-publication instruments (v7) cross the wire: on a
+/// Snapshot-publication instruments cross the wire: on a
 /// multi-shard engine, two `Stats` calls bracket `K` committed batches
 /// and the `hygraph_commit_publish_us` histogram gains exactly `K`
 /// observations — one per publication. The `hygraph_snapshot_pinned`
@@ -242,7 +242,7 @@ fn snapshot_publication_metrics_cross_the_wire() {
         "dropping the pin releases the retired epoch"
     );
 
-    // the extended (v7) snapshot still round-trips its codec exactly
+    // the snapshot still round-trips its codec exactly
     let bytes = released.to_bytes();
     let decoded = Snapshot::from_bytes(&bytes).expect("decode");
     assert_eq!(decoded, released);

@@ -239,3 +239,22 @@ fn label_index_agrees_with_scan() {
         assert_eq!(indexed, scanned, "label '{label}'");
     }
 }
+
+#[test]
+fn non_ascii_string_literals_compare_and_echo_intact() {
+    let mut hg = HyGraph::new();
+    hg.add_pg_vertex(["City"], props! {"name" => "Zürich"});
+    hg.add_pg_vertex(["City"], props! {"name" => "Zurich"});
+    let r = query(
+        &hg,
+        "MATCH (c:City) WHERE c.name = 'Zürich' RETURN COUNT(c) AS n",
+    )
+    .expect("query runs");
+    assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
+    let r = query(
+        &hg,
+        "MATCH (c:City) WHERE c.name = 'Zurich' RETURN 'Zürich' AS s",
+    )
+    .expect("query runs");
+    assert_eq!(r.rows, vec![vec![Value::Str("Zürich".into())]]);
+}
