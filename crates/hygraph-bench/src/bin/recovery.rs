@@ -1,13 +1,11 @@
 //! Cold-start recovery benchmark for the durable storage engine.
 //!
-//! Compares three ways of bringing a HyGraph instance back from disk:
+//! Compares two ways of bringing a HyGraph instance back from disk:
 //!
 //! 1. **checkpoint-only** — the log was checkpointed at the tip, so
 //!    recovery is one binary snapshot load;
 //! 2. **checkpoint + WAL replay** — the checkpoint sits at half the
-//!    workload and the tail is replayed frame by frame;
-//! 3. **text reload** — the pre-persist baseline: parse the
-//!    human-readable text format from scratch.
+//!    workload and the tail is replayed frame by frame.
 //!
 //! Run with: `cargo run --release -p hygraph-bench --bin recovery
 //! [--scale small|medium|large]`
@@ -16,7 +14,7 @@
 //! `BENCH_PR2_JSON=<path>`) so CI and later PRs can diff the numbers.
 
 use hygraph_bench::{time_ms, time_stats, Scale};
-use hygraph_core::{io as textio, HyGraph};
+use hygraph_core::HyGraph;
 use hygraph_persist::{DurableStore, HgMutation, PersistConfig};
 use hygraph_types::{Label, SeriesId, Timestamp};
 
@@ -81,7 +79,6 @@ fn main() {
     std::fs::create_dir_all(&base).expect("scratch dir");
     let ckpt_dir = base.join("checkpoint-only");
     let replay_dir = base.join("checkpoint-replay");
-    let text_path = base.join("instance.hyg");
 
     // -- populate: checkpoint-at-tip log ---------------------------------
     let (_, ms) = time_ms(|| {
@@ -104,12 +101,9 @@ fn main() {
     });
     println!("ingested checkpoint+WAL log in {ms:.0} ms ({replayed} frames left to replay)");
 
-    // -- populate: text file (the pre-persist baseline) ------------------
-    let golden = {
-        let store: DurableStore<HyGraph> = DurableStore::open(&ckpt_dir).expect("open");
-        textio::write_file(store.get(), &text_path).expect("write text");
-        store.state_bytes()
-    };
+    let golden = DurableStore::<HyGraph>::open(&ckpt_dir)
+        .expect("open")
+        .state_bytes();
 
     // -- measure ---------------------------------------------------------
     let (ckpt_ms, ckpt_cv) = time_stats(runs, || {
@@ -120,30 +114,21 @@ fn main() {
         let store: DurableStore<HyGraph> = DurableStore::open(&replay_dir).expect("recover");
         store.get().vertex_count() as f64
     });
-    let (text_ms, text_cv) = time_stats(runs, || {
-        let hg = textio::read_file(&text_path).expect("parse text");
-        hg.vertex_count() as f64
-    });
 
-    // correctness guard: all three roads lead to the same committed state
+    // correctness guard: both roads lead to the same committed state
     {
         let a: DurableStore<HyGraph> = DurableStore::open(&ckpt_dir).expect("recover");
         let b: DurableStore<HyGraph> = DurableStore::open(&replay_dir).expect("recover");
         assert_eq!(a.state_bytes(), golden, "checkpoint-only state diverged");
         assert_eq!(b.state_bytes(), golden, "replayed state diverged");
-        let t = textio::read_file(&text_path).expect("parse text");
-        assert_eq!(t.vertex_count(), a.get().vertex_count());
-        assert_eq!(t.series_count(), a.get().series_count());
     }
 
     let ckpt_bytes = dir_bytes(&ckpt_dir, "ck");
     let wal_bytes = dir_bytes(&replay_dir, "seg") + dir_bytes(&replay_dir, "ck");
-    let text_bytes = std::fs::metadata(&text_path).map(|m| m.len()).unwrap_or(0);
 
     println!("\ncold-start recovery, mean of {runs} runs:");
     println!("  checkpoint only      {ckpt_ms:9.2} ms  (cv {ckpt_cv:4.1}%)  [{ckpt_bytes} bytes]");
     println!("  checkpoint + replay  {replay_ms:9.2} ms  (cv {replay_cv:4.1}%)  [{wal_bytes} bytes, {replayed} frames]");
-    println!("  text reload          {text_ms:9.2} ms  (cv {text_cv:4.1}%)  [{text_bytes} bytes]");
 
     let scale_name = match scale {
         Scale::Small => "small",
@@ -153,8 +138,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"recovery\",\n  \"scale\": \"{scale_name}\",\n  \"mutations\": {},\n  \
          \"checkpoint_only\": {{\"mean_ms\": {ckpt_ms:.3}, \"cv_pct\": {ckpt_cv:.1}, \"bytes\": {ckpt_bytes}}},\n  \
-         \"checkpoint_wal_replay\": {{\"mean_ms\": {replay_ms:.3}, \"cv_pct\": {replay_cv:.1}, \"bytes\": {wal_bytes}, \"replayed_frames\": {replayed}}},\n  \
-         \"text_reload\": {{\"mean_ms\": {text_ms:.3}, \"cv_pct\": {text_cv:.1}, \"bytes\": {text_bytes}}}\n}}\n",
+         \"checkpoint_wal_replay\": {{\"mean_ms\": {replay_ms:.3}, \"cv_pct\": {replay_cv:.1}, \"bytes\": {wal_bytes}, \"replayed_frames\": {replayed}}}\n}}\n",
         ops.len()
     );
     let path = std::env::var("BENCH_PR2_JSON").unwrap_or_else(|_| "BENCH_PR2.json".to_string());

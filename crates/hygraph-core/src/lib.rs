@@ -23,7 +23,6 @@
 pub mod binio;
 pub mod builder;
 pub mod interfaces;
-pub mod io;
 pub mod model;
 pub mod subgraph;
 pub mod view;

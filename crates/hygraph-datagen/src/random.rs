@@ -257,10 +257,10 @@ mod tests {
         assert_eq!(a.edge_count(), b.edge_count());
         assert_eq!(a.series_count(), b.series_count());
         // same seed → identical serialisation; different seed → diverges
-        let a_text = hygraph_core::io::to_string(&a).unwrap();
-        assert_eq!(a_text, hygraph_core::io::to_string(&b).unwrap());
+        let a_bytes = hygraph_core::binio::to_bytes(&a);
+        assert_eq!(a_bytes, hygraph_core::binio::to_bytes(&b));
         let c = random_hygraph(20, 30, 4, 2, 18);
-        assert_ne!(a_text, hygraph_core::io::to_string(&c).unwrap());
+        assert_ne!(a_bytes, hygraph_core::binio::to_bytes(&c));
     }
 
     #[test]

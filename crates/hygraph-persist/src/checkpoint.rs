@@ -13,8 +13,12 @@
 //! The watermark is the commit timestamp (epoch ms) of the newest
 //! transaction the snapshot covers — 0 when the store tracks no
 //! transaction time. Placing it inside the payload keeps it under the
-//! existing CRC. Legacy `HGCK1` files (no watermark; payload = state)
-//! still load, reporting watermark 0; new checkpoints are always v2.
+//! CRC. `HGCK2` is the only format read: a file whose header starts
+//! `HGCK` with another version digit (the `HGCK1` of PRs 2–7, or a
+//! newer build's) is a healthy snapshot this build cannot interpret,
+//! so [`load_latest`] fails with [`HyGraphError::UnsupportedFormat`]
+//! instead of skipping it as torn — skipping would fall back to an
+//! older state and let the next checkpoint purge the file.
 //!
 //! Checkpoints are staged to a `.tmp` sibling and renamed over the
 //! final name only after `fsync`: an existing intact checkpoint is
@@ -34,9 +38,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 const CKPT_MAGIC: &[u8; 5] = b"HGCK2";
-const CKPT_MAGIC_V1: &[u8; 5] = b"HGCK1";
 const CKPT_HEADER_BYTES: usize = CKPT_MAGIC.len() + 4 + 4 + 4;
-/// Bytes of the watermark prefix inside a v2 payload.
+/// Bytes of the watermark prefix inside the payload.
 const WATERMARK_BYTES: usize = 8;
 
 fn checkpoint_name(lsn: u64) -> String {
@@ -113,19 +116,18 @@ pub fn write_checkpoint(
 
 /// Validates one checkpoint file: `Ok(Some((watermark, state)))` if
 /// intact, `Ok(None)` if torn/corrupt, `Err` if it is a healthy
-/// checkpoint of a *different* store (intact magic, foreign tag) —
-/// skipping that one silently would make the caller re-initialise over
-/// live data.
+/// checkpoint this store must not skip — another format version
+/// (`HGCK` family, foreign version digit) or a *different* store
+/// (intact magic, foreign tag). Skipping either silently would make
+/// the caller re-initialise over live data.
 fn read_checkpoint(path: &Path, tag: [u8; 4]) -> Result<Option<(i64, Vec<u8>)>> {
     let Ok(bytes) = std::fs::read(path) else {
         return Ok(None);
     };
-    if bytes.len() < CKPT_HEADER_BYTES {
+    if !crate::wal::check_magic("checkpoint", path, &bytes, CKPT_MAGIC)? {
         return Ok(None);
     }
-    let v2 = &bytes[..CKPT_MAGIC.len()] == CKPT_MAGIC;
-    let v1 = &bytes[..CKPT_MAGIC.len()] == CKPT_MAGIC_V1;
-    if !v1 && !v2 {
+    if bytes.len() < CKPT_HEADER_BYTES {
         return Ok(None);
     }
     if bytes[CKPT_MAGIC.len()..CKPT_MAGIC.len() + 4] != tag {
@@ -144,22 +146,19 @@ fn read_checkpoint(path: &Path, tag: [u8; 4]) -> Result<Option<(i64, Vec<u8>)>> 
     if bytes.len() != CKPT_HEADER_BYTES + len || crc32(payload) != crc {
         return Ok(None);
     }
-    if v2 {
-        // v2 payload = watermark prefix ++ state; too short is torn
-        let Some(prefix) = payload.get(..WATERMARK_BYTES) else {
-            return Ok(None);
-        };
-        let watermark = i64::from_le_bytes(prefix.try_into().expect("8 bytes"));
-        Ok(Some((watermark, payload[WATERMARK_BYTES..].to_vec())))
-    } else {
-        Ok(Some((0, payload.to_vec())))
-    }
+    // payload = watermark prefix ++ state; too short is torn
+    let Some((prefix, state)) = payload.split_at_checked(WATERMARK_BYTES) else {
+        return Ok(None);
+    };
+    let watermark = i64::from_le_bytes(prefix.try_into().expect("8 bytes"));
+    Ok(Some((watermark, state.to_vec())))
 }
 
 /// Loads the newest *intact* checkpoint: torn or corrupt files are
 /// skipped, falling back to older ones. Returns
-/// `(lsn, watermark, state)` — watermark 0 for legacy v1 files.
-/// A checkpoint belonging to a different store is a hard error.
+/// `(lsn, watermark, state)`. A checkpoint of another format version
+/// or belonging to a different store is a hard error, raised before
+/// any older candidate is considered; nothing is ever deleted here.
 pub fn load_latest(dir: &Path, tag: [u8; 4]) -> Result<Option<(u64, i64, Vec<u8>)>> {
     let mut candidates = list_checkpoints(dir)?;
     while let Some((lsn, path)) = candidates.pop() {
@@ -297,30 +296,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `load_latest` must refuse with an error naming `version` and
+    /// leave every file as it was.
+    fn assert_refused_untouched(dir: &Path, version: &str) {
+        let before = crate::fault::snapshot_dir(dir).unwrap();
+        let err = load_latest(dir, TAG).unwrap_err();
+        assert!(
+            matches!(&err, HyGraphError::UnsupportedFormat(m) if m.contains(version)),
+            "expected a refusal naming {version}, got {err:?}"
+        );
+        assert_eq!(crate::fault::snapshot_dir(dir).unwrap(), before);
+    }
+
     #[test]
-    fn legacy_v1_checkpoint_loads_with_zero_watermark() {
+    fn legacy_v1_checkpoint_is_refused_not_skipped() {
         let dir = scratch_dir("ckpt-v1");
-        std::fs::create_dir_all(&dir).unwrap();
+        // an older intact v2 file the loader must NOT fall back to
+        write_checkpoint(&dir, TAG, 2, 5, b"older-v2-state").unwrap();
         // hand-write a v1 file: old magic, payload = state (no prefix)
         let state = b"v1-state-bytes";
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(CKPT_MAGIC_V1);
+        let mut bytes = b"HGCK1".to_vec();
         bytes.extend_from_slice(&TAG);
         bytes.extend_from_slice(&(state.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&crc32(state).to_le_bytes());
         bytes.extend_from_slice(state);
         std::fs::write(dir.join("ckpt-0000000000000004.ck"), &bytes).unwrap();
+        assert_refused_untouched(&dir, "HGCK1");
 
-        let (lsn, watermark, payload) = load_latest(&dir, TAG).unwrap().unwrap();
-        assert_eq!((lsn, watermark, payload.as_slice()), (4, 0, &state[..]));
-
-        // a newer v2 checkpoint wins over it as usual
+        // once a newer v2 checkpoint supersedes it, the store opens
         write_checkpoint(&dir, TAG, 9, 777, b"v2-state").unwrap();
         let (lsn, watermark, payload) = load_latest(&dir, TAG).unwrap().unwrap();
         assert_eq!(
             (lsn, watermark, payload.as_slice()),
             (9, 777, &b"v2-state"[..])
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_newer_checkpoint_version_is_refused_not_skipped() {
+        let dir = scratch_dir("ckpt-v3");
+        write_checkpoint(&dir, TAG, 2, 5, b"older-v2-state").unwrap();
+        let newer = write_checkpoint(&dir, TAG, 4, 6, b"from-the-future").unwrap();
+        let mut bytes = std::fs::read(&newer).unwrap();
+        bytes[..5].copy_from_slice(b"HGCK3");
+        std::fs::write(&newer, bytes).unwrap();
+        assert_refused_untouched(&dir, "HGCK3");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

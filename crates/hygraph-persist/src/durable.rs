@@ -21,7 +21,10 @@
 //!   checkpoint (torn ones are skipped and deleted), replays intact
 //!   WAL frames above it, and truncates the log at the first torn or
 //!   corrupt frame instead of failing — the recovered state is
-//!   bit-identical to the committed state at the crash.
+//!   bit-identical to the committed state at the crash. A checkpoint
+//!   or segment of another format version is not torn: the open fails
+//!   with [`HyGraphError::UnsupportedFormat`] before any file is
+//!   removed, truncated or purged.
 //!
 //! One directory holds one store's log: segment and checkpoint files
 //! carry the store's [`Durable::STORE_TAG`] as a guard against mixups,
@@ -89,13 +92,13 @@ fn decode_record<S: Durable>(record: &[u8]) -> Result<S::Mutation> {
 /// log without a second read pass.
 pub trait RecoveryObserver<S: Durable> {
     /// The recovered base: the checkpoint's history watermark (commit
-    /// timestamp of the newest covered transaction; 0 when untracked or
-    /// legacy) and the exact state encoding at that point — the
+    /// timestamp of the newest covered transaction; 0 when untracked)
+    /// and the exact state encoding at that point — the
     /// fresh-state encoding when the directory had no checkpoint.
     fn base(&mut self, watermark: i64, state: &[u8]);
 
     /// One replayed WAL record above the checkpoint, with its commit
-    /// timestamp (0 for legacy v1 frames).
+    /// timestamp (0 when the writer tracked no transaction time).
     fn replay(&mut self, lsn: u64, ts: i64, m: &S::Mutation);
 }
 
@@ -177,6 +180,9 @@ impl<S: Durable> DurableStore<S> {
                     let mut r = ByteReader::new(&payload);
                     let state = S::decode_state(&mut r)?;
                     r.expect_exhausted()?;
+                    // a log this build cannot read refuses the open: find
+                    // out before the first removal, not after it
+                    crate::wal::refuse_foreign_segments(&dir, S::STORE_TAG)?;
                     // anything newer than the checkpoint we just loaded
                     // failed to load — torn; clear the namespace
                     checkpoint::purge_newer_than(&dir, lsn)?;

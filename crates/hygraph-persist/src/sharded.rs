@@ -256,6 +256,12 @@ where
         let meta = decode_meta(&mut r)?;
         let state = S::decode_state(&mut r)?;
         r.expect_exhausted()?;
+        // a shard stream this build cannot read refuses the open: check
+        // all of them before the first removal, so the refusal leaves
+        // every shard (and every torn checkpoint) exactly as found
+        for idx in 0..meta.next_lsns.len() {
+            crate::wal::refuse_foreign_segments(&shard_dir(&dir, meta.epoch, idx), S::STORE_TAG)?;
+        }
         checkpoint::purge_newer_than(&dir, ckpt_csn)?;
 
         if meta.next_lsns.len() != shards {

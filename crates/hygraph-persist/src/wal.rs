@@ -4,13 +4,9 @@
 //! `<base>` is the 16-hex-digit LSN of the segment's first frame.
 //! Every segment starts with a 9-byte header — magic `HGWL2` plus the
 //! 4-byte store tag — followed by CRC-guarded frames
-//! ([`crate::frame`]). In a v2 segment every frame record is prefixed
-//! with the 8-byte little-endian commit timestamp (epoch ms) of the
-//! transaction that produced it; legacy `HGWL1` segments (no
-//! timestamp) are still recovered, reporting timestamp 0, and the
-//! first sync after recovering one rotates to a fresh v2 segment so a
-//! single segment never mixes the two layouts. Appends buffer frames
-//! in memory (group commit);
+//! ([`crate::frame`]). Every frame record is prefixed with the 8-byte
+//! little-endian commit timestamp (epoch ms) of the transaction that
+//! produced it. Appends buffer frames in memory (group commit);
 //! [`Wal::sync`] writes the batch with one `write` + `fdatasync` pair,
 //! rotating to a fresh segment once the active one exceeds the
 //! configured size.
@@ -20,6 +16,12 @@
 //! corrupt frame — truncates the segment at the last intact frame and
 //! discards any later segments, exactly reproducing the "committed =
 //! synced prefix" contract.
+//!
+//! `HGWL2` is the only format read. A segment whose header starts
+//! `HGWL` with another version digit (the `HGWL1` of PRs 2–7, or a
+//! newer build's) is a healthy log this build cannot interpret, not a
+//! torn one: recovery refuses with [`HyGraphError::UnsupportedFormat`]
+//! before it removes or truncates anything.
 
 use crate::frame::{append_frame, read_frame, FrameOutcome};
 use hygraph_metrics as metrics;
@@ -30,9 +32,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const SEGMENT_MAGIC: &[u8; 5] = b"HGWL2";
-const SEGMENT_MAGIC_V1: &[u8; 5] = b"HGWL1";
 const SEGMENT_HEADER_BYTES: usize = SEGMENT_MAGIC.len() + 4;
-/// Bytes of the commit-timestamp prefix on every v2 frame record.
+/// Bytes of the commit-timestamp prefix on every frame record.
 const TS_PREFIX_BYTES: usize = 8;
 
 fn segment_name(base: u64) -> String {
@@ -58,6 +59,65 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     }
     out.sort();
     Ok(out)
+}
+
+/// Compares the head of a stored file with the 5-byte `magic` this
+/// build writes: a 4-byte family (`HGWL`, `HGCK`) and an ASCII version
+/// digit. `Ok(true)`: the current format. `Ok(false)`: no header of
+/// this family — a torn write, which recovery may drop. `Err`: the
+/// family under another version digit (PRs 2–7 wrote `…1`), a healthy
+/// file this build cannot read; dropping it as torn would delete a
+/// valid log, so callers refuse before they remove or truncate anything.
+pub(crate) fn check_magic(what: &str, path: &Path, head: &[u8], magic: &[u8; 5]) -> Result<bool> {
+    let Some(found) = head.get(..magic.len()) else {
+        return Ok(false);
+    };
+    let (family, version) = found.split_at(magic.len() - 1);
+    if found == magic {
+        Ok(true)
+    } else if family == &magic[..family.len()] && version[0].is_ascii_digit() {
+        Err(HyGraphError::UnsupportedFormat(format!(
+            "{what} {} is format {}; this build reads and writes only {} and left the \
+             directory untouched (OPERATIONS.md, \"Directories written before PR 8\")",
+            path.display(),
+            found.escape_ascii(),
+            magic.escape_ascii(),
+        )))
+    } else {
+        Ok(false)
+    }
+}
+
+/// Reads every segment header in `dir` and fails on the first one
+/// recovery must neither replay nor drop as torn: another format
+/// version ([`check_magic`]) or another store's tag (deleting that one
+/// would destroy someone else's data). Read-only, so a refused open
+/// leaves the directory byte-identical — [`Wal::recover`] runs it
+/// before touching anything, and a caller recovering several logs as
+/// one unit runs it over all of them first.
+pub(crate) fn refuse_foreign_segments(dir: &Path, tag: [u8; 4]) -> Result<()> {
+    use std::io::Read as _;
+    if !dir.exists() {
+        return Ok(());
+    }
+    for (_, path) in list_segments(dir)? {
+        let mut head = Vec::with_capacity(SEGMENT_HEADER_BYTES);
+        File::open(&path)?
+            .take(SEGMENT_HEADER_BYTES as u64)
+            .read_to_end(&mut head)?;
+        let found = head.get(SEGMENT_MAGIC.len()..SEGMENT_HEADER_BYTES);
+        if check_magic("WAL segment", &path, &head, SEGMENT_MAGIC)?
+            && found.is_some_and(|found| found != tag)
+        {
+            return Err(HyGraphError::corrupt(format!(
+                "WAL segment {} belongs to store tag {:?}, expected {:?}",
+                path.display(),
+                String::from_utf8_lossy(&head[SEGMENT_MAGIC.len()..]),
+                String::from_utf8_lossy(&tag),
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn sync_dir(dir: &Path) -> Result<()> {
@@ -130,8 +190,9 @@ impl Wal {
 
     /// Recovers the log from `dir`: replays every intact frame with
     /// LSN ≥ `from_lsn` through `apply` (in LSN order, with the frame's
-    /// commit timestamp — 0 for legacy v1 segments), truncates at the
-    /// first torn or corrupt frame, and positions the log for appends.
+    /// commit timestamp), truncates at the first torn or corrupt frame,
+    /// and positions the log for appends. A segment of another format
+    /// version or another store fails the call before any file changes.
     pub fn recover(
         dir: impl Into<PathBuf>,
         tag: [u8; 4],
@@ -144,6 +205,7 @@ impl Wal {
         let start = Instant::now();
         let mut replayed = 0u64;
         let mut truncations = 0u64;
+        refuse_foreign_segments(&dir, tag)?;
         let segments = list_segments(&dir)?;
         if let Some((first_base, _)) = segments.first() {
             // the log must reach back to the recovery watermark: a first
@@ -161,31 +223,18 @@ impl Wal {
         let mut expected: Option<u64> = None;
         let mut survivors: Vec<(u64, PathBuf, u64)> = Vec::new(); // (base, path, file len)
         let mut torn = false;
-        let mut last_survivor_v1 = false;
 
-        for (idx, (base, path)) in segments.iter().enumerate() {
+        for (base, path) in &segments {
             if torn {
                 std::fs::remove_file(path)?;
                 truncations += 1;
                 continue;
             }
             let bytes = std::fs::read(path)?;
-            let header_long_enough = bytes.len() >= SEGMENT_HEADER_BYTES;
-            let v2 = header_long_enough && &bytes[..SEGMENT_MAGIC.len()] == SEGMENT_MAGIC;
-            let v1 = header_long_enough && &bytes[..SEGMENT_MAGIC.len()] == SEGMENT_MAGIC_V1;
-            let magic_ok = v1 || v2;
-            if magic_ok && bytes[SEGMENT_MAGIC.len()..SEGMENT_HEADER_BYTES] != tag {
-                // a healthy segment of a *different* store: refuse to
-                // open (deleting it here would destroy someone else's
-                // data; a truly corrupt header fails the magic instead)
-                return Err(HyGraphError::corrupt(format!(
-                    "WAL segment {} belongs to store tag {:?}, expected {:?}",
-                    path.display(),
-                    String::from_utf8_lossy(&bytes[SEGMENT_MAGIC.len()..SEGMENT_HEADER_BYTES]),
-                    String::from_utf8_lossy(&tag),
-                )));
-            }
-            let header_ok = magic_ok;
+            // anything else the pass above let through is a torn header
+            let header_ok = bytes.len() >= SEGMENT_HEADER_BYTES
+                && bytes[..SEGMENT_MAGIC.len()] == *SEGMENT_MAGIC
+                && bytes[SEGMENT_MAGIC.len()..SEGMENT_HEADER_BYTES] == tag;
             // a later segment whose base disagrees with the running LSN
             // means frames in between vanished: stop at the gap
             let continuous = match expected {
@@ -212,19 +261,13 @@ impl Wal {
                         if lsn != lsn_here {
                             break; // LSN discontinuity: corrupt from here
                         }
-                        // v2 records lead with the commit timestamp; a
-                        // v2 record too short to hold one is corrupt
-                        let (ts, record) = if v2 {
-                            let Some(prefix) = record.get(..TS_PREFIX_BYTES) else {
-                                break;
-                            };
-                            (
-                                i64::from_le_bytes(prefix.try_into().expect("8 bytes")),
-                                &record[TS_PREFIX_BYTES..],
-                            )
-                        } else {
-                            (0, record)
+                        // records lead with the commit timestamp; one
+                        // too short to hold it is corrupt
+                        let Some((prefix, record)) = record.split_at_checked(TS_PREFIX_BYTES)
+                        else {
+                            break;
                         };
+                        let ts = i64::from_le_bytes(prefix.try_into().expect("8 bytes"));
                         if lsn >= from_lsn {
                             apply(lsn, ts, record)?;
                             replayed += 1;
@@ -245,8 +288,6 @@ impl Wal {
             }
             expected = Some(lsn_here);
             survivors.push((*base, path.clone(), valid_file_len));
-            last_survivor_v1 = v1;
-            let _ = idx;
         }
         // If the log ends below the recovery watermark (a crash landed
         // between checkpoint-write and segment purge), every surviving
@@ -266,15 +307,13 @@ impl Wal {
         }
 
         let next_lsn = expected.unwrap_or(0).max(from_lsn);
-        // never append v2 frames into a surviving v1 segment — leave it
-        // finalized so the next sync opens a fresh v2 segment
         let active = match survivors.last() {
-            Some((_, path, len)) if !last_survivor_v1 => Some(ActiveSegment {
+            Some((_, path, len)) => Some(ActiveSegment {
                 path: path.clone(),
                 file: OpenOptions::new().append(true).open(path)?,
                 len: *len,
             }),
-            _ => None,
+            None => None,
         };
         if let Some(m) = metrics::get() {
             m.persist.recoveries.inc();
@@ -751,54 +790,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn assert_refused_untouched(dir: &Path, version: &str) {
+        let before = crate::fault::snapshot_dir(dir).unwrap();
+        let err = Wal::recover(dir, TAG, 4096, 0, |_, _, _| Ok(())).unwrap_err();
+        assert!(
+            matches!(&err, HyGraphError::UnsupportedFormat(m) if m.contains(version)),
+            "expected a refusal naming {version}, got {err:?}"
+        );
+        assert_eq!(
+            crate::fault::snapshot_dir(dir).unwrap(),
+            before,
+            "a refused open must leave the directory byte-identical"
+        );
+    }
+
     #[test]
-    fn legacy_v1_segment_recovers_with_zero_ts_and_is_not_appended_to() {
+    fn legacy_v1_segment_is_refused_and_left_untouched() {
         let dir = scratch_dir("wal-v1");
         // hand-write a v1 segment: old header, frames without ts prefix
-        let path = dir.join(segment_name(0));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SEGMENT_MAGIC_V1);
+        let mut bytes = b"HGWL1".to_vec();
         bytes.extend_from_slice(&TAG);
         crate::frame::append_frame(&mut bytes, 0, b"old-a");
         crate::frame::append_frame(&mut bytes, 1, b"old-b");
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(dir.join(segment_name(0)), &bytes).unwrap();
+        assert_refused_untouched(&dir, "HGWL1");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        let mut seen = Vec::new();
-        let mut wal = Wal::recover(&dir, TAG, 4096, 0, |lsn, ts, rec| {
-            seen.push((lsn, ts, rec.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(
-            seen,
-            vec![(0, 0, b"old-a".to_vec()), (1, 0, b"old-b".to_vec())]
-        );
-        assert_eq!(wal.next_lsn(), 2);
-
-        // new appends land in a fresh v2 segment, not the v1 one
-        wal.append(9_999, b"new");
+    #[test]
+    fn unknown_newer_segment_version_is_refused_and_left_untouched() {
+        // a healthy two-segment log whose tail claims a newer version,
+        // behind a head segment with a torn tail: the refusal comes
+        // before that tear is truncated
+        let dir = scratch_dir("wal-v3");
+        let mut wal = Wal::create(&dir, TAG, 1).unwrap(); // rotate every sync
+        wal.append(1_000, b"kept-a");
         wal.sync().unwrap();
+        wal.append(2_000, b"kept-b");
+        wal.sync().unwrap();
+        drop(wal);
         let segments = list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 2, "v1 segment was finalized, not reused");
-        let v1_after = std::fs::read(&path).unwrap();
-        assert_eq!(v1_after, bytes, "v1 segment untouched");
-
-        // the mixed log replays fully, v1 frames with ts 0
-        let mut seen = Vec::new();
-        Wal::recover(&dir, TAG, 4096, 0, |lsn, ts, rec| {
-            seen.push((lsn, ts, rec.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(
-            seen,
-            vec![
-                (0, 0, b"old-a".to_vec()),
-                (1, 0, b"old-b".to_vec()),
-                (2, 9_999, b"new".to_vec()),
-            ]
-        );
+        let (head, tail) = (&segments[0].1, &segments[1].1);
+        truncate_file(head, std::fs::metadata(head).unwrap().len() - 2).unwrap();
+        let mut bytes = std::fs::read(tail).unwrap();
+        bytes[4] = b'3';
+        std::fs::write(tail, bytes).unwrap();
+        assert_refused_untouched(&dir, "HGWL3");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,10 +1,11 @@
 //! Integration suite for the hash-sharded store: equivalence with the
 //! single-WAL engine, CSN-merged crash recovery (contiguous-prefix
 //! discard of orphaned frames), legacy-layout migration (the PR 8-era
-//! single-WAL fixture), layout-mismatch refusal, and re-sharding.
+//! single-WAL fixture), layout-mismatch refusal, format-version refusal
+//! through every open path, and re-sharding.
 
 use hygraph_core::HyGraph;
-use hygraph_persist::fault::{restore_dir, scratch_dir, snapshot_dir};
+use hygraph_persist::fault::{restore_dir, scratch_dir, snapshot_dir, truncate_file};
 use hygraph_persist::{
     Durable, DurableStore, HgMutation, PersistConfig, RecoveryObserver, ShardedStore, TsMutation,
 };
@@ -439,6 +440,108 @@ fn single_wal_store_refuses_sharded_directory_with_typed_error() {
     let store: ShardedStore<TsStore> = ShardedStore::open(&dir, 2).unwrap();
     assert_eq!(store.get().value_at(SeriesId::new(0), ts(1)), Some(4.5));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint or segment of another format version — the `HGWL1` /
+/// `HGCK1` of PRs 2–7, or a newer build's — is a healthy artifact this
+/// build cannot read, not a torn one. Every open path must refuse it
+/// with the typed error *before* recovery's usual repairs (truncating a
+/// torn tail, purging a torn newer checkpoint, archiving legacy
+/// segments), leaving the directory byte-identical.
+#[test]
+fn foreign_format_versions_are_refused_before_anything_is_repaired() {
+    configure();
+    type Open = fn(&std::path::Path) -> hygraph_types::Result<()>;
+    let single: Open = |d| DurableStore::<HyGraph>::open(d).map(drop);
+    let sharded: Open = |d| ShardedStore::<HyGraph>::open(d, 2).map(drop);
+    let observed: Open =
+        |d| ShardedStore::<HyGraph>::open_observed(d, 2, &mut Timeline::default()).map(drop);
+    let resharded: Open = |d| ShardedStore::<HyGraph>::open(d, 4).map(drop);
+
+    // one directory per layout: a checkpoint mid-stream, live segments above
+    let muts = hg_workload();
+    let (covered, live) = muts.split_at(muts.len() / 2);
+    let single_dir = scratch_dir("version-single");
+    {
+        let mut store: DurableStore<HyGraph> = DurableStore::open(&single_dir).unwrap();
+        store.commit_batch(covered.iter().cloned()).unwrap();
+        store.checkpoint().unwrap();
+        store.commit_batch(live.iter().cloned()).unwrap();
+        store.close().unwrap();
+    }
+    let sharded_dir = scratch_dir("version-sharded");
+    {
+        let mut store: ShardedStore<HyGraph> = ShardedStore::open(&sharded_dir, 2).unwrap();
+        store.commit_batch(covered.iter().cloned()).unwrap();
+        store.checkpoint().unwrap();
+        store.commit_batch(live.iter().cloned()).unwrap();
+        store.close().unwrap();
+    }
+    let layouts = [
+        (
+            &single_dir,
+            vec![
+                ("DurableStore::open", single),
+                ("single-WAL → sharded migration", sharded),
+            ],
+        ),
+        (
+            &sharded_dir,
+            vec![
+                ("ShardedStore::open", sharded),
+                ("ShardedStore::open_observed", observed),
+                ("ShardedStore::open at another shard count", resharded),
+            ],
+        ),
+    ];
+
+    for (dir, opens) in layouts {
+        let names: Vec<String> = snapshot_dir(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        let segments: Vec<&String> = names.iter().filter(|n| n.ends_with(".seg")).collect();
+        let checkpoints: Vec<&String> = names.iter().filter(|n| n.ends_with(".ck")).collect();
+        assert!(segments.len() >= 2 && checkpoints.len() == 1, "{names:?}");
+        // work for recovery's repair paths, which a refusal must not
+        // start on: a torn tail in the first live segment (in the
+        // sharded layout: another shard than the one patched below)
+        // and a torn checkpoint above the intact one
+        let first = dir.join(segments[0]);
+        truncate_file(&first, std::fs::metadata(&first).unwrap().len() - 2).unwrap();
+        std::fs::write(dir.join("ckpt-ffffffffffffffff.ck"), b"torn").unwrap();
+        let fixture = snapshot_dir(dir).unwrap();
+
+        for (how, open) in opens {
+            for artifact in [*segments.last().unwrap(), checkpoints[0]] {
+                for version in [b'1', b'3'] {
+                    restore_dir(dir, &fixture).unwrap();
+                    let mut bytes = std::fs::read(dir.join(artifact)).unwrap();
+                    bytes[4] = version;
+                    std::fs::write(dir.join(artifact), &bytes).unwrap();
+                    let magic = String::from_utf8_lossy(&bytes[..5]).into_owned();
+                    let before = snapshot_dir(dir).unwrap();
+                    match open(dir) {
+                        Err(HyGraphError::UnsupportedFormat(msg))
+                            if msg.contains(&magic) && msg.contains(artifact.as_str()) => {}
+                        other => panic!(
+                            "{how}: expected a refusal naming {artifact} and {magic}, got {other:?}"
+                        ),
+                    }
+                    assert_eq!(
+                        snapshot_dir(dir).unwrap(),
+                        before,
+                        "{how}: refusing {artifact} as {magic} changed the directory"
+                    );
+                }
+            }
+            // only the version byte stood in the way: the fixture opens
+            restore_dir(dir, &fixture).unwrap();
+            open(dir).unwrap_or_else(|e| panic!("{how}: fixture must open, got {e:?}"));
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 /// Changing `HYGRAPH_SHARDS` between runs re-shards in place: state is

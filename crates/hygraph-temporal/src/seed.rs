@@ -14,11 +14,11 @@ use crate::history::{CommitRecord, HistoryStore};
 ///
 /// Pass it to [`hygraph_persist::DurableStore::open_observed`]; call
 /// [`HistorySeed::finish`] once recovery returns. Frames stamped at or
-/// below the watermark — including `ts = 0` frames from pre-history
-/// (`HGWL1`) segments — carry no usable transaction time and are folded
-/// into the base snapshot; frames above it become one [`CommitRecord`]
-/// per distinct timestamp (frames of one commit share a stamp, and
-/// stamps are strictly increasing across commits).
+/// below the watermark — including the `ts = 0` frames of a writer that
+/// tracked no transaction time — are folded into the base snapshot;
+/// frames above it become one [`CommitRecord`] per distinct timestamp
+/// (frames of one commit share a stamp, and stamps are strictly
+/// increasing across commits).
 #[derive(Debug)]
 pub struct HistorySeed {
     cfg: HistoryConfig,
@@ -49,9 +49,9 @@ impl HistorySeed {
             base_ts,
             replays,
         } = self;
-        // Fold untimed / pre-watermark replays into the base. (With a
-        // v2 log this set is empty above an intact checkpoint, but a
-        // legacy HGWL1 suffix replays as ts = 0.)
+        // Fold untimed / pre-watermark replays into the base. (Empty
+        // above an intact checkpoint when every commit was stamped;
+        // frames staged without `set_commit_ts` replay as ts = 0.)
         let split = replays.partition_point(|(ts, _)| *ts <= base_ts);
         if split > 0 {
             let mut state = {
@@ -166,18 +166,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_zero_ts_frames_fold_into_the_base() {
+    fn untimed_zero_ts_frames_fold_into_the_base() {
         let mut seed = HistorySeed::new(HistoryConfig::default());
-        // no checkpoint; an HGWL1 suffix replays with ts = 0
+        // no checkpoint; frames staged without a commit ts replay as 0
         seed.replay(1, 0, &add_vertex("Old"));
         seed.replay(2, 0, &add_vertex("Older"));
-        // then a timed v2 frame
+        // then a timed frame
         seed.replay(3, 4_000, &add_vertex("New"));
         let mut history = seed.finish().unwrap();
 
         assert_eq!(history.base_ts(), 0);
         assert_eq!(history.commit_timestamps(), vec![4_000]);
-        // the base already holds the two legacy vertices
+        // the base already holds the two untimed vertices
         match history.snapshot_at(1_000).unwrap() {
             SnapshotResolution::Past(p) => {
                 let expected = {

@@ -11,20 +11,18 @@
 //! lossless, which the crash-recovery tests in `hygraph-persist` rely
 //! on (recovered store must be bit-identical to the committed state).
 //!
-//! # Format versions
+//! # Format
 //!
-//! * **v1** (pre-compression) started directly with the positive chunk
-//!   width; every chunk is plain columns (delta-encoded times, raw
-//!   IEEE-754 value bits).
-//! * **v2** starts with a zero-duration sentinel — invalid as a v1
-//!   chunk width, so the two are unambiguous — followed by an explicit
-//!   version number and the real width. Each chunk carries a tag byte:
-//!   `0` = plain columns (v1 layout), `1` = a sealed compressed block
-//!   ([`SealedBlock`]) as stored in memory, so sealed chunks persist
-//!   without a decompress/recompress cycle.
+//! The stream starts with a zero-duration sentinel, the version number
+//! (2) and the chunk width. Each chunk carries a tag byte: `0` = plain
+//! columns (delta-encoded times, raw IEEE-754 value bits), `1` = a
+//! sealed compressed block ([`SealedBlock`]) as stored in memory, so
+//! sealed chunks persist without a decompress/recompress cycle.
 //!
-//! Encoding always writes v2; decoding accepts both, so checkpoints and
-//! WAL state written before compression landed still load.
+//! One version is read. The unversioned codec of PRs 2–5 (v1) led with
+//! its positive chunk width, which is what the sentinel tells apart: a
+//! leading positive duration, like any version number other than 2, is
+//! refused with [`HyGraphError::UnsupportedFormat`], not misparsed.
 
 use crate::compress::SealedBlock;
 use crate::config::TsOptions;
@@ -43,7 +41,7 @@ const TAG_SEALED: u8 = 1;
 
 /// Encodes the full store state into `w` (always the current version).
 pub fn encode_store(store: &TsStore, w: &mut ByteWriter) {
-    w.duration(Duration::from_millis(0)); // v2 sentinel (invalid v1 width)
+    w.duration(Duration::from_millis(0)); // sentinel: not a valid v1 leading width
     w.u64(VERSION);
     w.duration(store.chunk_width);
     w.len_of(store.series.len());
@@ -114,9 +112,8 @@ fn decode_summary(r: &mut ByteReader<'_>) -> Result<Summary> {
     })
 }
 
-/// Decodes the per-series section shared by both format versions.
-/// `v2` selects whether chunks carry tag bytes (and may be sealed).
-fn decode_series_into(r: &mut ByteReader<'_>, store: &mut TsStore, v2: bool) -> Result<()> {
+/// Decodes the per-series section into `store`.
+fn decode_series_into(r: &mut ByteReader<'_>, store: &mut TsStore) -> Result<()> {
     let n_series = r.len_of()?;
     for _ in 0..n_series {
         let id = SeriesId::new(r.u64()?);
@@ -126,8 +123,7 @@ fn decode_series_into(r: &mut ByteReader<'_>, store: &mut TsStore, v2: bool) -> 
         let mut counted = 0usize;
         for _ in 0..n_chunks {
             let key = r.timestamp()?;
-            let tag = if v2 { r.u8()? } else { TAG_PLAIN };
-            let data = match tag {
+            let data = match r.u8()? {
                 TAG_PLAIN => {
                     let (times, values) = decode_plain_columns(r, key)?;
                     ChunkData::Plain { times, values }
@@ -171,34 +167,38 @@ fn decode_series_into(r: &mut ByteReader<'_>, store: &mut TsStore, v2: bool) -> 
     Ok(())
 }
 
-/// Decodes a store previously written by [`encode_store`] (any format
-/// version), using the environment-configured storage options for the
-/// resulting store's future behaviour. Already-sealed chunks stay
-/// sealed either way.
+/// Decodes a store previously written by [`encode_store`], using the
+/// environment-configured storage options for the resulting store's
+/// future behaviour. Already-sealed chunks stay sealed either way.
 pub fn decode_store(r: &mut ByteReader<'_>) -> Result<TsStore> {
     decode_store_opts(r, TsOptions::from_env())
 }
 
 /// [`decode_store`] with explicit storage options.
 pub fn decode_store_opts(r: &mut ByteReader<'_>, opts: TsOptions) -> Result<TsStore> {
-    let first = r.duration()?;
-    let chunk_width = if first.millis() == 0 {
-        // v2+: explicit version then the real width
-        let version = r.u64()?;
-        if version != VERSION {
-            return Err(HyGraphError::corrupt(format!(
-                "unsupported ts codec version {version}"
-            )));
-        }
-        r.duration()?
-    } else {
-        first // v1: the width itself
-    };
+    let sentinel = r.duration()?;
+    if sentinel.is_positive() {
+        // what the unversioned v1 codec put first: its chunk width
+        return Err(HyGraphError::UnsupportedFormat(format!(
+            "time-series store codec v1 (unversioned, leading chunk width {sentinel}); \
+             this build reads only v{VERSION}"
+        )));
+    }
+    if sentinel.millis() != 0 {
+        return Err(HyGraphError::corrupt("negative ts codec sentinel"));
+    }
+    let version = r.u64()?;
+    if version != VERSION {
+        return Err(HyGraphError::UnsupportedFormat(format!(
+            "time-series store codec v{version}; this build reads only v{VERSION}"
+        )));
+    }
+    let chunk_width = r.duration()?;
     if !chunk_width.is_positive() {
         return Err(HyGraphError::corrupt("non-positive chunk width"));
     }
     let mut store = TsStore::with_options(chunk_width, opts);
-    decode_series_into(r, &mut store, first.millis() == 0)?;
+    decode_series_into(r, &mut store)?;
     Ok(store)
 }
 
@@ -324,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_checkpoint_still_loads() {
+    fn legacy_v1_stream_is_refused() {
         // hand-written v1 bytes: width, one series, one plain chunk —
         // exactly what the pre-compression codec emitted
         let mut w = ByteWriter::new();
@@ -343,18 +343,25 @@ mod tests {
         w.f64(4.0); // sum
         w.f64(1.5); // min
         w.f64(2.5); // max
-        let back = store_from_bytes(w.as_bytes()).unwrap();
-        let id = SeriesId::new(7);
-        assert_eq!(back.len(id), 2);
-        assert_eq!(back.value_at(id, ts(110)), Some(1.5));
-        assert_eq!(back.value_at(id, ts(160)), Some(2.5));
-        let s = back.summarize(id, &Interval::ALL);
-        assert_eq!((s.count, s.sum), (2, 4.0));
-        // and once re-encoded it becomes a v2 stream
-        let v2 = store_to_bytes(&back);
-        let again = store_from_bytes(&v2).unwrap();
-        assert_eq!(store_to_bytes(&again), v2, "canonical after upgrade");
-        assert_stores_equal(&back, &again);
+        let err = store_from_bytes(w.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, HyGraphError::UnsupportedFormat(m) if m.contains("codec v1")),
+            "expected a refusal naming v1, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn unknown_newer_version_is_refused() {
+        let mut w = ByteWriter::new();
+        w.duration(Duration::from_millis(0));
+        w.u64(3);
+        w.duration(Duration::from_millis(100));
+        w.len_of(0);
+        let err = store_from_bytes(w.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, HyGraphError::UnsupportedFormat(m) if m.contains("codec v3")),
+            "expected a refusal naming v3, got {err:?}"
+        );
     }
 
     #[test]
@@ -396,23 +403,28 @@ mod tests {
         let bytes = store_to_bytes(&sample());
         assert!(store_from_bytes(&bytes[..bytes.len() / 3]).is_err());
         assert!(store_from_bytes(&[]).is_err());
-        // zero width with no version following (the old zero-width
-        // corpus) still errors — it parses as a v2 sentinel with a bad
-        // version number
+        // sentinel with no version following: the series count reads
+        // as a bad version number
         let mut w = ByteWriter::new();
         w.duration(Duration::from_millis(0));
         w.len_of(0);
         assert!(store_from_bytes(w.as_bytes()).is_err());
-        // v2 sentinel + unsupported version
+        // sentinel + unsupported version
         let mut w = ByteWriter::new();
         w.duration(Duration::from_millis(0));
         w.u64(99);
         w.duration(Duration::from_millis(100));
         w.len_of(0);
         assert!(store_from_bytes(w.as_bytes()).is_err());
-        // negative width
+        // negative sentinel, and a non-positive width behind a good head
         let mut w = ByteWriter::new();
         w.duration(Duration::from_millis(-5));
+        w.len_of(0);
+        assert!(store_from_bytes(w.as_bytes()).is_err());
+        let mut w = ByteWriter::new();
+        w.duration(Duration::from_millis(0));
+        w.u64(VERSION);
+        w.duration(Duration::from_millis(0));
         w.len_of(0);
         assert!(store_from_bytes(w.as_bytes()).is_err());
         // unknown chunk tag

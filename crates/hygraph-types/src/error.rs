@@ -80,6 +80,11 @@ pub enum HyGraphError {
     /// (or let the sharded store migrate it) instead of ignoring the
     /// foreign segments.
     ShardLayout(String),
+    /// A stored artifact (WAL segment, checkpoint, time-series codec
+    /// stream) is well-formed but written in a format version this
+    /// build does not read. The data is intact and was left untouched;
+    /// the message names the artifact and the version found.
+    UnsupportedFormat(String),
 }
 
 impl HyGraphError {
@@ -157,6 +162,7 @@ impl fmt::Display for HyGraphError {
                 write!(f, "corrupt data at byte {offset}: {message}")
             }
             HyGraphError::ShardLayout(m) => write!(f, "shard layout mismatch: {m}"),
+            HyGraphError::UnsupportedFormat(m) => write!(f, "unsupported format version: {m}"),
         }
     }
 }

@@ -198,7 +198,7 @@ fn storage_backends_agree_on_bike_workload() {
 
 #[test]
 fn persistence_roundtrip_preserves_query_results() {
-    use hygraph::core::io;
+    use hygraph::core::binio;
     let data = fraud::generate(fraud::FraudConfig {
         users: 40,
         merchants: 16,
@@ -212,12 +212,12 @@ fn persistence_roundtrip_preserves_query_results() {
              ORDER BY who";
     let before = query(&hg, q).expect("query runs");
 
-    let text = io::to_string(&hg).expect("serialises");
-    let reloaded = io::from_str(&text).expect("parses");
+    let bytes = binio::to_bytes(&hg);
+    let reloaded = binio::from_bytes(&bytes).expect("decodes");
     let after = query(&reloaded, q).expect("query runs after reload");
-    assert_eq!(before, after, "results identical after text round-trip");
+    assert_eq!(before, after, "results identical after binio round-trip");
     // canonical form: serialising the reloaded instance is byte-identical
-    assert_eq!(io::to_string(&reloaded).expect("serialises"), text);
+    assert_eq!(binio::to_bytes(&reloaded), bytes);
 }
 
 #[test]

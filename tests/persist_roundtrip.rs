@@ -2,11 +2,11 @@
 //! instances from `hygraph-datagen`.
 //!
 //! These live in the root package because they tie together `datagen`
-//! (instance generation), `core::binio` / `core::io` (the two HyGraph
-//! codecs), `ts::persist` (the TsStore codec), and `persist` (the
-//! durable engine) — a dependency cycle if placed in any one crate.
+//! (instance generation), `core::binio` (the HyGraph codec),
+//! `ts::persist` (the TsStore codec), and `persist` (the durable
+//! engine) — a dependency cycle if placed in any one crate.
 
-use hygraph::core::{binio, io};
+use hygraph::core::binio;
 use hygraph::datagen::random::{random_hygraph, random_walk};
 use hygraph::persist::{DurableStore, TsMutation};
 use hygraph::ts::TsStore;
@@ -48,25 +48,38 @@ proptest! {
         prop_assert_eq!(sub_a, sub_b);
     }
 
-    /// The human-readable text format round-trips random full-model
-    /// instances: semantics preserved, re-serialisation canonical.
+    /// `binio` is the only model codec, and checkpoints hand it bytes
+    /// from disk. A valid encoding with one bit flipped, its tail cut
+    /// off, or one byte swapped for a larger varint (what an inflated
+    /// length field looks like, at every magnitude) decodes to an error
+    /// or to an instance that passes `validate()` — never a panic.
     #[test]
-    fn text_roundtrip_over_random_hygraph(
-        n_vertices in 1usize..30,
-        n_edges in 0usize..40,
-        n_series in 0usize..5,
-        n_subgraphs in 0usize..3,
+    fn binio_hostile_bytes_error_or_validate(
         seed in 0u64..500,
+        flips in prop::collection::vec((0usize..1 << 16, 0u32..8), 8),
+        cuts in prop::collection::vec(0usize..1 << 16, 4),
+        inflations in prop::collection::vec((0usize..1 << 16, 0u32..57), 8),
     ) {
-        let hg = random_hygraph(n_vertices, n_edges, n_series, n_subgraphs, seed);
-        let text = io::to_string(&hg).expect("serialises");
-        let back = io::from_str(&text).expect("round-trip parses");
-        prop_assert_eq!(back.vertex_count(), hg.vertex_count());
-        prop_assert_eq!(back.edge_count(), hg.edge_count());
-        prop_assert_eq!(back.series_count(), hg.series_count());
-        prop_assert_eq!(back.subgraphs().count(), hg.subgraphs().count());
-        prop_assert!(back.validate().is_ok());
-        prop_assert_eq!(io::to_string(&back).expect("serialises"), text);
+        let bytes = binio::to_bytes(&random_hygraph(12, 16, 3, 2, seed));
+        let survives = |hostile: &[u8]| match binio::from_bytes(hostile) {
+            Ok(hg) => hg.validate().is_ok(),
+            Err(_) => true,
+        };
+        for (at, bit) in flips {
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= 1 << bit;
+            prop_assert!(survives(&flipped), "bit {bit} of byte {}", at % bytes.len());
+        }
+        for cut in cuts {
+            prop_assert!(survives(&bytes[..cut % bytes.len()]), "cut at {}", cut % bytes.len());
+        }
+        for (at, shift) in inflations {
+            let at = at % bytes.len();
+            let mut varint = hygraph::types::bytes::ByteWriter::new();
+            varint.u64(u64::MAX >> shift); // ≥ 128: always longer than the byte it replaces
+            let spliced = [&bytes[..at], varint.as_bytes(), &bytes[at + 1..]].concat();
+            prop_assert!(survives(&spliced), "{} spliced in at {at}", u64::MAX >> shift);
+        }
     }
 
     /// The TsStore checkpoint codec is exact for arbitrary chunked

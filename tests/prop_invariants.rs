@@ -260,7 +260,7 @@ proptest! {
         seed in 0u64..1000,
         strings in prop::collection::vec("\\PC{0,12}", 8),
     ) {
-        use hygraph::core::io;
+        use hygraph::core::binio;
         use hygraph::core::HyGraph;
         let mut hg = HyGraph::new();
         let mut sids = Vec::new();
@@ -287,12 +287,12 @@ proptest! {
             let _ = hg.add_pg_edge(a, b, ["E"], PropertyMap::new());
         }
         prop_assume!(hg.validate().is_ok());
-        let text = io::to_string(&hg).expect("serialises");
-        let back = io::from_str(&text).expect("round-trip parses");
+        let bytes = binio::to_bytes(&hg);
+        let back = binio::from_bytes(&bytes).expect("round-trip decodes");
         prop_assert_eq!(back.vertex_count(), hg.vertex_count());
         prop_assert_eq!(back.edge_count(), hg.edge_count());
         prop_assert_eq!(back.series_count(), hg.series_count());
         // canonical: re-serialisation is identical
-        prop_assert_eq!(io::to_string(&back).expect("serialises"), text);
+        prop_assert_eq!(binio::to_bytes(&back), bytes);
     }
 }
