@@ -7,6 +7,7 @@ use hygraph_core::{ElementKind, ElementRef, HyGraph};
 use hygraph_graph::algorithms::{centrality, community, pagerank};
 use hygraph_graph::snapshot;
 use hygraph_ts::TimeSeries;
+use hygraph_types::parallel::ExecMode;
 use hygraph_types::{Result, Timestamp, VertexId};
 use std::collections::HashMap;
 
@@ -58,7 +59,9 @@ pub fn metric_evolution(
                 .vertex_ids()
                 .map(|v| (v, snap.out_degree(v) as f64))
                 .collect(),
-            Metric::PageRank => pagerank::pagerank(&snap, pagerank::PageRankConfig::default()),
+            Metric::PageRank => {
+                pagerank::pagerank(&snap, pagerank::PageRankConfig::default(), ExecMode::Auto)
+            }
             Metric::CommunityId => {
                 let c = community::louvain(&snap, 20);
                 c.assignment
@@ -66,7 +69,7 @@ pub fn metric_evolution(
                     .map(|(&v, &cid)| (v, cid as f64))
                     .collect()
             }
-            Metric::Betweenness => centrality::betweenness_centrality(&snap),
+            Metric::Betweenness => centrality::betweenness_centrality(&snap, ExecMode::Auto),
         };
         for (v, x) in values {
             out.entry(v)

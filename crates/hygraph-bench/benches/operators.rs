@@ -9,6 +9,7 @@ use hygraph_graph::algorithms::{community, motifs};
 use hygraph_graph::{aggregate, snapshot, traverse, Direction, Pattern};
 use hygraph_query::hybrid;
 use hygraph_ts::ops;
+use hygraph_types::parallel::ExecMode;
 use hygraph_types::{Duration, Interval, Timestamp};
 use std::hint::black_box;
 
@@ -144,6 +145,7 @@ fn bench_hybrid_ops(c: &mut Criterion) {
                         shape: shape.clone(),
                         max_dist: 2.0,
                     },
+                    ExecMode::Auto,
                 )
                 .len(),
             )
@@ -152,7 +154,7 @@ fn bench_hybrid_ops(c: &mut Criterion) {
     g.bench_function("q2_hybrid_aggregate", |b| {
         b.iter(|| {
             black_box(
-                hybrid::hybrid_aggregate(&hg, Duration::from_hours(6))
+                hybrid::hybrid_aggregate(&hg, Duration::from_hours(6), ExecMode::Auto)
                     .group_series
                     .len(),
             )
@@ -161,8 +163,14 @@ fn bench_hybrid_ops(c: &mut Criterion) {
     g.bench_function("q3_correlation_reachability", |b| {
         b.iter(|| {
             black_box(
-                hybrid::correlation_reachability(&hg, fraud.cards[0], Duration::from_hours(1), 0.5)
-                    .len(),
+                hybrid::correlation_reachability(
+                    &hg,
+                    fraud.cards[0],
+                    Duration::from_hours(1),
+                    0.5,
+                    ExecMode::Auto,
+                )
+                .len(),
             )
         })
     });

@@ -15,9 +15,9 @@
 
 use criterion::{black_box, Criterion};
 use hygraph_core::HyGraph;
-use hygraph_graph::algorithms::pagerank::{pagerank_mode, PageRankConfig};
+use hygraph_graph::algorithms::pagerank::{pagerank, PageRankConfig};
 use hygraph_graph::TemporalGraph;
-use hygraph_query::{execute_mode, parser};
+use hygraph_query::{execute, parser};
 use hygraph_ts::ops::correlate;
 use hygraph_ts::store::AggKind;
 use hygraph_ts::{TimeSeries, TsStore};
@@ -72,24 +72,10 @@ fn bench_query(c: &mut Criterion) {
     .unwrap();
     let mut group = c.benchmark_group("seq_vs_par/query_execute");
     group.bench_function("seq", |b| {
-        b.iter(|| {
-            black_box(
-                execute_mode(&hg, &q, ExecMode::Sequential)
-                    .unwrap()
-                    .rows
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(execute(&hg, &q, ExecMode::Sequential).unwrap().rows.len()))
     });
     group.bench_function("par", |b| {
-        b.iter(|| {
-            black_box(
-                execute_mode(&hg, &q, ExecMode::Parallel)
-                    .unwrap()
-                    .rows
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(execute(&hg, &q, ExecMode::Parallel).unwrap().rows.len()))
     });
     group.finish();
 }
@@ -113,10 +99,10 @@ fn bench_pagerank(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("seq_vs_par/pagerank");
     group.bench_function("seq", |b| {
-        b.iter(|| black_box(pagerank_mode(&g, cfg, ExecMode::Sequential).len()))
+        b.iter(|| black_box(pagerank(&g, cfg, ExecMode::Sequential).len()))
     });
     group.bench_function("par", |b| {
-        b.iter(|| black_box(pagerank_mode(&g, cfg, ExecMode::Parallel).len()))
+        b.iter(|| black_box(pagerank(&g, cfg, ExecMode::Parallel).len()))
     });
     group.finish();
 }
@@ -129,10 +115,10 @@ fn bench_correlation(c: &mut Criterion) {
     let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
     let mut group = c.benchmark_group("seq_vs_par/correlation_matrix");
     group.bench_function("seq", |b| {
-        b.iter(|| black_box(correlate::correlation_matrix_mode(&refs, ExecMode::Sequential).len()))
+        b.iter(|| black_box(correlate::correlation_matrix(&refs, ExecMode::Sequential).len()))
     });
     group.bench_function("par", |b| {
-        b.iter(|| black_box(correlate::correlation_matrix_mode(&refs, ExecMode::Parallel).len()))
+        b.iter(|| black_box(correlate::correlation_matrix(&refs, ExecMode::Parallel).len()))
     });
     group.finish();
 }
@@ -156,7 +142,7 @@ fn bench_batch_aggregate(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 store
-                    .aggregate_batch_mode(&ids, &iv, AggKind::Mean, ExecMode::Sequential)
+                    .aggregate_batch(&ids, &iv, AggKind::Mean, ExecMode::Sequential)
                     .len(),
             )
         })
@@ -165,7 +151,7 @@ fn bench_batch_aggregate(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 store
-                    .aggregate_batch_mode(&ids, &iv, AggKind::Mean, ExecMode::Parallel)
+                    .aggregate_batch(&ids, &iv, AggKind::Mean, ExecMode::Parallel)
                     .len(),
             )
         })

@@ -12,6 +12,7 @@ use hygraph_datagen::random;
 use hygraph_graph::{pattern::Pattern, snapshot, Direction};
 use hygraph_query::hybrid;
 use hygraph_ts::ops;
+use hygraph_types::parallel::ExecMode;
 use hygraph_types::{props, Duration, Interval, Timestamp};
 
 fn main() {
@@ -105,6 +106,7 @@ fn main() {
         ts_hg.topology().vertex_ids().next().unwrap(),
         Duration::from_secs(60),
         0.7,
+        ExecMode::Auto,
     );
     println!(
         "(9)   hybrid op: correlation-constrained reachability touches {} vertices",

@@ -111,8 +111,8 @@ fn main() {
 
         // equivalence gate: the planner must reproduce the interpreter
         // byte-for-byte before its timings mean anything
-        let reference = execute_interpreted(hg, &q).expect("interpreter runs");
-        let planned_result = execute(hg, &q).expect("planner runs");
+        let reference = execute_interpreted(hg, &q, ExecMode::Auto).expect("interpreter runs");
+        let planned_result = execute(hg, &q, ExecMode::Auto).expect("planner runs");
         assert_eq!(
             encoded(&reference),
             encoded(&planned_result),
@@ -123,16 +123,26 @@ fn main() {
         // state comparable across the three measurements
         let warmup = (runs / 10).max(2);
         for _ in 0..warmup {
-            std::hint::black_box(execute_interpreted(hg, &q).unwrap().rows.len());
+            std::hint::black_box(
+                execute_interpreted(hg, &q, ExecMode::Auto)
+                    .unwrap()
+                    .rows
+                    .len(),
+            );
         }
         let (interp_ms, interp_cv) = time_stats(runs, || {
-            execute_interpreted(hg, &q).unwrap().rows.len() as f64
+            execute_interpreted(hg, &q, ExecMode::Auto)
+                .unwrap()
+                .rows
+                .len() as f64
         });
         // cold: lower + optimize + compile + execute per call
         for _ in 0..warmup {
-            std::hint::black_box(execute(hg, &q).unwrap().rows.len());
+            std::hint::black_box(execute(hg, &q, ExecMode::Auto).unwrap().rows.len());
         }
-        let (cold_ms, _) = time_stats(runs, || execute(hg, &q).unwrap().rows.len() as f64);
+        let (cold_ms, _) = time_stats(runs, || {
+            execute(hg, &q, ExecMode::Auto).unwrap().rows.len() as f64
+        });
         // hit: the cached PlannedQuery only pays execution
         let planned = plan_query(&q).expect("plans");
         for _ in 0..warmup {

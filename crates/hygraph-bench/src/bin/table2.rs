@@ -14,6 +14,7 @@ use hygraph_graph::pattern::{CmpOp, PropPredicate};
 use hygraph_graph::{aggregate, snapshot, traverse, Direction, Pattern};
 use hygraph_query::hybrid;
 use hygraph_ts::ops;
+use hygraph_types::parallel::ExecMode;
 use hygraph_types::{Duration, Interval, Timestamp};
 
 fn main() {
@@ -200,18 +201,26 @@ fn main() {
                 shape,
                 max_dist: 2.0,
             },
+            ExecMode::Auto,
         )
         .len()
     });
     println!("  Q1 hybrid_match: {h1} structural+temporal matches in {t:.1} ms");
     let (h2, t) = time_ms(|| {
-        hybrid::hybrid_aggregate(fh, Duration::from_hours(6))
+        hybrid::hybrid_aggregate(fh, Duration::from_hours(6), ExecMode::Auto)
             .group_series
             .len()
     });
     println!("  Q2 hybrid_aggregate: {h2} label groups with 6h series in {t:.1} ms");
     let (h3, t) = time_ms(|| {
-        hybrid::correlation_reachability(fh, fraud.cards[0], Duration::from_hours(1), 0.5).len()
+        hybrid::correlation_reachability(
+            fh,
+            fraud.cards[0],
+            Duration::from_hours(1),
+            0.5,
+            ExecMode::Auto,
+        )
+        .len()
     });
     println!("  Q3 correlation_reachability: {h3} correlated-regime vertices in {t:.1} ms");
     let driver = fh

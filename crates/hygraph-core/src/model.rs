@@ -732,8 +732,10 @@ mod tests {
         let b = hg.add_ts_vertex(["B"], sid).unwrap();
         hg.add_pg_edge(a, b, ["E"], props! {}).unwrap();
         // graph algorithms see both kinds uniformly
-        let (assign, n) =
-            hygraph_graph::algorithms::components::connected_components(hg.topology());
+        let (assign, n) = hygraph_graph::algorithms::components::connected_components(
+            hg.topology(),
+            hygraph_types::parallel::ExecMode::Auto,
+        );
         assert_eq!(n, 1);
         assert_eq!(assign.len(), 2);
     }

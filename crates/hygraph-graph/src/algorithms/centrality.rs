@@ -26,12 +26,7 @@ use std::collections::{HashMap, VecDeque};
 const BETWEENNESS_BLOCK: usize = 64;
 
 /// Degree centrality: degree / (n - 1), in `[0, 1]` for simple graphs.
-pub fn degree_centrality(g: &TemporalGraph) -> HashMap<VertexId, f64> {
-    degree_centrality_mode(g, ExecMode::Auto)
-}
-
-/// [`degree_centrality`] with an explicit execution mode.
-pub fn degree_centrality_mode(g: &TemporalGraph, mode: ExecMode) -> HashMap<VertexId, f64> {
+pub fn degree_centrality(g: &TemporalGraph, mode: ExecMode) -> HashMap<VertexId, f64> {
     let n = g.vertex_count();
     let denom = (n.saturating_sub(1)).max(1) as f64;
     let ids: Vec<VertexId> = g.vertex_ids().collect();
@@ -40,14 +35,9 @@ pub fn degree_centrality_mode(g: &TemporalGraph, mode: ExecMode) -> HashMap<Vert
 
 /// Closeness centrality: `(reachable - 1) / Σ dist`, normalised by the
 /// fraction of the graph reached (Wasserman-Faust for disconnected
-/// graphs). Isolated vertices score 0.
-pub fn closeness_centrality(g: &TemporalGraph) -> HashMap<VertexId, f64> {
-    closeness_centrality_mode(g, ExecMode::Auto)
-}
-
-/// [`closeness_centrality`] with an explicit execution mode. One BFS per
-/// vertex; BFS runs are independent, so fan-out cannot change results.
-pub fn closeness_centrality_mode(g: &TemporalGraph, mode: ExecMode) -> HashMap<VertexId, f64> {
+/// graphs). Isolated vertices score 0. One BFS per vertex; BFS runs are
+/// independent, so fan-out cannot change results.
+pub fn closeness_centrality(g: &TemporalGraph, mode: ExecMode) -> HashMap<VertexId, f64> {
     let n = g.vertex_count();
     let ids: Vec<VertexId> = g.vertex_ids().collect();
     per_vertex(&ids, mode, |&v| {
@@ -66,12 +56,7 @@ pub fn closeness_centrality_mode(g: &TemporalGraph, mode: ExecMode) -> HashMap<V
 
 /// Harmonic centrality: `Σ 1/dist(v, u)` over all reachable `u ≠ v` —
 /// well-defined on disconnected graphs.
-pub fn harmonic_centrality(g: &TemporalGraph) -> HashMap<VertexId, f64> {
-    harmonic_centrality_mode(g, ExecMode::Auto)
-}
-
-/// [`harmonic_centrality`] with an explicit execution mode.
-pub fn harmonic_centrality_mode(g: &TemporalGraph, mode: ExecMode) -> HashMap<VertexId, f64> {
+pub fn harmonic_centrality(g: &TemporalGraph, mode: ExecMode) -> HashMap<VertexId, f64> {
     let ids: Vec<VertexId> = g.vertex_ids().collect();
     per_vertex(&ids, mode, |&v| {
         let dist = bfs(g, v, Follow::Both);
@@ -104,16 +89,11 @@ where
 
 /// Betweenness centrality via Brandes' algorithm on the undirected
 /// unweighted simple view. Scores are unnormalised pair counts (each
-/// unordered pair contributes once).
-pub fn betweenness_centrality(g: &TemporalGraph) -> HashMap<VertexId, f64> {
-    betweenness_centrality_mode(g, ExecMode::Auto)
-}
-
-/// [`betweenness_centrality`] with an explicit execution mode. The
-/// per-source dependency accumulations are distributed over fixed-size
-/// source blocks; see the module docs for why this keeps the result
-/// bit-identical across modes and thread counts.
-pub fn betweenness_centrality_mode(g: &TemporalGraph, mode: ExecMode) -> HashMap<VertexId, f64> {
+/// unordered pair contributes once). The per-source dependency
+/// accumulations are distributed over fixed-size source blocks; see the
+/// module docs for why this keeps the result bit-identical across modes
+/// and thread counts.
+pub fn betweenness_centrality(g: &TemporalGraph, mode: ExecMode) -> HashMap<VertexId, f64> {
     let ids: Vec<VertexId> = g.vertex_ids().collect();
     let n = ids.len();
     let index: HashMap<VertexId, usize> = ids.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -218,7 +198,7 @@ mod tests {
     #[test]
     fn degree_centrality_path() {
         let (g, vs) = path5();
-        let c = degree_centrality(&g);
+        let c = degree_centrality(&g, ExecMode::Auto);
         assert_eq!(c[&vs[0]], 0.25, "endpoint: 1/(5-1)");
         assert_eq!(c[&vs[2]], 0.5, "middle: 2/4");
     }
@@ -226,7 +206,7 @@ mod tests {
     #[test]
     fn closeness_middle_highest() {
         let (g, vs) = path5();
-        let c = closeness_centrality(&g);
+        let c = closeness_centrality(&g, ExecMode::Auto);
         assert!(c[&vs[2]] > c[&vs[1]]);
         assert!(c[&vs[1]] > c[&vs[0]]);
         // exact: middle distances 2+1+1+2 = 6, closeness = 4/6
@@ -237,7 +217,7 @@ mod tests {
     fn closeness_isolated_zero() {
         let mut g = TemporalGraph::new();
         let a = g.add_vertex(["N"], props! {});
-        let c = closeness_centrality(&g);
+        let c = closeness_centrality(&g, ExecMode::Auto);
         assert_eq!(c[&a], 0.0);
     }
 
@@ -253,14 +233,14 @@ mod tests {
         for i in 0..3 {
             g.add_edge(t[i], t[(i + 1) % 3], ["E"], props! {}).unwrap();
         }
-        let c = closeness_centrality(&g);
+        let c = closeness_centrality(&g, ExecMode::Auto);
         assert!(c[&t[0]] > c[&a], "triangle members reach more of the graph");
     }
 
     #[test]
     fn harmonic_path() {
         let (g, vs) = path5();
-        let h = harmonic_centrality(&g);
+        let h = harmonic_centrality(&g, ExecMode::Auto);
         // middle: 1/2 + 1/1 + 1/1 + 1/2 = 3
         assert!((h[&vs[2]] - 3.0).abs() < 1e-12);
         // endpoint: 1 + 1/2 + 1/3 + 1/4
@@ -270,7 +250,7 @@ mod tests {
     #[test]
     fn betweenness_path() {
         let (g, vs) = path5();
-        let b = betweenness_centrality(&g);
+        let b = betweenness_centrality(&g, ExecMode::Auto);
         // endpoints carry no shortest paths
         assert_eq!(b[&vs[0]], 0.0);
         assert_eq!(b[&vs[4]], 0.0);
@@ -288,7 +268,7 @@ mod tests {
         for &s in &spokes {
             g.add_edge(s, hub, ["E"], props! {}).unwrap();
         }
-        let b = betweenness_centrality(&g);
+        let b = betweenness_centrality(&g, ExecMode::Auto);
         // hub carries all C(5,2) = 10 spoke pairs
         assert_eq!(b[&hub], 10.0);
         for &s in &spokes {
@@ -303,7 +283,7 @@ mod tests {
         for i in 0..3 {
             g.add_edge(t[i], t[(i + 1) % 3], ["E"], props! {}).unwrap();
         }
-        let b = betweenness_centrality(&g);
+        let b = betweenness_centrality(&g, ExecMode::Auto);
         for &v in &t {
             assert_eq!(b[&v], 0.0, "all pairs adjacent: no intermediaries");
         }
@@ -312,10 +292,10 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = TemporalGraph::new();
-        assert!(degree_centrality(&g).is_empty());
-        assert!(closeness_centrality(&g).is_empty());
-        assert!(harmonic_centrality(&g).is_empty());
-        assert!(betweenness_centrality(&g).is_empty());
+        assert!(degree_centrality(&g, ExecMode::Auto).is_empty());
+        assert!(closeness_centrality(&g, ExecMode::Auto).is_empty());
+        assert!(harmonic_centrality(&g, ExecMode::Auto).is_empty());
+        assert!(betweenness_centrality(&g, ExecMode::Auto).is_empty());
     }
 
     /// Random-ish graph exercising multiple accumulation blocks: the
@@ -338,18 +318,18 @@ mod tests {
         for (name, seq, par) in [
             (
                 "closeness",
-                closeness_centrality_mode(&g, ExecMode::Sequential),
-                closeness_centrality_mode(&g, ExecMode::Parallel),
+                closeness_centrality(&g, ExecMode::Sequential),
+                closeness_centrality(&g, ExecMode::Parallel),
             ),
             (
                 "harmonic",
-                harmonic_centrality_mode(&g, ExecMode::Sequential),
-                harmonic_centrality_mode(&g, ExecMode::Parallel),
+                harmonic_centrality(&g, ExecMode::Sequential),
+                harmonic_centrality(&g, ExecMode::Parallel),
             ),
             (
                 "betweenness",
-                betweenness_centrality_mode(&g, ExecMode::Sequential),
-                betweenness_centrality_mode(&g, ExecMode::Parallel),
+                betweenness_centrality(&g, ExecMode::Sequential),
+                betweenness_centrality(&g, ExecMode::Parallel),
             ),
         ] {
             assert_eq!(seq.len(), par.len(), "{name}");

@@ -5,7 +5,7 @@
 //! propagation with pointer jumping. Component ids carry no information
 //! beyond the partition — both engines renumber components 0.. by first
 //! appearance in vertex-id order, so the exact output map is the same
-//! either way and [`connected_components_mode`] is free to pick by size.
+//! either way and [`connected_components`] is free to pick by size.
 
 use crate::graph::TemporalGraph;
 use hygraph_types::parallel::{should_parallelize, ExecMode};
@@ -62,14 +62,9 @@ impl UnionFind {
 
 /// Weakly connected components. Returns vertex → component id, with
 /// component ids renumbered 0.. in order of first appearance (by vertex
-/// id), and the number of components. Engine chosen automatically from
-/// graph size (see [`connected_components_mode`]).
-pub fn connected_components(g: &TemporalGraph) -> (HashMap<VertexId, usize>, usize) {
-    connected_components_mode(g, ExecMode::Auto)
-}
-
-/// [`connected_components`] with an explicit execution mode.
-pub fn connected_components_mode(
+/// id), and the number of components. [`ExecMode::Auto`] picks the
+/// engine (union-find or parallel label propagation) from graph size.
+pub fn connected_components(
     g: &TemporalGraph,
     mode: ExecMode,
 ) -> (HashMap<VertexId, usize>, usize) {
@@ -173,7 +168,7 @@ mod tests {
         let d = g.add_vertex(["N"], props! {});
         g.add_edge(a, b, ["E"], props! {}).unwrap();
         g.add_edge(c, d, ["E"], props! {}).unwrap();
-        let (assign, n) = connected_components(&g);
+        let (assign, n) = connected_components(&g, ExecMode::Auto);
         assert_eq!(n, 2);
         assert_eq!(assign[&a], assign[&b]);
         assert_eq!(assign[&c], assign[&d]);
@@ -187,7 +182,7 @@ mod tests {
         let a = g.add_vertex(["N"], props! {});
         let b = g.add_vertex(["N"], props! {});
         g.add_edge(b, a, ["E"], props! {}).unwrap();
-        let (_, n) = connected_components(&g);
+        let (_, n) = connected_components(&g, ExecMode::Auto);
         assert_eq!(n, 1);
     }
 
@@ -196,14 +191,14 @@ mod tests {
         let mut g = TemporalGraph::new();
         g.add_vertex(["N"], props! {});
         g.add_vertex(["N"], props! {});
-        let (_, n) = connected_components(&g);
+        let (_, n) = connected_components(&g, ExecMode::Auto);
         assert_eq!(n, 2);
     }
 
     #[test]
     fn empty_graph() {
         let g = TemporalGraph::new();
-        let (assign, n) = connected_components(&g);
+        let (assign, n) = connected_components(&g, ExecMode::Auto);
         assert!(assign.is_empty());
         assert_eq!(n, 0);
     }
@@ -225,8 +220,8 @@ mod tests {
             }
         }
         g.remove_vertex(vs[13]).unwrap();
-        let (seq, n_seq) = connected_components_mode(&g, ExecMode::Sequential);
-        let (par, n_par) = connected_components_mode(&g, ExecMode::Parallel);
+        let (seq, n_seq) = connected_components(&g, ExecMode::Sequential);
+        let (par, n_par) = connected_components(&g, ExecMode::Parallel);
         assert_eq!(n_seq, n_par);
         assert_eq!(seq, par, "identical assignment incl. component ids");
     }
@@ -239,7 +234,7 @@ mod tests {
         for w in vs.windows(2) {
             g.add_edge(w[0], w[1], ["E"], props! {}).unwrap();
         }
-        let (assign, n) = connected_components_mode(&g, ExecMode::Parallel);
+        let (assign, n) = connected_components(&g, ExecMode::Parallel);
         assert_eq!(n, 1);
         assert!(assign.values().all(|&c| c == 0));
     }
@@ -251,7 +246,7 @@ mod tests {
         let b = g.add_vertex(["N"], props! {});
         g.add_edge(a, b, ["E"], props! {}).unwrap();
         g.remove_vertex(a).unwrap();
-        let (assign, n) = connected_components(&g);
+        let (assign, n) = connected_components(&g, ExecMode::Auto);
         assert_eq!(n, 1);
         assert!(assign.contains_key(&b));
         assert!(!assign.contains_key(&a));

@@ -36,21 +36,11 @@ impl Default for PageRankConfig {
 }
 
 /// Computes PageRank over live vertices; scores sum to 1. Returns an
-/// empty map for an empty graph. Execution mode is decided automatically
-/// from graph size (see [`pagerank_mode`]).
-pub fn pagerank(g: &TemporalGraph, cfg: PageRankConfig) -> HashMap<VertexId, f64> {
-    pagerank_mode(g, cfg, ExecMode::Auto)
-}
-
-/// [`pagerank`] with an explicit execution mode. The parallel path is
-/// bit-identical to the sequential one for any thread count: both gather
-/// in-contributions per vertex in the same adjacency order, and all
-/// cross-vertex reductions (dangling mass, L1 delta) are sequential.
-pub fn pagerank_mode(
-    g: &TemporalGraph,
-    cfg: PageRankConfig,
-    mode: ExecMode,
-) -> HashMap<VertexId, f64> {
+/// empty map for an empty graph. The parallel path is bit-identical to
+/// the sequential one for any thread count: both gather in-contributions
+/// per vertex in the same adjacency order, and all cross-vertex
+/// reductions (dangling mass, L1 delta) are sequential.
+pub fn pagerank(g: &TemporalGraph, cfg: PageRankConfig, mode: ExecMode) -> HashMap<VertexId, f64> {
     let ids: Vec<VertexId> = g.vertex_ids().collect();
     let n = ids.len();
     if n == 0 {
@@ -125,7 +115,7 @@ mod tests {
             g.add_edge(vs[i], vs[(i + 1) % 5], ["E"], props! {})
                 .unwrap();
         }
-        let pr = pagerank(&g, PageRankConfig::default());
+        let pr = pagerank(&g, PageRankConfig::default(), ExecMode::Auto);
         let total: f64 = pr.values().sum();
         assert!((total - 1.0).abs() < 1e-9);
         // symmetric ring: all equal
@@ -143,7 +133,7 @@ mod tests {
         for &s in &spokes {
             g.add_edge(s, hub, ["E"], props! {}).unwrap();
         }
-        let pr = pagerank(&g, PageRankConfig::default());
+        let pr = pagerank(&g, PageRankConfig::default(), ExecMode::Auto);
         for &s in &spokes {
             assert!(pr[&hub] > pr[&s] * 2.0, "hub dominates");
         }
@@ -157,7 +147,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = TemporalGraph::new();
-        assert!(pagerank(&g, PageRankConfig::default()).is_empty());
+        assert!(pagerank(&g, PageRankConfig::default(), ExecMode::Auto).is_empty());
     }
 
     #[test]
@@ -171,7 +161,7 @@ mod tests {
         g.add_edge(b, a, ["E"], props! {}).unwrap();
         g.add_edge(c, d, ["E"], props! {}).unwrap();
         g.add_edge(d, c, ["E"], props! {}).unwrap();
-        let pr = pagerank(&g, PageRankConfig::default());
+        let pr = pagerank(&g, PageRankConfig::default(), ExecMode::Auto);
         for v in [a, b, c, d] {
             assert!((pr[&v] - 0.25).abs() < 1e-6);
         }
@@ -184,7 +174,7 @@ mod tests {
         let b = g.add_vertex(["N"], props! {});
         g.add_edge(a, b, ["E"], props! {}).unwrap();
         g.remove_vertex(a).unwrap();
-        let pr = pagerank(&g, PageRankConfig::default());
+        let pr = pagerank(&g, PageRankConfig::default(), ExecMode::Auto);
         assert_eq!(pr.len(), 1);
         assert!((pr[&b] - 1.0).abs() < 1e-9);
     }
@@ -203,8 +193,8 @@ mod tests {
             let b = ((x >> 16) % 37) as usize;
             g.add_edge(vs[a], vs[b], ["E"], props! {}).unwrap();
         }
-        let seq = pagerank_mode(&g, PageRankConfig::default(), ExecMode::Sequential);
-        let par = pagerank_mode(&g, PageRankConfig::default(), ExecMode::Parallel);
+        let seq = pagerank(&g, PageRankConfig::default(), ExecMode::Sequential);
+        let par = pagerank(&g, PageRankConfig::default(), ExecMode::Parallel);
         assert_eq!(seq.len(), par.len());
         for (v, s) in &seq {
             assert_eq!(s.to_bits(), par[v].to_bits(), "vertex {v:?}");

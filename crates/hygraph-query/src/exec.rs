@@ -159,20 +159,14 @@ pub(crate) fn contains_rowagg(expr: &Expr) -> bool {
     }
 }
 
-/// Executes a parsed query against an instance through the planner
-/// (parse → logical plan → optimize → physical operators). Execution
-/// mode is decided from the number of pattern matches.
-pub fn execute(hg: &HyGraph, q: &Query) -> Result<QueryResult> {
-    execute_mode(hg, q, ExecMode::Auto)
-}
-
-/// [`execute`] with an explicit execution mode. Thin wrapper over the
-/// planner: lowers the AST to a logical plan, runs the rewrite rules,
-/// and executes the physical operators. Bit-identical to
-/// [`execute_interpreted_mode`] by construction (see
+/// Executes a parsed query against an instance through the planner:
+/// lowers the AST to a logical plan, runs the rewrite rules, and
+/// executes the physical operators ([`ExecMode::Auto`] decides fan-out
+/// from the number of pattern matches). Bit-identical to
+/// [`execute_interpreted`] by construction (see
 /// `tests/plan_equivalence.rs`). An `EXPLAIN`-flagged query returns the
 /// optimized plan rendering instead of executing.
-pub fn execute_mode(hg: &HyGraph, q: &Query, mode: ExecMode) -> Result<QueryResult> {
+pub fn execute(hg: &HyGraph, q: &Query, mode: ExecMode) -> Result<QueryResult> {
     let planned = crate::physical::plan_query(q)?;
     if q.explain {
         return Ok(crate::plan::explain_result(&planned));
@@ -182,11 +176,6 @@ pub fn execute_mode(hg: &HyGraph, q: &Query, mode: ExecMode) -> Result<QueryResu
 
 /// Executes a parsed query through the legacy one-pass interpreter —
 /// kept as the semantic reference the planner is validated against.
-pub fn execute_interpreted(hg: &HyGraph, q: &Query) -> Result<QueryResult> {
-    execute_interpreted_mode(hg, q, ExecMode::Auto)
-}
-
-/// [`execute_interpreted`] with an explicit execution mode.
 ///
 /// Pattern bindings are materialised up front; per-binding evaluation
 /// (WHERE filter + projections, or group keys + aggregate arguments) is
@@ -195,7 +184,7 @@ pub fn execute_interpreted(hg: &HyGraph, q: &Query) -> Result<QueryResult> {
 /// first failing binding in that order, and grouped execution folds
 /// aggregate states sequentially in binding order — so the parallel
 /// path returns exactly what the sequential path returns.
-pub fn execute_interpreted_mode(hg: &HyGraph, q: &Query, mode: ExecMode) -> Result<QueryResult> {
+pub fn execute_interpreted(hg: &HyGraph, q: &Query, mode: ExecMode) -> Result<QueryResult> {
     if let Some(filter) = &q.filter {
         if contains_rowagg(filter) {
             return Err(HyGraphError::query(

@@ -67,15 +67,10 @@ pub struct HybridMatch {
 }
 
 /// Operator Q1: structural matches whose `series_var` series contains
-/// the spec's temporal shape.
-pub fn hybrid_match(hg: &HyGraph, spec: &HybridMatchSpec) -> Vec<HybridMatch> {
-    hybrid_match_mode(hg, spec, ExecMode::Auto)
-}
-
-/// [`hybrid_match`] with an explicit execution mode. The per-binding
-/// shape search is pure, so bindings fan out across threads; results
-/// keep the pattern's enumeration order either way.
-pub fn hybrid_match_mode(hg: &HyGraph, spec: &HybridMatchSpec, mode: ExecMode) -> Vec<HybridMatch> {
+/// the spec's temporal shape. The per-binding shape search is pure, so
+/// bindings fan out across threads; results keep the pattern's
+/// enumeration order either way.
+pub fn hybrid_match(hg: &HyGraph, spec: &HybridMatchSpec, mode: ExecMode) -> Vec<HybridMatch> {
     let _t = OpTimer::new(OpClass::Q1Match);
     let bindings = spec.pattern.find_all(hg.topology());
     let eval_one = |binding: &Binding| -> Option<HybridMatch> {
@@ -106,16 +101,11 @@ pub struct HybridAggregate {
 
 /// Operator Q2: groups vertices by label and produces one
 /// `bucket`-granularity mean series per group, averaging over every
-/// member's associated series.
-pub fn hybrid_aggregate(hg: &HyGraph, bucket: Duration) -> HybridAggregate {
-    hybrid_aggregate_mode(hg, bucket, ExecMode::Auto)
-}
-
-/// [`hybrid_aggregate`] with an explicit execution mode. Per-vertex
-/// series resolution and downsampling fan out; the accumulation into
-/// label groups stays sequential in vertex-id order, so the float sums
-/// are combined in exactly the same order as the sequential path.
-pub fn hybrid_aggregate_mode(hg: &HyGraph, bucket: Duration, mode: ExecMode) -> HybridAggregate {
+/// member's associated series. Per-vertex series resolution and
+/// downsampling fan out; the accumulation into label groups stays
+/// sequential in vertex-id order, so the float sums are combined in
+/// exactly the same order as the sequential path.
+pub fn hybrid_aggregate(hg: &HyGraph, bucket: Duration, mode: ExecMode) -> HybridAggregate {
     let _t = OpTimer::new(OpClass::Q2Aggregate);
     let g = hg.topology();
     let grouped =
@@ -170,16 +160,6 @@ pub fn hybrid_aggregate_mode(hg: &HyGraph, bucket: Duration, mode: ExecMode) -> 
 /// endpoint series correlate at least `min_corr` (Pearson after linear
 /// alignment to `step`). Returns `(vertex, correlation-with-predecessor)`
 /// pairs; the start maps to correlation 1.
-pub fn correlation_reachability(
-    hg: &HyGraph,
-    from: VertexId,
-    step: Duration,
-    min_corr: f64,
-) -> Vec<(VertexId, f64)> {
-    correlation_reachability_mode(hg, from, step, min_corr, ExecMode::Auto)
-}
-
-/// [`correlation_reachability`] with an explicit execution mode.
 ///
 /// The traversal is level-synchronous BFS: each wave's candidate edges
 /// are scored (series resolution + Pearson) in parallel, then admitted
@@ -187,7 +167,7 @@ pub fn correlation_reachability(
 /// order of the sequential FIFO queue, so a vertex reachable through
 /// several same-level predecessors records the same first-predecessor
 /// correlation in both modes.
-pub fn correlation_reachability_mode(
+pub fn correlation_reachability(
     hg: &HyGraph,
     from: VertexId,
     step: Duration,
@@ -314,7 +294,7 @@ mod tests {
             shape,
             max_dist: 1.0,
         };
-        let matches = hybrid_match(&hg, &spec);
+        let matches = hybrid_match(&hg, &spec, ExecMode::Auto);
         assert_eq!(matches.len(), 1, "only the bumped card matches the shape");
         assert_eq!(matches[0].binding.vertices["c"], c1);
         assert!((60..=120).contains(&matches[0].shape_match.offset));
@@ -331,7 +311,7 @@ mod tests {
             let label = if i < 2 { "Hot" } else { "Cold" };
             hg.add_ts_vertex([label], sid).unwrap();
         }
-        let agg = hybrid_aggregate(&hg, Duration::from_millis(100));
+        let agg = hybrid_aggregate(&hg, Duration::from_millis(100), ExecMode::Auto);
         assert_eq!(agg.grouped.summary.vertex_count(), 2);
         let hot = &agg.group_series["Hot"];
         let cold = &agg.group_series["Cold"];
@@ -356,12 +336,14 @@ mod tests {
         let c = hg.add_ts_vertex(["S"], sid_c).unwrap();
         hg.add_pg_edge(a, b, ["E"], props! {}).unwrap();
         hg.add_pg_edge(b, c, ["E"], props! {}).unwrap();
-        let reach = correlation_reachability(&hg, a, Duration::from_millis(10), 0.8);
+        let reach =
+            correlation_reachability(&hg, a, Duration::from_millis(10), 0.8, ExecMode::Auto);
         let ids: Vec<VertexId> = reach.iter().map(|&(v, _)| v).collect();
         assert!(ids.contains(&a) && ids.contains(&b));
         assert!(!ids.contains(&c), "anti-correlated vertex unreachable");
         // with a permissive threshold everything connects
-        let reach = correlation_reachability(&hg, a, Duration::from_millis(10), -1.0);
+        let reach =
+            correlation_reachability(&hg, a, Duration::from_millis(10), -1.0, ExecMode::Auto);
         assert_eq!(reach.len(), 3);
     }
 
@@ -369,7 +351,10 @@ mod tests {
     fn q3_start_without_series_is_empty() {
         let mut hg = HyGraph::new();
         let a = hg.add_pg_vertex(["X"], props! {});
-        assert!(correlation_reachability(&hg, a, Duration::from_millis(1), 0.5).is_empty());
+        assert!(
+            correlation_reachability(&hg, a, Duration::from_millis(1), 0.5, ExecMode::Auto)
+                .is_empty()
+        );
     }
 
     #[test]
@@ -438,8 +423,8 @@ mod tests {
             shape,
             max_dist: 3.0,
         };
-        let m_seq = hybrid_match_mode(&hg, &spec, ExecMode::Sequential);
-        let m_par = hybrid_match_mode(&hg, &spec, ExecMode::Parallel);
+        let m_seq = hybrid_match(&hg, &spec, ExecMode::Sequential);
+        let m_par = hybrid_match(&hg, &spec, ExecMode::Parallel);
         assert!(!m_seq.is_empty(), "fixture must produce Q1 matches");
         assert_eq!(m_seq.len(), m_par.len());
         for (s, p) in m_seq.iter().zip(&m_par) {
@@ -452,8 +437,8 @@ mod tests {
         }
 
         // Q2: label-group mean series
-        let g_seq = hybrid_aggregate_mode(&hg, Duration::from_millis(50), ExecMode::Sequential);
-        let g_par = hybrid_aggregate_mode(&hg, Duration::from_millis(50), ExecMode::Parallel);
+        let g_seq = hybrid_aggregate(&hg, Duration::from_millis(50), ExecMode::Sequential);
+        let g_par = hybrid_aggregate(&hg, Duration::from_millis(50), ExecMode::Parallel);
         assert_eq!(
             g_seq.group_series.len(),
             g_par.group_series.len(),
@@ -469,14 +454,14 @@ mod tests {
         }
 
         // Q3: multi-wave BFS with diamond joins
-        let r_seq = correlation_reachability_mode(
+        let r_seq = correlation_reachability(
             &hg,
             vs[0],
             Duration::from_millis(5),
             0.2,
             ExecMode::Sequential,
         );
-        let r_par = correlation_reachability_mode(
+        let r_par = correlation_reachability(
             &hg,
             vs[0],
             Duration::from_millis(5),

@@ -20,7 +20,9 @@
 //! folding, predicate pushdown into pattern matching, redundant-stage
 //! elimination, series-aggregate memoization) → [`physical`] (operator
 //! pipeline with per-operator metrics) against a
-//! [`hygraph_core::HyGraph`]. The legacy one-pass interpreter survives
+//! [`hygraph_core::HyGraph`] — the one executor: a sharded engine
+//! hands it the whole published snapshot, so the shard count never
+//! changes how a query runs. The legacy one-pass interpreter survives
 //! as [`exec::execute_interpreted`], the reference the planner is
 //! validated against (`tests/plan_equivalence.rs`). Prefix a query with
 //! `EXPLAIN` to get the optimized plan rendering instead of rows. The
@@ -65,6 +67,9 @@
 //!   aggregate-free RETURN items; usable in RETURN and HAVING only.
 //!
 //! Comparisons use SQL three-valued logic: `NULL` never matches.
+//! Expressions nest at most [`parser::MAX_EXPR_DEPTH`] levels
+//! (parentheses, aggregate arguments, `NOT` runs and operator chains
+//! alike); a deeper one is a positioned parse error.
 //!
 //! ```
 //! use hygraph_core::HyGraphBuilder;
@@ -117,21 +122,16 @@ pub mod optimize;
 pub mod parser;
 pub mod physical;
 pub mod plan;
-pub mod scatter;
 
 pub use ast::{Query, TemporalBound};
-pub use exec::{
-    execute, execute_interpreted, execute_interpreted_mode, execute_mode, QueryResult, Row,
-};
+pub use exec::{execute, execute_interpreted, QueryResult, Row};
 pub use incremental::{apply_delta, diff_rows, Delta, DeltaOp, IncState};
 pub use physical::{execute_planned, plan_query, PlannedQuery};
 pub use plan::{LogicalPlan, PushedPred};
-pub use scatter::execute_planned_sharded;
 
 use hygraph_core::HyGraph;
 use hygraph_metrics::OpClass;
 use hygraph_types::parallel::ExecMode;
-use hygraph_types::shard::ShardRouter;
 use hygraph_types::Result;
 use std::sync::Arc;
 
@@ -216,15 +216,6 @@ pub fn execute_epochs(
     planned: &PlannedQuery,
     mode: ExecMode,
 ) -> Result<QueryResult> {
-    execute_epochs_inner(states, planned, mode, None)
-}
-
-fn execute_epochs_inner(
-    states: &[Arc<HyGraph>],
-    planned: &PlannedQuery,
-    mode: ExecMode,
-    router: Option<ShardRouter>,
-) -> Result<QueryResult> {
     let columns: Vec<String> = planned
         .plan
         .query
@@ -234,7 +225,7 @@ fn execute_epochs_inner(
         .collect();
     let mut rows: Vec<Row> = Vec::new();
     for g in states {
-        let r = run_one(g, planned, mode, router)?;
+        let r = physical::execute_planned(g, planned, mode)?;
         for row in r.rows {
             if !rows.iter().any(|seen| exec::rows_equal(seen, &row)) {
                 rows.push(row);
@@ -244,52 +235,44 @@ fn execute_epochs_inner(
     Ok(QueryResult { columns, rows })
 }
 
-/// Executes one state through the scatter-gather path when a
-/// multi-shard router is supplied, the single-pass path otherwise.
-fn run_one(
+/// Kept only because `hygraph-bench`'s `e2e` layer probe
+/// (`src/bin/e2e/layers.rs`, frozen by BENCHMARK.json) still calls this
+/// name; the router is ignored. The next `benchmark` PR repoints its two
+/// calls at [`execute_planned`] and deletes this.
+#[doc(hidden)]
+pub fn execute_planned_sharded(
     hg: &HyGraph,
     planned: &PlannedQuery,
     mode: ExecMode,
-    router: Option<ShardRouter>,
+    _router: hygraph_types::shard::ShardRouter,
 ) -> Result<QueryResult> {
-    match router {
-        Some(r) if !r.is_single() => scatter::execute_planned_sharded(hg, planned, mode, r),
-        _ => physical::execute_planned(hg, planned, mode),
-    }
+    physical::execute_planned(hg, planned, mode)
 }
 
-/// Parses and executes `text` against `hg` in one call (no plan cache).
-///
-/// This is the instrumented entry point: executions are counted and
-/// timed per [`OpClass`], parse failures bump a dedicated counter, and
-/// queries slower than the `HYGRAPH_SLOW_QUERY_MS` threshold are
-/// captured (text, duration, row count, plan fingerprint) in the
-/// global slow-query ring.
+/// Parses and executes `text` against `hg` in one call (no plan cache,
+/// no history): [`run_instrumented_bound`] with every option off.
 pub fn query(hg: &HyGraph, text: &str) -> Result<QueryResult> {
-    run_instrumented(hg, text, None)
+    run_instrumented_bound(hg, text, None, None, None)
 }
 
-/// [`query`] with an optional plan cache: on a fingerprint hit the
-/// cached [`PlannedQuery`] is executed directly (skipping lowering,
-/// optimization, and pattern compilation); on a miss the fresh plan is
-/// stored. Hits and misses bump the `plan_cache_hits`/`_misses`
-/// counters; misses are only counted when a cache is actually present.
-pub fn run_instrumented(
-    hg: &HyGraph,
-    text: &str,
-    cache: Option<&dyn PlanCacheHook>,
-) -> Result<QueryResult> {
-    run_instrumented_bound(hg, text, cache, None, None)
-}
-
-/// [`run_instrumented`] with an optional [`TemporalResolver`] and an
-/// optional *injected* temporal bound. Queries carrying an
-/// `AS OF`/`BETWEEN` bound execute against the historical state(s) the
-/// resolver reconstructs instead of `hg`; without a resolver,
-/// `AS OF NOW()` degrades gracefully to the live graph (the two are
-/// equivalent by definition) and any other bound is a typed error —
-/// time travel needs a history store behind it. When `bound` is
-/// `Some`, the query executes as if its text
+/// The instrumented entry point: executions are counted and timed per
+/// [`OpClass`], parse failures bump a dedicated counter, and queries
+/// slower than the `HYGRAPH_SLOW_QUERY_MS` threshold are captured
+/// (text, duration, row count, plan fingerprint) in the global
+/// slow-query ring.
+///
+/// With a plan `cache`, a fingerprint hit executes the cached
+/// [`PlannedQuery`] directly (skipping lowering, optimization, and
+/// pattern compilation) and a miss stores the fresh plan. Hits and
+/// misses bump the `plan_cache_hits`/`_misses` counters; misses are
+/// only counted when a cache is actually present.
+///
+/// Queries carrying an `AS OF`/`BETWEEN` bound execute against the
+/// historical state(s) the [`TemporalResolver`] reconstructs instead of
+/// `hg`; without a resolver, `AS OF NOW()` degrades gracefully to the
+/// live graph (the two are equivalent by definition) and any other
+/// bound is a typed error — time travel needs a history store behind
+/// it. When `bound` is `Some`, the query executes as if its text
 /// carried that `AS OF`/`BETWEEN` clause. This backs structured wire
 /// requests (a client pins a timestamp without splicing it into HyQL
 /// text). A query that already carries its own bound rejects the
@@ -300,27 +283,8 @@ pub fn run_instrumented_bound(
     hg: &HyGraph,
     text: &str,
     cache: Option<&dyn PlanCacheHook>,
-    resolver: Option<&mut dyn TemporalResolver>,
-    bound: Option<TemporalBound>,
-) -> Result<QueryResult> {
-    run_instrumented_sharded(hg, text, cache, resolver, bound, None)
-}
-
-/// [`run_instrumented_bound`] with an optional shard router: when a
-/// multi-shard `router` is supplied, every resolved state executes
-/// through the scatter-gather physical path ([`scatter`]) — bindings
-/// partitioned by anchor shard, evaluated per shard, merged at the
-/// coordinator in binding order. Results are byte-identical to the
-/// single-pass executor; only the work distribution changes. The
-/// sharded engine passes its router here so query parallelism follows
-/// the same partitioning as the storage plane.
-pub fn run_instrumented_sharded(
-    hg: &HyGraph,
-    text: &str,
-    cache: Option<&dyn PlanCacheHook>,
     mut resolver: Option<&mut dyn TemporalResolver>,
     bound: Option<TemporalBound>,
-    router: Option<ShardRouter>,
 ) -> Result<QueryResult> {
     let start = hygraph_metrics::enabled().then(std::time::Instant::now);
     let mut q = match parser::parse(text) {
@@ -375,11 +339,9 @@ pub fn run_instrumented_sharded(
             }
         };
         match states {
-            ResolvedStates::Live => run_one(hg, &planned, ExecMode::Auto, router),
-            ResolvedStates::At(g) => run_one(&g, &planned, ExecMode::Auto, router),
-            ResolvedStates::Epochs(gs) => {
-                execute_epochs_inner(&gs, &planned, ExecMode::Auto, router)
-            }
+            ResolvedStates::Live => physical::execute_planned(hg, &planned, ExecMode::Auto),
+            ResolvedStates::At(g) => physical::execute_planned(&g, &planned, ExecMode::Auto),
+            ResolvedStates::Epochs(gs) => execute_epochs(&gs, &planned, ExecMode::Auto),
         }
     })();
     if let (Some(m), Some(s)) = (hygraph_metrics::get(), start) {

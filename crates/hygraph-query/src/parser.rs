@@ -24,10 +24,30 @@
 //!             | FUNC '(' [DISTINCT] expr ')'                  (row agg)
 //! series     := DELTA '(' ident ')' | ident '.' ident
 //! ```
+//!
+//! Expressions are capped at [`MAX_EXPR_DEPTH`] levels; a deeper one is
+//! a positioned parse error.
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Keyword, Token, TokenKind};
 use hygraph_types::{HyGraphError, Result, Timestamp, Value};
+
+/// Deepest expression the parser accepts, counted alike over open
+/// parentheses / aggregate arguments, `NOT`s, and the levels of the
+/// tree itself (a left-deep `a + 1 + 1 …` chain adds one per operator).
+/// The parser recurses once per open parenthesis, and everything after
+/// it (`optimize`, `EvalCtx::eval`, the derived `Drop`) once per tree
+/// level, so without a cap a 2 KB query overflows a worker's stack —
+/// an abort that takes every session down, not a panic. Not a knob:
+/// far past any hand-written predicate, and sized by measurement — a
+/// parenthesis level costs the parser ~12 KiB of stack in a debug build
+/// (~3 KiB in release), so the deepest accepted expression parses,
+/// plans, evaluates and drops in under 1.2 MiB of a 2 MiB thread even
+/// unoptimised (`tests::deepest_accepted_expressions_run_on_a_small_stack`).
+pub const MAX_EXPR_DEPTH: usize = 96;
+
+/// An expression and the height of its tree.
+type Measured = (Expr, usize);
 
 /// Parses a HyQL query.
 pub fn parse(src: &str) -> Result<Query> {
@@ -36,6 +56,7 @@ pub fn parse(src: &str) -> Result<Query> {
         tokens,
         pos: 0,
         anon: 0,
+        nesting: 0,
     };
     let q = p.query()?;
     p.expect_eof()?;
@@ -46,6 +67,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     anon: usize,
+    /// Open `expr()` calls: parentheses and aggregate arguments.
+    nesting: usize,
 }
 
 impl Parser {
@@ -143,7 +166,7 @@ impl Parser {
             patterns.push(self.path()?);
         }
         let filter = if self.eat_kw(Keyword::Where) {
-            Some(self.expr()?)
+            Some(self.expr()?.0)
         } else {
             None
         };
@@ -193,7 +216,7 @@ impl Parser {
             returns.push(self.return_item()?);
         }
         let having = if self.eat_kw(Keyword::Having) {
-            Some(self.expr()?)
+            Some(self.expr()?.0)
         } else {
             None
         };
@@ -344,7 +367,7 @@ impl Parser {
     }
 
     fn return_item(&mut self) -> Result<ReturnItem> {
-        let expr = self.expr()?;
+        let (expr, _) = self.expr()?;
         let alias = if self.eat_kw(Keyword::As) {
             self.ident("alias after AS")?
         } else {
@@ -355,45 +378,66 @@ impl Parser {
 
     // ---- expressions ----------------------------------------------------
 
-    fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+    /// One level on top of `below` levels, or the positioned error once
+    /// that would pass [`MAX_EXPR_DEPTH`] — the one check every way of
+    /// nesting goes through.
+    fn level(&self, below: usize) -> Result<usize> {
+        if below >= MAX_EXPR_DEPTH {
+            return Err(self.error(format!(
+                "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(below + 1)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
+    fn binary(&self, op: BinOp, (lhs, lh): Measured, (rhs, rh): Measured) -> Result<Measured> {
+        let height = self.level(lh.max(rh))?;
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        Ok((Expr::Binary { op, lhs, rhs }, height))
+    }
+
+    /// Every `(` and aggregate argument re-enters here, so this bounds
+    /// the descent itself, before there is a tree to measure.
+    fn expr(&mut self) -> Result<Measured> {
+        self.nesting = self.level(self.nesting)?;
+        let e = self.or_expr();
+        self.nesting -= 1;
+        e
+    }
+
+    fn or_expr(&mut self) -> Result<Measured> {
         let mut lhs = self.and_expr()?;
         while self.eat_kw(Keyword::Or) {
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
+    fn and_expr(&mut self) -> Result<Measured> {
         let mut lhs = self.not_expr()?;
         while self.eat_kw(Keyword::And) {
             let rhs = self.not_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn not_expr(&mut self) -> Result<Expr> {
-        if self.eat_kw(Keyword::Not) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
-        } else {
-            self.cmp_expr()
+    fn not_expr(&mut self) -> Result<Measured> {
+        // a loop, not a self-call: `NOT NOT …` must not recurse
+        let mut nots = 0;
+        while self.eat_kw(Keyword::Not) {
+            nots = self.level(nots)?;
         }
+        let (mut e, mut height) = self.cmp_expr()?;
+        for _ in 0..nots {
+            height = self.level(height)?;
+            e = Expr::Not(Box::new(e));
+        }
+        Ok((e, height))
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr> {
+    fn cmp_expr(&mut self) -> Result<Measured> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             TokenKind::Eq => BinOp::Eq,
@@ -406,14 +450,10 @@ impl Parser {
         };
         self.bump();
         let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
+        self.binary(op, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
+    fn add_expr(&mut self) -> Result<Measured> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -423,16 +463,12 @@ impl Parser {
             };
             self.bump();
             let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr> {
+    fn mul_expr(&mut self) -> Result<Measured> {
         let mut lhs = self.atom()?;
         loop {
             let op = match self.peek() {
@@ -442,40 +478,36 @@ impl Parser {
             };
             self.bump();
             let rhs = self.atom()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn atom(&mut self) -> Result<Expr> {
+    fn atom(&mut self) -> Result<Measured> {
         match self.peek().clone() {
             TokenKind::Int(i) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Int(i)))
+                Ok((Expr::Literal(Value::Int(i)), 1))
             }
             TokenKind::Float(f) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Float(f)))
+                Ok((Expr::Literal(Value::Float(f)), 1))
             }
             TokenKind::Str(s) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Str(s)))
+                Ok((Expr::Literal(Value::Str(s)), 1))
             }
             TokenKind::Keyword(Keyword::True) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Bool(true)))
+                Ok((Expr::Literal(Value::Bool(true)), 1))
             }
             TokenKind::Keyword(Keyword::False) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Bool(false)))
+                Ok((Expr::Literal(Value::Bool(false)), 1))
             }
             TokenKind::Keyword(Keyword::Null) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Null))
+                Ok((Expr::Literal(Value::Null), 1))
             }
             TokenKind::Keyword(kw)
                 if matches!(
@@ -488,7 +520,7 @@ impl Parser {
                 // names; try the series form first, then backtrack
                 let mark = self.pos;
                 match self.agg(kw) {
-                    Ok(e) => Ok(e),
+                    Ok(e) => Ok((e, 1)),
                     Err(_) => {
                         self.pos = mark;
                         self.row_agg(kw)
@@ -505,9 +537,9 @@ impl Parser {
                 let var = self.ident("identifier")?;
                 if self.eat(&TokenKind::Dot) {
                     let key = self.ident("property key after '.'")?;
-                    Ok(Expr::Prop { var, key })
+                    Ok((Expr::Prop { var, key }, 1))
                 } else {
-                    Ok(Expr::Var(var))
+                    Ok((Expr::Var(var), 1))
                 }
             }
             other => Err(self.error(format!("unexpected token {other:?} in expression"))),
@@ -555,7 +587,7 @@ impl Parser {
 
     /// `FUNC '(' ('*' | [DISTINCT] expr) ')'` — Cypher-style row
     /// aggregate with implicit grouping.
-    fn row_agg(&mut self, kw: Keyword) -> Result<Expr> {
+    fn row_agg(&mut self, kw: Keyword) -> Result<Measured> {
         let func = match kw {
             Keyword::Mean => RowAggFunc::Avg,
             Keyword::Sum => RowAggFunc::Sum,
@@ -570,20 +602,26 @@ impl Parser {
                 return Err(self.error("'*' is only valid in COUNT(*)"));
             }
             self.expect(&TokenKind::RParen, "')' closing COUNT(*)")?;
-            return Ok(Expr::RowAgg {
+            let count_star = Expr::RowAgg {
                 func,
                 arg: None,
                 distinct: false,
-            });
+            };
+            return Ok((count_star, 1));
         }
         let distinct = self.eat_kw(Keyword::Distinct);
-        let arg = self.expr()?;
+        let (arg, below) = self.expr()?;
         self.expect(&TokenKind::RParen, "')' closing the aggregate")?;
-        Ok(Expr::RowAgg {
-            func,
-            arg: Some(Box::new(arg)),
-            distinct,
-        })
+        let height = self.level(below)?;
+        let arg = Some(Box::new(arg));
+        Ok((
+            Expr::RowAgg {
+                func,
+                arg,
+                distinct,
+            },
+            height,
+        ))
     }
 }
 
@@ -822,5 +860,72 @@ mod tests {
         };
         assert_eq!(*rhs, Expr::Literal(Value::Str("User 1".into())));
         assert_eq!(q.returns[0].alias, "u.name");
+    }
+
+    /// `n` levels of one of the four ways an expression can nest:
+    /// parentheses, a `NOT` run, a left-deep binary chain, and
+    /// parentheses that each add a tree level (parser descent and tree
+    /// height at once).
+    fn nested(shape: usize, n: usize) -> String {
+        let filter = match shape {
+            0 => format!("{}a.x > 1{}", "(".repeat(n), ")".repeat(n)),
+            1 => format!("{}a.x > 1", "NOT ".repeat(n)),
+            2 => format!("a.x{} > 1", " + 1".repeat(n)),
+            _ => format!("{}a.x{} > 1", "(".repeat(n), " + 1)".repeat(n)),
+        };
+        format!("MATCH (a) WHERE {filter} RETURN a")
+    }
+
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("a stack overflow aborts the process instead of landing here")
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_positioned_error_not_a_stack_overflow() {
+        for shape in 0..4 {
+            let err = on_small_stack(move || parse(&nested(shape, 100_000)))
+                .expect_err("100 000 levels must be refused");
+            match err {
+                HyGraphError::Parse { offset, message } => {
+                    assert!(offset > 0 && message.contains("nests deeper"), "{message}");
+                }
+                other => panic!("expected a positioned parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn deepest_accepted_expressions_run_on_a_small_stack() {
+        use hygraph_types::props;
+        let hg = hygraph_core::HyGraphBuilder::new()
+            .pg_vertex("a", ["N"], props! {"x" => 5i64})
+            .build()
+            .unwrap()
+            .hygraph;
+        for shape in 0..4 {
+            let deepest = (1..)
+                .take_while(|&n| parse(&nested(shape, n)).is_ok())
+                .last()
+                .expect("one level parses");
+            // the cap is counted in levels, so every shape hits it
+            // within the few levels its fixed `a.x > 1` core costs
+            assert!(
+                (MAX_EXPR_DEPTH - 3..=MAX_EXPR_DEPTH).contains(&deepest),
+                "shape {shape} stops at {deepest}"
+            );
+            // parse, plan, optimize, evaluate and drop, in this (debug) build
+            let hg = hg.clone();
+            let rows =
+                on_small_stack(move || crate::query(&hg, &nested(shape, deepest)).map(|r| r.rows))
+                    .expect("the deepest accepted expression executes");
+            // 5 (+ 1 …) > 1 holds; an odd NOT run negates it
+            let negated = shape == 1 && deepest % 2 == 1;
+            assert_eq!(rows.len(), usize::from(!negated), "shape {shape}");
+        }
     }
 }

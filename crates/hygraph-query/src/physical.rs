@@ -51,11 +51,11 @@ pub fn plan_query(q: &Query) -> Result<PlannedQuery> {
     Ok(PlannedQuery { plan, patterns })
 }
 
-pub(crate) fn op_start() -> Option<Instant> {
+fn op_start() -> Option<Instant> {
     hygraph_metrics::enabled().then(Instant::now)
 }
 
-pub(crate) fn record_op(op: PlanOp, start: Option<Instant>, rows: usize) {
+fn record_op(op: PlanOp, start: Option<Instant>, rows: usize) {
     if let (Some(m), Some(s)) = (hygraph_metrics::get(), start) {
         let om = m.query.operator(op);
         om.invocations.inc();
@@ -96,11 +96,9 @@ pub fn execute_planned(
     Ok(QueryResult { columns, rows })
 }
 
-/// The tail of the operator pipeline — Distinct → Sort → Limit — shared
-/// by the single-pass and scatter-gather executors (the coordinator
-/// always runs these after the merge, since all three need the full row
-/// set).
-pub(crate) fn finish_rows(q: &Query, columns: &[String], rows: &mut Vec<Row>) -> Result<()> {
+/// The tail of the operator pipeline — Distinct → Sort → Limit; all
+/// three need the full row set.
+fn finish_rows(q: &Query, columns: &[String], rows: &mut Vec<Row>) -> Result<()> {
     if q.distinct {
         let t = op_start();
         let mut seen: Vec<Row> = Vec::new();
@@ -132,7 +130,7 @@ pub(crate) fn finish_rows(q: &Query, columns: &[String], rows: &mut Vec<Row>) ->
 /// evaluated — no short-circuit — matching the interpreter, which
 /// collects every per-binding result before scanning for the first
 /// error.
-pub(crate) fn filter_stage(
+fn filter_stage(
     hg: &HyGraph,
     q: &Query,
     bindings: &[Binding],
@@ -157,9 +155,8 @@ pub(crate) fn filter_stage(
 }
 
 /// Evaluates the residual WHERE filter for one binding — the per-row
-/// unit of the Filter operator, shared with the scatter-gather
-/// executor. Callers guarantee `q.filter` is `Some`.
-pub(crate) fn eval_filter(
+/// unit of the Filter operator. Callers guarantee `q.filter` is `Some`.
+fn eval_filter(
     hg: &HyGraph,
     q: &Query,
     cache: Option<&AggCache>,
@@ -177,8 +174,8 @@ pub(crate) fn eval_filter(
 }
 
 /// Evaluates the RETURN projection for one binding — the per-row unit
-/// of the Project operator, shared with the scatter-gather executor.
-pub(crate) fn project_row(
+/// of the Project operator.
+fn project_row(
     hg: &HyGraph,
     q: &Query,
     cache: Option<&AggCache>,
@@ -241,14 +238,14 @@ fn run_flat(
 
 /// The data-independent shape of a grouped query: which RETURN items
 /// are grouping keys and the deterministic aggregate-spec order.
-pub(crate) struct GroupingLayout {
+struct GroupingLayout {
     /// Indices of aggregate-free RETURN items (the grouping keys).
-    pub(crate) key_items: Vec<usize>,
+    key_items: Vec<usize>,
     /// Aggregate specs: RETURN items first, then HAVING.
-    pub(crate) specs: Vec<RowAggSpec>,
+    specs: Vec<RowAggSpec>,
 }
 
-pub(crate) fn grouping_layout(q: &Query) -> GroupingLayout {
+fn grouping_layout(q: &Query) -> GroupingLayout {
     // grouping keys: the aggregate-free RETURN items
     let key_items: Vec<usize> = q
         .returns
@@ -271,7 +268,7 @@ pub(crate) fn grouping_layout(q: &Query) -> GroupingLayout {
 /// Evaluates one binding's grouping keys + aggregate arguments — the
 /// parallelisable pure work of the Aggregate operator; keys before
 /// args, matching the interpreter's per-binding order.
-pub(crate) fn eval_key_args(
+fn eval_key_args(
     hg: &HyGraph,
     q: &Query,
     layout: &GroupingLayout,
@@ -299,13 +296,13 @@ pub(crate) fn eval_key_args(
     Ok((key, args))
 }
 
-/// The coordinator-side merge of a grouped query: a sequential fold in
+/// The merge step of a grouped query: a sequential fold in
 /// global binding order (group creation order and aggregate update
 /// order stay deterministic, and error precedence interleaves filter
 /// and key/arg errors exactly like the interpreter's single per-binding
 /// pass), then per-group finalize + HAVING. `evaluated` must align with
 /// the `Ok(true)` entries of `filter_pass`, in the same order.
-pub(crate) fn fold_groups(
+fn fold_groups(
     q: &Query,
     layout: &GroupingLayout,
     filter_pass: Vec<Result<bool>>,
@@ -418,7 +415,7 @@ fn run_grouped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_interpreted_mode, execute_mode};
+    use crate::exec::{execute, execute_interpreted};
     use crate::parser::parse;
     use hygraph_core::HyGraphBuilder;
     use hygraph_ts::TimeSeries;
@@ -494,8 +491,8 @@ mod tests {
         for text in QUERIES {
             let q = parse(text).unwrap();
             for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let legacy = execute_interpreted_mode(&b.hygraph, &q, mode);
-                let planned = execute_mode(&b.hygraph, &q, mode);
+                let legacy = execute_interpreted(&b.hygraph, &q, mode);
+                let planned = execute(&b.hygraph, &q, mode);
                 match (legacy, planned) {
                     (Ok(l), Ok(p)) => {
                         let mut wl = hygraph_types::bytes::ByteWriter::new();
@@ -557,7 +554,7 @@ mod tests {
         assert_eq!(planned.plan.pushed.len(), 2);
         assert!(planned.plan.query.filter.is_none());
         let r = execute_planned(&b.hygraph, &planned, ExecMode::Sequential).unwrap();
-        let l = execute_interpreted_mode(&b.hygraph, &q, ExecMode::Sequential).unwrap();
+        let l = execute_interpreted(&b.hygraph, &q, ExecMode::Sequential).unwrap();
         assert_eq!(r, l);
         assert_eq!(
             r.rows,

@@ -482,8 +482,8 @@ impl std::fmt::Debug for Client {
 ///
 /// A multi-shard engine serves the same API with snapshot reads:
 /// queries pin the latest published epoch (never blocking behind a
-/// writer) and execute scatter-gather across the shard partitioning,
-/// byte-identical to a single-shard engine.
+/// writer) and run the same single-pass executor over it as a
+/// single-shard engine does under its read guard — byte-identical.
 ///
 /// ```
 /// use hygraph_persist::HgMutation;

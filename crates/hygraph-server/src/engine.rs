@@ -15,9 +15,11 @@
 //! [`Arc<HyGraph>`] snapshot into a dedicated slot. Queries pin the
 //! current snapshot (one `Arc` clone — the interior is persistent
 //! tries, so publication is O(changed structure), not O(data)) and
-//! execute against it without blocking behind writers, through the
-//! scatter-gather physical path partitioned by the same
-//! [`ShardRouter`] that places WAL frames. A snapshot is published
+//! execute against it without blocking behind writers. Either way a
+//! query runs through the same `hygraph_query::execute_planned` pass:
+//! the shard count selects how state is pinned (read guard vs `Arc`
+//! clone), never how a query executes; the [`ShardRouter`] only places
+//! WAL frames and routes subscriptions. A snapshot is published
 //! only after the whole batch applied (and, for durable backends,
 //! after every involved shard's WAL synced), so a reader can never
 //! observe a torn batch. The engine is the single place that maps
@@ -279,11 +281,10 @@ impl Engine {
     /// Re-partitions a (memory-backed) engine to exactly `shards`
     /// shards, regardless of the environment — how tests and the bench
     /// harness pin the lock discipline. `1` restores the legacy
-    /// readers/writer-lock engine; `> 1` enables snapshot reads and
-    /// scatter-gather execution. Durable backends ignore this (their
-    /// shard count is recorded on disk); re-shard those by reopening
-    /// the directory via [`Engine::open_durable`] under a different
-    /// `HYGRAPH_SHARDS`.
+    /// readers/writer-lock engine; `> 1` enables snapshot reads.
+    /// Durable backends ignore this (their shard count is recorded on
+    /// disk); re-shard those by reopening the directory via
+    /// [`Engine::open_durable`] under a different `HYGRAPH_SHARDS`.
     pub fn with_shards(mut self, shards: usize) -> Self {
         let (router, initial) = {
             let guard = self.read();
@@ -443,16 +444,16 @@ impl Engine {
             // Multi-shard: pin the published epoch (one Arc clone, the
             // slot lock held only for that clone) and execute against
             // the immutable snapshot — never blocking behind a writer
-            // mid-commit — through the scatter-gather path.
+            // mid-commit.
             Some(slot) => {
                 let snap = Arc::clone(&slot.read().unwrap_or_else(|e| e.into_inner()));
-                self.run_pinned(&snap, text, cache, bound, Some(self.router))
+                self.run_pinned(&snap, text, cache, bound)
             }
             // Single shard: the exact legacy path — queries share the
             // backend read lock with each other and exclude writers.
             None => {
                 let guard = self.read();
-                self.run_pinned(guard.graph(), text, cache, bound, None)
+                self.run_pinned(guard.graph(), text, cache, bound)
             }
         }
     }
@@ -463,21 +464,13 @@ impl Engine {
         text: &str,
         cache: Option<&dyn PlanCacheHook>,
         bound: Option<TemporalBound>,
-        router: Option<ShardRouter>,
     ) -> Result<QueryResult> {
         match &self.history {
             Some(h) => {
                 let mut h = h.lock().unwrap_or_else(|e| e.into_inner());
-                hygraph_query::run_instrumented_sharded(
-                    hg,
-                    text,
-                    cache,
-                    Some(&mut *h),
-                    bound,
-                    router,
-                )
+                hygraph_query::run_instrumented_bound(hg, text, cache, Some(&mut *h), bound)
             }
-            None => hygraph_query::run_instrumented_sharded(hg, text, cache, None, bound, router),
+            None => hygraph_query::run_instrumented_bound(hg, text, cache, None, bound),
         }
     }
 

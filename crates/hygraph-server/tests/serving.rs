@@ -395,6 +395,45 @@ fn explain_works_over_the_wire() {
     server.shutdown().expect("shutdown");
 }
 
+/// A query nested 100 000 levels deep — by parentheses, a `NOT` run,
+/// or a left-deep operator chain — fits the frame cap many times over
+/// and used to overflow the worker's stack, which aborts the process
+/// and with it every session. It must come back as a typed error on
+/// every request kind that carries query text, and the connection must
+/// keep serving.
+#[test]
+fn hostile_nesting_is_an_error_reply_not_a_dead_server() {
+    const LEVELS: usize = 100_000;
+    let server = Server::serve(Backend::memory(HyGraph::new()), &config(2, 8, 0)).expect("serve");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let filters = [
+        format!("{}a.x > 1{}", "(".repeat(LEVELS), ")".repeat(LEVELS)),
+        format!("{}a.x > 1", "NOT ".repeat(LEVELS)),
+        format!("a.x{} > 1", " + 1".repeat(LEVELS)),
+    ];
+    for filter in filters {
+        let text = format!("MATCH (a) WHERE {filter} RETURN a");
+        let as_of = Request::QueryAsOf {
+            text: text.clone(),
+            as_of_ms: 0,
+        };
+        for req in [
+            Request::Query(text.clone()),
+            Request::Subscribe(text),
+            as_of,
+        ] {
+            match c.call(&req).expect("the server answers") {
+                Response::Error { message, .. } => {
+                    assert!(message.contains("nests deeper"), "{message}");
+                }
+                other => panic!("expected an error reply, got {other:?}"),
+            }
+            c.ping().expect("the connection survives the refusal");
+        }
+    }
+    server.shutdown().expect("shutdown");
+}
+
 /// Requests arriving after shutdown begins get a typed retryable
 /// rejection, not a hang or a silent drop.
 #[test]

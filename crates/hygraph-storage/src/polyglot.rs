@@ -11,7 +11,7 @@ use hygraph_graph::TemporalGraph;
 use hygraph_ts::store::{AggKind, Summary};
 use hygraph_ts::TsStore;
 use hygraph_types::bytes::{ByteReader, ByteWriter};
-use hygraph_types::parallel::auto_parallel;
+use hygraph_types::parallel::{should_parallelize, ExecMode};
 use hygraph_types::{
     Duration, EdgeId, HyGraphError, Interval, Label, PropertyMap, Result, SeriesId, Timestamp,
     VertexId,
@@ -211,7 +211,9 @@ impl StorageBackend for PolyglotStore {
             .filter_map(|&s| self.sid(s).map(|sid| (s, sid)))
             .collect();
         let sids: Vec<SeriesId> = pairs.iter().map(|&(_, sid)| sid).collect();
-        let means = self.ts.aggregate_batch(&sids, iv, AggKind::Mean);
+        let means = self
+            .ts
+            .aggregate_batch(&sids, iv, AggKind::Mean, ExecMode::Auto);
         pairs
             .iter()
             .zip(means)
@@ -280,7 +282,7 @@ impl StorageBackend for PolyglotStore {
             });
             found
         };
-        let flags: Vec<bool> = if auto_parallel(self.stations.len()) {
+        let flags: Vec<bool> = if should_parallelize(ExecMode::Auto, self.stations.len()) {
             self.stations.par_iter().map(has_run).collect()
         } else {
             self.stations.iter().map(has_run).collect()

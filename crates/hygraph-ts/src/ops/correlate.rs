@@ -103,18 +103,12 @@ pub fn rolling_correlation(a: &TimeSeries, b: &TimeSeries, window: usize) -> Tim
 }
 
 /// Pairwise correlation matrix of many aligned value slices.
-/// Undefined entries (constant series) are 0; the diagonal is 1.
-/// Execution mode decided from the pair count (see
-/// [`correlation_matrix_mode`]).
-pub fn correlation_matrix(columns: &[&[f64]]) -> Vec<Vec<f64>> {
-    correlation_matrix_mode(columns, ExecMode::Auto)
-}
-
-/// [`correlation_matrix`] with an explicit execution mode. The
+/// Undefined entries (constant series) are 0; the diagonal is 1. The
 /// `k·(k-1)/2` upper-triangle entries are independent pure computations,
-/// so fanning them out over threads produces the exact same matrix as
-/// the sequential double loop.
-pub fn correlation_matrix_mode(columns: &[&[f64]], mode: ExecMode) -> Vec<Vec<f64>> {
+/// so fanning them out over threads ([`ExecMode::Auto`] decides from the
+/// pair count) produces the exact same matrix as the sequential double
+/// loop.
+pub fn correlation_matrix(columns: &[&[f64]], mode: ExecMode) -> Vec<Vec<f64>> {
     let k = columns.len();
     let pairs: Vec<(usize, usize)> = (0..k)
         .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
@@ -238,8 +232,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let seq = correlation_matrix_mode(&refs, ExecMode::Sequential);
-        let par = correlation_matrix_mode(&refs, ExecMode::Parallel);
+        let seq = correlation_matrix(&refs, ExecMode::Sequential);
+        let par = correlation_matrix(&refs, ExecMode::Parallel);
         for (row_s, row_p) in seq.iter().zip(&par) {
             for (a, b) in row_s.iter().zip(row_p) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -252,7 +246,7 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [3.0, 2.0, 1.0];
         let c = [5.0, 5.0, 5.0]; // constant => undefined => 0
-        let m = correlation_matrix(&[&a, &b, &c]);
+        let m = correlation_matrix(&[&a, &b, &c], ExecMode::Auto);
         assert_eq!(m[0][0], 1.0);
         assert!((m[0][1] + 1.0).abs() < 1e-12);
         assert_eq!(m[0][1], m[1][0]);

@@ -822,13 +822,7 @@ impl TsStore {
     /// batch fans out across threads for large id sets (the multi-series
     /// scan queries Q4/Q5/Q8 of the storage experiment) with results
     /// identical to calling `summarize` in a loop.
-    pub fn summarize_batch(&self, ids: &[SeriesId], interval: &Interval) -> Vec<Summary> {
-        self.summarize_batch_mode(ids, interval, ExecMode::Auto)
-    }
-
-    /// [`summarize_batch`](Self::summarize_batch) with an explicit
-    /// execution mode.
-    pub fn summarize_batch_mode(
+    pub fn summarize_batch(
         &self,
         ids: &[SeriesId],
         interval: &Interval,
@@ -850,20 +844,9 @@ impl TsStore {
         ids: &[SeriesId],
         interval: &Interval,
         kind: AggKind,
-    ) -> Vec<Option<f64>> {
-        self.aggregate_batch_mode(ids, interval, kind, ExecMode::Auto)
-    }
-
-    /// [`aggregate_batch`](Self::aggregate_batch) with an explicit
-    /// execution mode.
-    pub fn aggregate_batch_mode(
-        &self,
-        ids: &[SeriesId],
-        interval: &Interval,
-        kind: AggKind,
         mode: ExecMode,
     ) -> Vec<Option<f64>> {
-        self.summarize_batch_mode(ids, interval, mode)
+        self.summarize_batch(ids, interval, mode)
             .iter()
             .map(|s| s.get(kind))
             .collect()
@@ -1087,7 +1070,7 @@ mod tests {
         }
         let iv = Interval::new(ts(40), ts(760));
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let batch = st.summarize_batch_mode(&ids, &iv, mode);
+            let batch = st.summarize_batch(&ids, &iv, mode);
             assert_eq!(batch.len(), ids.len());
             for (&id, b) in ids.iter().zip(&batch) {
                 let single = st.summarize(id, &iv);
@@ -1096,7 +1079,7 @@ mod tests {
                 assert_eq!(b.min, single.min);
                 assert_eq!(b.max, single.max);
             }
-            let aggs = st.aggregate_batch_mode(&ids, &iv, AggKind::Max, mode);
+            let aggs = st.aggregate_batch(&ids, &iv, AggKind::Max, mode);
             for (&id, a) in ids.iter().zip(&aggs) {
                 assert_eq!(*a, st.aggregate(id, &iv, AggKind::Max));
             }

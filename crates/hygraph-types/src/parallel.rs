@@ -19,7 +19,7 @@
 //!    overrides the environment for the rest of the process (tests use
 //!    this to force a fixed thread count regardless of machine size).
 //! 4. Per-call: an explicit [`ExecMode`] passed to APIs that accept one
-//!    (e.g. `execute_mode`) bypasses the global knobs entirely.
+//!    (e.g. `hygraph_query::execute`) bypasses the global knobs entirely.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -146,11 +146,6 @@ pub fn should_parallelize(mode: ExecMode, items: usize) -> bool {
     }
 }
 
-/// Shorthand for `should_parallelize(ExecMode::Auto, items)`.
-pub fn auto_parallel(items: usize) -> bool {
-    should_parallelize(ExecMode::Auto, items)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,19 +183,22 @@ mod tests {
     #[test]
     fn auto_respects_threshold_and_thread_count() {
         scoped(ParallelConfig::new().threads(8).seq_threshold(100), || {
-            assert!(!auto_parallel(99));
-            assert!(auto_parallel(100));
+            assert!(!should_parallelize(ExecMode::Auto, 99));
+            assert!(should_parallelize(ExecMode::Auto, 100));
         });
         scoped(ParallelConfig::new().threads(1).seq_threshold(100), || {
-            assert!(!auto_parallel(1_000_000), "threads(1) disables fan-out");
+            assert!(
+                !should_parallelize(ExecMode::Auto, 1_000_000),
+                "threads(1) disables fan-out"
+            );
         });
     }
 
     #[test]
     fn threshold_zero_still_requires_two_items() {
         scoped(ParallelConfig::new().threads(8).seq_threshold(0), || {
-            assert!(!auto_parallel(1));
-            assert!(auto_parallel(2));
+            assert!(!should_parallelize(ExecMode::Auto, 1));
+            assert!(should_parallelize(ExecMode::Auto, 2));
         });
     }
 

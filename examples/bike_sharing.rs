@@ -7,6 +7,7 @@ use hygraph::datagen::bike::{self, BikeConfig};
 use hygraph::prelude::*;
 use hygraph::query;
 use hygraph::query_engine::hybrid;
+use hygraph::types::parallel::ExecMode;
 
 fn main() -> Result<()> {
     let data = bike::generate(BikeConfig {
@@ -39,7 +40,7 @@ fn main() -> Result<()> {
     print!("{}", r.render());
 
     // ---- Q2: hybrid aggregation -----------------------------------------
-    let agg = hybrid::hybrid_aggregate(&hg, Duration::from_hours(6));
+    let agg = hybrid::hybrid_aggregate(&hg, Duration::from_hours(6), ExecMode::Auto);
     let station_series = &agg.group_series["Station"];
     println!(
         "Q2 hybrid aggregate: 'Station' group series downsampled to 6h buckets: {} points",
@@ -48,7 +49,8 @@ fn main() -> Result<()> {
 
     // ---- Q3: correlation-constrained reachability --------------------------
     let start = data.stations[0];
-    let reach = hybrid::correlation_reachability(&hg, start, Duration::from_mins(15), 0.6);
+    let reach =
+        hybrid::correlation_reachability(&hg, start, Duration::from_mins(15), 0.6, ExecMode::Auto);
     println!(
         "Q3 correlation reachability from {}: {} stations follow a correlated \
          availability regime",

@@ -9,6 +9,7 @@
 use hygraph::datagen::bike::{self, BikeConfig};
 use hygraph::prelude::*;
 use hygraph::ts::ops::{forecast, stats};
+use hygraph::types::parallel::ExecMode;
 
 fn main() -> Result<()> {
     // two weeks of history at 30-minute resolution
@@ -94,6 +95,7 @@ fn main() -> Result<()> {
         anchor,
         Duration::from_mins(30),
         0.7,
+        ExecMode::Auto,
     );
     println!(
         "\ncorrelated-regime of the hardest station: {} stations share its availability pattern",

@@ -38,8 +38,10 @@ fn bike_dataset_full_flow() {
     }
 
     // graph algorithms run on the unified topology
-    let (_, components) =
-        hygraph::graph::algorithms::components::connected_components(hg.topology());
+    let (_, components) = hygraph::graph::algorithms::components::connected_components(
+        hg.topology(),
+        hygraph::types::parallel::ExecMode::Auto,
+    );
     assert!(components >= 1);
 
     // metric evolution annotates and preserves validity

@@ -10,9 +10,9 @@
 //! cutoff, so the `Parallel` runs genuinely chunk work across threads
 //! even on single-core CI machines and tiny sampled inputs.
 
-use hygraph::graph::algorithms::pagerank::{pagerank_mode, PageRankConfig};
+use hygraph::graph::algorithms::pagerank::{pagerank, PageRankConfig};
 use hygraph::prelude::*;
-use hygraph::query_engine::{execute_mode, parser};
+use hygraph::query_engine::{execute, parser};
 use hygraph::ts::ops::correlate;
 use hygraph::types::parallel::{ExecMode, ParallelConfig};
 use proptest::prelude::*;
@@ -59,8 +59,8 @@ proptest! {
             let b = (xorshift(&mut st) as usize) % n;
             let _ = g.add_edge(vs[a], vs[b], ["E"], props! {});
         }
-        let seq = pagerank_mode(&g, PageRankConfig::default(), ExecMode::Sequential);
-        let par = pagerank_mode(&g, PageRankConfig::default(), ExecMode::Parallel);
+        let seq = pagerank(&g, PageRankConfig::default(), ExecMode::Sequential);
+        let par = pagerank(&g, PageRankConfig::default(), ExecMode::Parallel);
         prop_assert_eq!(seq.len(), par.len());
         for (v, s) in &seq {
             prop_assert_eq!(s.to_bits(), par[v].to_bits(), "rank of {:?} drifted", v);
@@ -79,8 +79,8 @@ proptest! {
             .map(|_| (0..len).map(|_| unit_f64(&mut st) * 10.0 - 5.0).collect())
             .collect();
         let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let seq = correlate::correlation_matrix_mode(&refs, ExecMode::Sequential);
-        let par = correlate::correlation_matrix_mode(&refs, ExecMode::Parallel);
+        let seq = correlate::correlation_matrix(&refs, ExecMode::Sequential);
+        let par = correlate::correlation_matrix(&refs, ExecMode::Parallel);
         prop_assert_eq!(seq.len(), par.len());
         for (rs, rp) in seq.iter().zip(&par) {
             prop_assert_eq!(rs.len(), rp.len());
@@ -130,8 +130,8 @@ proptest! {
              ORDER BY who",
         ).unwrap();
         for q in [&q_flat, &q_grouped] {
-            let seq = execute_mode(&hg, q, ExecMode::Sequential).unwrap();
-            let par = execute_mode(&hg, q, ExecMode::Parallel).unwrap();
+            let seq = execute(&hg, q, ExecMode::Sequential).unwrap();
+            let par = execute(&hg, q, ExecMode::Parallel).unwrap();
             prop_assert_eq!(&seq.columns, &par.columns);
             prop_assert_eq!(&seq.rows, &par.rows);
         }

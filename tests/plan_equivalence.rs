@@ -2,8 +2,8 @@
 //!
 //! Randomly composed HyQL queries must produce **byte-identical** encoded
 //! results through the legacy one-pass interpreter
-//! ([`hygraph_query::execute_interpreted_mode`]) and the
-//! plan → optimize → physical pipeline ([`hygraph_query::execute_mode`]),
+//! ([`hygraph_query::execute_interpreted`]) and the
+//! plan → optimize → physical pipeline ([`hygraph_query::execute`]),
 //! in both execution modes. Queries that fail must fail with the *same*
 //! error through both paths — the optimizer is not allowed to turn an
 //! erroring query into a succeeding one (or vice versa), nor to change
@@ -221,8 +221,8 @@ proptest! {
             }
         };
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let legacy = hq::execute_interpreted_mode(&hg, &q, mode);
-            let planned = hq::execute_mode(&hg, &q, mode);
+            let legacy = hq::execute_interpreted(&hg, &q, mode);
+            let planned = hq::execute(&hg, &q, mode);
             match (&legacy, &planned) {
                 (Ok(l), Ok(p)) => prop_assert_eq!(
                     encoded(l),
@@ -271,8 +271,8 @@ fn planner_matches_interpreter_on_fixed_corner_cases() {
     for text in corner_cases {
         let q = hq::parser::parse(text).expect("fixed query parses");
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let legacy = hq::execute_interpreted_mode(&hg, &q, mode);
-            let planned = hq::execute_mode(&hg, &q, mode);
+            let legacy = hq::execute_interpreted(&hg, &q, mode);
+            let planned = hq::execute(&hg, &q, mode);
             match (&legacy, &planned) {
                 (Ok(l), Ok(p)) => assert_eq!(
                     encoded(l),

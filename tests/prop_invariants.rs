@@ -146,7 +146,10 @@ proptest! {
     fn components_count_bounded(seed in 0u64..300) {
         let horizon = Interval::new(ts(0), ts(1_000));
         let g = hygraph::datagen::random::random_graph(30, 40, &["N"], horizon, seed);
-        let (assign, n) = hygraph::graph::algorithms::components::connected_components(&g);
+        let (assign, n) = hygraph::graph::algorithms::components::connected_components(
+            &g,
+            hygraph::types::parallel::ExecMode::Auto,
+        );
         prop_assert!(n >= 1 && n <= g.vertex_count());
         prop_assert_eq!(assign.len(), g.vertex_count());
         // component ids are dense 0..n

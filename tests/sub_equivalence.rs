@@ -183,7 +183,7 @@ proptest! {
             for (id, text, snap) in &subs {
                 let q = hq::parser::parse(text).expect("pool queries parse");
                 for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                    let fresh = hq::execute_mode(&hg, &q, mode).map_err(|e| {
+                    let fresh = hq::execute(&hg, &q, mode).map_err(|e| {
                         TestCaseError::fail(format!("oracle {text:?}: {e}"))
                     })?;
                     prop_assert_eq!(
@@ -252,7 +252,7 @@ fn fixed_mixed_batch_converges_every_shape() {
     }
     for (_, text, snap) in &subs {
         let q = hq::parser::parse(text).expect("parse");
-        let fresh = hq::execute_mode(&hg, &q, ExecMode::Sequential).expect("oracle");
+        let fresh = hq::execute(&hg, &q, ExecMode::Sequential).expect("oracle");
         assert_eq!(
             encoded(snap),
             encoded(&fresh),

@@ -173,9 +173,9 @@ proptest! {
                 for text in QUERIES {
                     let q = hq::parser::parse(text).expect("pool queries parse");
                     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                        let got = hq::execute_mode(&snap, &q, mode)
+                        let got = hq::execute(&snap, &q, mode)
                             .map_err(|e| TestCaseError::fail(format!("{text:?}: {e}")))?;
-                        let want = hq::execute_mode(oracle_state, &q, mode)
+                        let want = hq::execute(oracle_state, &q, mode)
                             .map_err(|e| TestCaseError::fail(format!("oracle {text:?}: {e}")))?;
                         prop_assert_eq!(
                             &encoded(&got), &encoded(&want),
