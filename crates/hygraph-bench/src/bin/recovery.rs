@@ -1,6 +1,7 @@
 //! Cold-start recovery benchmark for the durable storage engine.
 //!
-//! Compares two ways of bringing a HyGraph instance back from disk:
+//! Compares two ways of bringing a one-shard HyGraph store back from
+//! disk:
 //!
 //! 1. **checkpoint-only** — the log was checkpointed at the tip, so
 //!    recovery is one binary snapshot load;
@@ -15,7 +16,7 @@
 
 use hygraph_bench::{time_ms, time_stats, Scale};
 use hygraph_core::HyGraph;
-use hygraph_persist::{DurableStore, HgMutation, PersistConfig};
+use hygraph_persist::{HgMutation, PersistConfig, ShardedStore};
 use hygraph_types::{Label, SeriesId, Timestamp};
 
 /// The ingest workload: one series + ts-vertex per station, then
@@ -44,17 +45,28 @@ fn workload(stations: usize, points: usize) -> Vec<HgMutation> {
     ops
 }
 
+/// Total size of the `*.ext` files under `dir`, shard streams included.
 fn dir_bytes(dir: &std::path::Path, ext: &str) -> u64 {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .flatten()
-                .filter(|e| e.path().extension().is_some_and(|x| x == ext))
-                .filter_map(|e| e.metadata().ok())
-                .map(|m| m.len())
-                .sum()
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|e| {
+            let path = e.path();
+            if path.is_dir() {
+                dir_bytes(&path, ext)
+            } else if path.extension().is_some_and(|x| x == ext) {
+                e.metadata().map_or(0, |m| m.len())
+            } else {
+                0
+            }
         })
-        .unwrap_or(0)
+        .sum()
+}
+
+fn open(dir: &std::path::Path) -> ShardedStore<HyGraph> {
+    ShardedStore::open(dir, 1).expect("open")
 }
 
 fn main() {
@@ -82,7 +94,7 @@ fn main() {
 
     // -- populate: checkpoint-at-tip log ---------------------------------
     let (_, ms) = time_ms(|| {
-        let mut store: DurableStore<HyGraph> = DurableStore::open(&ckpt_dir).expect("open");
+        let mut store = open(&ckpt_dir);
         store.commit_batch(ops.clone()).expect("ingest");
         store.checkpoint().expect("checkpoint");
         store.close().expect("close");
@@ -93,7 +105,7 @@ fn main() {
     let half = ops.len() / 2;
     let replayed = ops.len() - half;
     let (_, ms) = time_ms(|| {
-        let mut store: DurableStore<HyGraph> = DurableStore::open(&replay_dir).expect("open");
+        let mut store = open(&replay_dir);
         store.commit_batch(ops[..half].to_vec()).expect("ingest");
         store.checkpoint().expect("checkpoint");
         store.commit_batch(ops[half..].to_vec()).expect("ingest");
@@ -101,24 +113,22 @@ fn main() {
     });
     println!("ingested checkpoint+WAL log in {ms:.0} ms ({replayed} frames left to replay)");
 
-    let golden = DurableStore::<HyGraph>::open(&ckpt_dir)
-        .expect("open")
-        .state_bytes();
+    let golden = open(&ckpt_dir).state_bytes();
 
     // -- measure ---------------------------------------------------------
     let (ckpt_ms, ckpt_cv) = time_stats(runs, || {
-        let store: DurableStore<HyGraph> = DurableStore::open(&ckpt_dir).expect("recover");
+        let store = open(&ckpt_dir);
         store.get().vertex_count() as f64
     });
     let (replay_ms, replay_cv) = time_stats(runs, || {
-        let store: DurableStore<HyGraph> = DurableStore::open(&replay_dir).expect("recover");
+        let store = open(&replay_dir);
         store.get().vertex_count() as f64
     });
 
     // correctness guard: both roads lead to the same committed state
     {
-        let a: DurableStore<HyGraph> = DurableStore::open(&ckpt_dir).expect("recover");
-        let b: DurableStore<HyGraph> = DurableStore::open(&replay_dir).expect("recover");
+        let a = open(&ckpt_dir);
+        let b = open(&replay_dir);
         assert_eq!(a.state_bytes(), golden, "checkpoint-only state diverged");
         assert_eq!(b.state_bytes(), golden, "replayed state diverged");
     }

@@ -21,7 +21,7 @@
 
 use hygraph_bench::Scale;
 use hygraph_core::HyGraph;
-use hygraph_persist::{DurableStore, HgMutation};
+use hygraph_persist::{HgMutation, ShardedStore};
 use hygraph_server::{Backend, Client, Server};
 use hygraph_types::net::ServerConfig;
 use hygraph_types::{Label, SeriesId, Timestamp};
@@ -248,8 +248,8 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("hygraph-bench-serving-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let store: DurableStore<HyGraph> = DurableStore::open(&dir).expect("open store");
-    let tcp_durable = run_tcp(Backend::durable(store), clients, ops, read_pct);
+    let store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 1).expect("open store");
+    let tcp_durable = run_tcp(Backend::sharded(store), clients, ops, read_pct);
     print_mode("tcp-durable", &tcp_durable);
     std::fs::remove_dir_all(&dir).ok();
 

@@ -16,7 +16,7 @@
 
 use hygraph_bench::{time_ms, Scale};
 use hygraph_datagen::bike::{self, BikeConfig};
-use hygraph_persist::{DurableStore, PersistConfig, StoreMutation};
+use hygraph_persist::{PersistConfig, ShardedStore, StoreMutation};
 use hygraph_storage::harness::{measure_all, measure_all_parallel, render_table, Workload};
 use hygraph_storage::{AllInGraphStore, PolyglotStore};
 use hygraph_types::Duration;
@@ -30,8 +30,8 @@ fn durable_ingest_report(dataset: &bike::BikeDataset, volatile_load_ms: f64) {
     std::fs::remove_dir_all(&dir).ok();
 
     let (_, ingest_ms) = time_ms(|| {
-        let mut store: DurableStore<PolyglotStore> =
-            DurableStore::open(&dir).expect("open durable store");
+        let mut store: ShardedStore<PolyglotStore> =
+            ShardedStore::open(&dir, 1).expect("open durable store");
         for (i, &_station) in dataset.stations.iter().enumerate() {
             store
                 .commit(StoreMutation::AddStation {
@@ -55,7 +55,7 @@ fn durable_ingest_report(dataset: &bike::BikeDataset, volatile_load_ms: f64) {
     });
     let (recover_ms, recovered_points) = {
         let (store, ms) =
-            time_ms(|| DurableStore::<PolyglotStore>::open(&dir).expect("cold-start recovery"));
+            time_ms(|| ShardedStore::<PolyglotStore>::open(&dir, 1).expect("cold-start recovery"));
         let pts: usize = {
             let inner = store.get();
             inner

@@ -3,18 +3,16 @@
 //! Mirrors the layered pattern of `hygraph_types::parallel`:
 //!
 //! 1. Defaults: 4 MiB segments, checkpoint every 10 000 committed
-//!    records, WAL directory chosen explicitly by the caller.
-//! 2. Environment, read once per process: `HYGRAPH_WAL_DIR` (default
-//!    directory for [`crate::DurableStore::open_default`]),
-//!    `HYGRAPH_WAL_SEGMENT_BYTES` (segment rotation threshold) and
-//!    `HYGRAPH_CHECKPOINT_EVERY` (records between automatic
-//!    checkpoints; `0` disables automatic checkpointing).
+//!    records. The store directory is always passed explicitly.
+//! 2. Environment, read once per process: `HYGRAPH_WAL_SEGMENT_BYTES`
+//!    (segment rotation threshold) and `HYGRAPH_CHECKPOINT_EVERY`
+//!    (records between automatic checkpoints; `0` disables automatic
+//!    checkpointing).
 //! 3. Programmatic: [`PersistConfig`] applied via
 //!    [`PersistConfig::install`], overriding the environment for the
 //!    rest of the process (tests use this for small segments so
 //!    rotation is exercised on tiny workloads).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -46,18 +44,6 @@ fn env_checkpoint_every() -> u64 {
     *CACHE.get_or_init(|| env_u64("HYGRAPH_CHECKPOINT_EVERY").unwrap_or(DEFAULT_CHECKPOINT_EVERY))
 }
 
-/// The default WAL directory from `HYGRAPH_WAL_DIR`, if set.
-pub fn configured_wal_dir() -> Option<PathBuf> {
-    static CACHE: OnceLock<Option<PathBuf>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            std::env::var_os("HYGRAPH_WAL_DIR")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-        })
-        .clone()
-}
-
 /// Builder for process-wide durability settings.
 ///
 /// ```
@@ -86,7 +72,7 @@ impl PersistConfig {
     }
 
     /// Committed records between automatic checkpoints; `0` disables
-    /// automatic checkpointing (manual [`crate::DurableStore::checkpoint`]
+    /// automatic checkpointing (manual [`crate::ShardedStore::checkpoint`]
     /// only).
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.checkpoint_every = Some(n);

@@ -1,12 +1,12 @@
 //! [`ShardedStore`]: a [`Durable`] state behind **per-shard WAL
-//! streams** with a global commit sequence number.
+//! streams** with a global commit sequence number — the one durable
+//! store. One shard is the single-stream case, not another engine.
 //!
-//! Where [`crate::durable::DurableStore`] funnels every mutation through
-//! one log, the sharded store routes each frame to one of `N` WALs —
-//! series-affine mutations to the shard that owns their series (so a
-//! vertex range and its time series co-locate), everything else spread
-//! by commit sequence number. Each shard directory is a complete,
-//! self-contained [`Wal`] with its own segments, rotation, and fsync.
+//! The store routes each frame to one of `N` WALs — series-affine
+//! mutations to the shard that owns their series (so a vertex range
+//! and its time series co-locate), everything else spread by commit
+//! sequence number. Each shard directory is a complete, self-contained
+//! [`Wal`] with its own segments, rotation, and fsync.
 //!
 //! # Layout
 //!
@@ -38,25 +38,26 @@
 //! `6`, and replaying `7` over a state missing `6` would be silently
 //! wrong, so frames after the first gap are discarded and physically
 //! purged (via an immediate post-recovery checkpoint) — exactly the
-//! committed-prefix contract the single-WAL store gives for a torn
-//! batch tail. Since a batch is acknowledged only after *all* involved
+//! committed-prefix contract a single stream gives for a torn batch
+//! tail. Since a batch is acknowledged only after *all* involved
 //! shards fsynced, an acknowledged batch can never land after a gap.
 //!
-//! # Migration from single-WAL layouts
+//! # Migration from the pre-shard layout
 //!
-//! Pointing a sharded store at a legacy [`DurableStore`] directory (the
-//! pre-shard layout: one `wal-*.seg` stream at top level) performs a
-//! full legacy recovery, re-checkpoints the state under the sharded
-//! meta header, and archives the old segments into `legacy-wal/` —
-//! never silently ignoring them. The reverse direction refuses loudly:
-//! [`DurableStore`] returns [`HyGraphError::ShardLayout`] when it finds
-//! a sharded checkpoint. Re-opening with a different `HYGRAPH_SHARDS`
-//! re-shards the same way (recover with the recorded count, rewrite
-//! under a fresh generation).
+//! A directory written before the store was sharded holds one
+//! `wal-*.seg` stream at top level under a checkpoint without the
+//! shard-meta header. Nothing writes that layout any more, but it is
+//! still *read*, exactly once: the first open at any shard count runs
+//! a full legacy recovery (feeding the observer), re-checkpoints the
+//! state under the sharded meta header, and archives the old segments
+//! into `legacy-wal/` — never silently ignoring them. Re-opening with a
+//! different shard count re-shards the same way (recover with the
+//! recorded count, rewrite under a fresh generation), in either
+//! direction and down to one shard.
 
 use crate::checkpoint;
 use crate::config;
-use crate::durable::{Durable, DurableStore, RecoveryObserver};
+use crate::durable::{Durable, RecoveryObserver};
 use crate::wal::Wal;
 use hygraph_types::bytes::{ByteReader, ByteWriter};
 use hygraph_types::shard::ShardRouter;
@@ -65,8 +66,8 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a sharded checkpoint payload (ahead of the state
-/// bytes). Its presence is how the two store engines tell layouts
-/// apart.
+/// bytes). Its absence marks a pre-shard checkpoint, which the first
+/// open migrates.
 pub const SHARD_META_MAGIC: &[u8; 4] = b"HGSH";
 
 /// Routing affinity of a mutation vocabulary: which shard a logged
@@ -144,10 +145,10 @@ fn decode_record<S: Durable>(record: &[u8]) -> Result<(u64, S::Mutation)> {
 /// A [`Durable`] state behind hash-sharded per-shard WAL streams with
 /// CSN-merged recovery. See the module docs for the protocol.
 ///
-/// The commit API mirrors [`DurableStore`] — stage / commit /
-/// commit_batch / sync / checkpoint — returning CSNs where the single
-/// store returns LSNs, so the engine can drive either through the same
-/// motions.
+/// A committed mutation survives any crash: [`ShardedStore::commit`]
+/// appends to its shard's WAL and fsyncs, and [`ShardedStore::open`]
+/// recovers the newest intact checkpoint plus the contiguous intact
+/// WAL suffix, bit-identically, at any shard count.
 pub struct ShardedStore<S: Durable>
 where
     S::Mutation: ShardRouted,
@@ -182,8 +183,8 @@ where
     /// Opens (or initialises) a sharded store over `shards` partitions
     /// in `dir`, recovering committed state after a crash: newest
     /// intact checkpoint + the longest contiguous CSN prefix merged
-    /// from every shard stream. Legacy single-WAL directories are
-    /// migrated (old segments archived into `legacy-wal/`); a recorded
+    /// from every shard stream. A pre-shard single-WAL directory is
+    /// migrated once (old segments archived into `legacy-wal/`); a recorded
     /// shard count different from `shards` triggers a re-shard under a
     /// fresh directory generation.
     pub fn open(dir: impl Into<PathBuf>, shards: usize) -> Result<Self> {
@@ -192,8 +193,9 @@ where
 
     /// [`ShardedStore::open`], reporting the recovered base state and
     /// every replayed frame (in CSN order, with commit timestamps) to
-    /// `observer` — the same seeding hook as
-    /// [`DurableStore::open_observed`], with CSNs in the LSN seat.
+    /// `observer` — the hook a history layer uses to seed its commit
+    /// timeline from the log. A migrated pre-shard directory reports
+    /// its legacy LSNs, which coincide with the CSNs they become.
     pub fn open_observed(
         dir: impl Into<PathBuf>,
         shards: usize,
@@ -205,7 +207,7 @@ where
     fn open_impl(
         dir: PathBuf,
         shards: usize,
-        mut observer: Option<&mut dyn RecoveryObserver<S>>,
+        observer: Option<&mut dyn RecoveryObserver<S>>,
     ) -> Result<Self> {
         std::fs::create_dir_all(&dir)?;
         let router = ShardRouter::new(shards);
@@ -220,19 +222,12 @@ where
         );
 
         if !is_sharded_ckpt && (checkpoint.is_some() || !legacy_segments.is_empty()) {
-            // Legacy single-WAL layout: migrate rather than silently
-            // ignore the old segments. A full legacy recovery replays
-            // them (feeding the observer), then the state is
-            // re-checkpointed under the sharded meta header and the old
-            // segments are archived.
-            drop(checkpoint);
-            let legacy = match observer.as_deref_mut() {
-                Some(o) => DurableStore::<S>::open_observed(&dir, o)?,
-                None => DurableStore::<S>::open(&dir)?,
-            };
-            let csn = legacy.next_lsn();
-            let commit_ts = legacy.history_watermark();
-            let state = legacy.into_state()?;
+            // Pre-shard layout: migrate rather than silently ignore the
+            // old segments. A full legacy recovery replays them (feeding
+            // the observer), then the state is re-checkpointed under the
+            // sharded meta header and the old segments are archived.
+            let (state, csn, commit_ts) =
+                read_legacy::<S>(&dir, checkpoint, segment_bytes, observer)?;
             let store = Self::rebuild(dir, router, 1, state, csn, commit_ts, segment_bytes)?;
             store.sweep_stale()?;
             return Ok(store);
@@ -241,12 +236,7 @@ where
         let Some((ckpt_csn, watermark, payload)) = checkpoint else {
             // Fresh directory: pin the empty state under epoch 1 so
             // recovery always has a checkpoint to start from.
-            if let Some(o) = observer.as_deref_mut() {
-                let state = S::fresh();
-                let mut w = ByteWriter::new();
-                state.encode_state(&mut w);
-                o.base(0, &w.into_bytes());
-            }
+            observe_base(observer, 0, &S::fresh());
             let store = Self::rebuild(dir, router, 1, S::fresh(), 0, 0, segment_bytes)?;
             store.sweep_stale()?;
             return Ok(store);
@@ -375,11 +365,7 @@ where
         segment_bytes: u64,
         mut observer: Option<&mut dyn RecoveryObserver<S>>,
     ) -> Result<RecoveredGeneration<S>> {
-        if let Some(o) = observer.as_deref_mut() {
-            let mut w = ByteWriter::new();
-            state.encode_state(&mut w);
-            o.base(watermark, &w.into_bytes());
-        }
+        observe_base(observer.as_deref_mut(), watermark, &state);
         let mut frames: Vec<(u64, i64, S::Mutation)> = Vec::new();
         let mut wals = Vec::with_capacity(router.shards());
         for (idx, &from_lsn) in meta.next_lsns.iter().enumerate() {
@@ -636,8 +622,8 @@ where
     }
 
     /// The exact state encoding — what a checkpoint at this instant
-    /// would contain after the shard meta; equivalence tests compare
-    /// these bytes for bit-identity with the single-WAL store's.
+    /// would contain after the shard meta; recovery and equivalence
+    /// tests compare these bytes for bit-identity across shard counts.
     pub fn state_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.state.encode_state(&mut w);
@@ -699,13 +685,16 @@ where
     }
 
     /// Sets the commit timestamp stamped onto subsequently staged WAL
-    /// frames (and persisted as the next checkpoint's watermark), as
-    /// [`DurableStore::set_commit_ts`].
+    /// frames (and persisted as the next checkpoint's watermark). The
+    /// caller allocates timestamps and keeps them monotonic; call this
+    /// *before* staging the batch the timestamp belongs to.
     pub fn set_commit_ts(&mut self, ts: i64) {
         self.commit_ts = ts;
     }
 
-    /// The highest transaction time this store has seen.
+    /// The highest transaction time this store has seen: the last
+    /// [`ShardedStore::set_commit_ts`] value, or on open the maximum of
+    /// the checkpoint watermark and every replayed frame's timestamp.
     pub fn history_watermark(&self) -> i64 {
         self.commit_ts
     }
@@ -742,6 +731,68 @@ where
             .field("checkpoint_csn", &self.checkpoint_csn)
             .finish()
     }
+}
+
+/// Reports the recovered base state to `observer`, if any.
+fn observe_base<S: Durable>(
+    observer: Option<&mut (dyn RecoveryObserver<S> + '_)>,
+    watermark: i64,
+    state: &S,
+) {
+    if let Some(o) = observer {
+        let mut w = ByteWriter::new();
+        state.encode_state(&mut w);
+        o.base(watermark, &w.into_bytes());
+    }
+}
+
+/// Recovers a pre-shard directory — one top-level `wal-*.seg` stream
+/// under an optional checkpoint without the shard-meta header, the
+/// layout this store migrates away from — and returns the state, the
+/// next LSN (which becomes the next CSN) and the highest commit
+/// timestamp seen. A segment or checkpoint this build cannot read
+/// refuses the open before anything is purged or truncated; a torn log
+/// tail is truncated, as any recovery does.
+fn read_legacy<S: Durable>(
+    dir: &Path,
+    checkpoint: Option<(u64, i64, Vec<u8>)>,
+    segment_bytes: u64,
+    mut observer: Option<&mut dyn RecoveryObserver<S>>,
+) -> Result<(S, u64, i64)> {
+    let (checkpoint_lsn, watermark, mut state) = match checkpoint {
+        Some((lsn, watermark, payload)) => {
+            let mut r = ByteReader::new(&payload);
+            let state = S::decode_state(&mut r)?;
+            r.expect_exhausted()?;
+            crate::wal::refuse_foreign_segments(dir, S::STORE_TAG)?;
+            // anything newer than the checkpoint just loaded failed to
+            // load — torn; clear the namespace
+            checkpoint::purge_newer_than(dir, lsn)?;
+            (lsn, watermark, state)
+        }
+        None => (0, 0, S::fresh()),
+    };
+    observe_base(observer.as_deref_mut(), watermark, &state);
+    let mut commit_ts = watermark;
+    let wal = Wal::recover(
+        dir,
+        S::STORE_TAG,
+        segment_bytes,
+        checkpoint_lsn,
+        |lsn, ts, record| {
+            // pre-shard records carry no CSN prefix
+            let mut r = ByteReader::new(record);
+            let m = S::decode_mutation(&mut r)?;
+            r.expect_exhausted()?;
+            state.apply(&m)?;
+            commit_ts = commit_ts.max(ts);
+            if let Some(o) = observer.as_deref_mut() {
+                o.replay(lsn, ts, &m);
+            }
+            Ok(())
+        },
+    )?;
+    Ok((state, wal.next_lsn(), commit_ts))
 }
 
 /// Iterates `(epoch, path)` of every `shards-<epoch>` generation

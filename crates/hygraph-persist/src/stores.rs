@@ -717,8 +717,8 @@ impl crate::sharded::ShardRouted for StoreMutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::DurableStore;
     use crate::fault::scratch_dir;
+    use crate::sharded::ShardedStore;
 
     fn roundtrip_mutation<S: Durable>(m: &S::Mutation) -> S::Mutation {
         let mut w = ByteWriter::new();
@@ -856,7 +856,7 @@ mod tests {
         let dir = scratch_dir("durable-ts");
         let sid = SeriesId::new(0);
         {
-            let mut store: DurableStore<TsStore> = DurableStore::open(&dir).unwrap();
+            let mut store: ShardedStore<TsStore> = ShardedStore::open(&dir, 1).unwrap();
             store.commit(TsMutation::CreateSeries(sid)).unwrap();
             let batch: Vec<_> = (0..100)
                 .map(|i| TsMutation::Insert(sid, Timestamp::from_millis(i * 1000), i as f64))
@@ -864,7 +864,7 @@ mod tests {
             store.commit_batch(batch).unwrap();
             store.close().unwrap();
         }
-        let store: DurableStore<TsStore> = DurableStore::open(&dir).unwrap();
+        let store: ShardedStore<TsStore> = ShardedStore::open(&dir, 1).unwrap();
         assert_eq!(store.get().len(sid), 100);
         assert_eq!(
             store.get().value_at(sid, Timestamp::from_millis(42_000)),
@@ -877,7 +877,7 @@ mod tests {
     fn durable_hygraph_replay_reproduces_ids_and_bits() {
         let dir = scratch_dir("durable-hg");
         let golden = {
-            let mut store: DurableStore<HyGraph> = DurableStore::open(&dir).unwrap();
+            let mut store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 1).unwrap();
             store
                 .commit(HgMutation::AddSeries {
                     names: vec!["avail".into()],
@@ -907,7 +907,7 @@ mod tests {
             store.state_bytes()
             // store dropped without close: the commits are already synced
         };
-        let store: DurableStore<HyGraph> = DurableStore::open(&dir).unwrap();
+        let store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 1).unwrap();
         assert_eq!(store.state_bytes(), golden, "recovery is bit-identical");
         assert_eq!(store.get().vertex_count(), 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -917,14 +917,14 @@ mod tests {
     fn rejected_mutation_never_reaches_the_log() {
         let dir = scratch_dir("durable-reject");
         {
-            let mut store: DurableStore<PolyglotStore> = DurableStore::open(&dir).unwrap();
+            let mut store: ShardedStore<PolyglotStore> = ShardedStore::open(&dir, 1).unwrap();
             store
                 .commit(StoreMutation::AddStation {
                     labels: vec![Label::new("Station")],
                     props: PropertyMap::new(),
                 })
                 .unwrap();
-            let before = store.next_lsn();
+            let before = store.next_csn();
             // observing an unknown vertex is rejected by the state
             let err = store.commit(StoreMutation::Observe {
                 station: VertexId::new(999),
@@ -932,11 +932,11 @@ mod tests {
                 value: 1.0,
             });
             assert!(err.is_err());
-            assert_eq!(store.next_lsn(), before, "frame was retracted");
+            assert_eq!(store.next_csn(), before, "frame was retracted");
             store.close().unwrap();
         }
         // reopen replays cleanly — the rejected record is absent
-        let store: DurableStore<PolyglotStore> = DurableStore::open(&dir).unwrap();
+        let store: ShardedStore<PolyglotStore> = ShardedStore::open(&dir, 1).unwrap();
         assert_eq!(store.get().stations().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -944,7 +944,7 @@ mod tests {
     fn foreign_store_type_cannot_hijack_a_directory() {
         let dir = crate::fault::scratch_dir("foreign-open");
         {
-            let mut store: DurableStore<TsStore> = DurableStore::open(&dir).unwrap();
+            let mut store: ShardedStore<TsStore> = ShardedStore::open(&dir, 1).unwrap();
             store
                 .commit(TsMutation::CreateSeries(SeriesId::new(0)))
                 .unwrap();
@@ -959,26 +959,15 @@ mod tests {
         }
         // opening the TsStore directory as a different store type is a
         // hard error and must not delete or rewrite anything
-        let before: Vec<_> = {
-            let mut names: Vec<_> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name())
-                .collect();
-            names.sort();
-            names
-        };
-        assert!(DurableStore::<PolyglotStore>::open(&dir).is_err());
-        let after: Vec<_> = {
-            let mut names: Vec<_> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name())
-                .collect();
-            names.sort();
-            names
-        };
-        assert_eq!(before, after, "foreign open mutated the directory");
+        let before = crate::fault::snapshot_dir(&dir).unwrap();
+        assert!(ShardedStore::<PolyglotStore>::open(&dir, 1).is_err());
+        assert_eq!(
+            crate::fault::snapshot_dir(&dir).unwrap(),
+            before,
+            "foreign open mutated the directory"
+        );
         // the rightful owner still recovers everything
-        let store: DurableStore<TsStore> = DurableStore::open(&dir).unwrap();
+        let store: ShardedStore<TsStore> = ShardedStore::open(&dir, 1).unwrap();
         assert_eq!(store.get().len(SeriesId::new(0)), 1);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,12 +1,14 @@
 //! Process-free fault-injection suite: every store's recovery is exact.
 //!
-//! The harness commits a workload one mutation at a time, snapshotting
-//! the WAL directory and the canonical state bytes after every commit.
-//! It then simulates crashes —
+//! The harness commits a workload one mutation at a time through the
+//! durable store the engine serves, [`ShardedStore`] — every state type
+//! at one shard (one WAL stream), the full hybrid model also at two —
+//! snapshotting the store directory and the canonical state bytes after
+//! every commit. It then simulates crashes —
 //!
 //! * restore the directory to any commit point (clean crash),
-//! * truncate the tail segment at *every* byte (torn append),
-//! * flip every byte of the tail segment (damaged sector),
+//! * truncate each shard's tail segment at *every* byte (torn append),
+//! * flip every byte of each shard's tail segment (damaged sector),
 //! * tear or complete a checkpoint mid-write —
 //!
 //! and asserts that recovery never panics and never lands on a silently
@@ -17,9 +19,8 @@
 
 use hygraph_core::ElementRef;
 use hygraph_persist::fault::{restore_dir, scratch_dir, snapshot_dir, truncate_file};
-use hygraph_persist::wal::list_segments;
 use hygraph_persist::{
-    Durable, DurableStore, HgMutation, PersistConfig, StoreMutation, TsMutation,
+    Durable, HgMutation, PersistConfig, ShardRouted, ShardedStore, StoreMutation, TsMutation,
 };
 use hygraph_storage::{AllInGraphStore, PolyglotStore};
 use hygraph_ts::TsStore;
@@ -41,17 +42,22 @@ struct Suite {
     dir: std::path::PathBuf,
     /// `goldens[i]` = canonical state bytes after `i` commits.
     goldens: Vec<Vec<u8>>,
-    /// `snapshots[i]` = the WAL directory after `i` commits.
+    /// `snapshots[i]` = the store directory after `i` commits.
     snapshots: Vec<Vec<(String, Vec<u8>)>>,
 }
 
-fn run_workload<S: Durable>(tag: &str, mutations: &[S::Mutation], checkpoint_at: &[usize]) -> Suite
+fn run_workload<S: Durable>(
+    tag: &str,
+    shards: usize,
+    mutations: &[S::Mutation],
+    checkpoint_at: &[usize],
+) -> Suite
 where
-    S::Mutation: Clone,
+    S::Mutation: Clone + ShardRouted,
 {
     configure();
     let dir = scratch_dir(tag);
-    let mut store: DurableStore<S> = DurableStore::open(&dir).expect("open fresh");
+    let mut store: ShardedStore<S> = ShardedStore::open(&dir, shards).expect("open fresh");
     let mut goldens = vec![store.state_bytes()];
     let mut snapshots = vec![snapshot_dir(&dir).expect("snapshot")];
     for (i, m) in mutations.iter().enumerate() {
@@ -70,8 +76,11 @@ where
     }
 }
 
-fn recovered_state<S: Durable>(dir: &std::path::Path) -> Vec<u8> {
-    let store: DurableStore<S> = DurableStore::open(dir).expect("recovery must not fail");
+fn recovered_state<S: Durable>(dir: &std::path::Path, shards: usize) -> Vec<u8>
+where
+    S::Mutation: ShardRouted,
+{
+    let store: ShardedStore<S> = ShardedStore::open(dir, shards).expect("recovery must not fail");
     store.state_bytes()
 }
 
@@ -82,11 +91,29 @@ fn assert_is_committed_state(recovered: &[u8], goldens: &[Vec<u8>], context: &st
     );
 }
 
-fn fault_suite<S: Durable>(tag: &str, mutations: Vec<S::Mutation>, checkpoint_at: &[usize])
-where
-    S::Mutation: Clone,
+/// The newest segment of every WAL stream in a [`snapshot_dir`]
+/// listing, as `(path relative to the store directory, length)`, one
+/// per shard.
+fn tail_segments(snapshot: &[(String, Vec<u8>)]) -> Vec<(String, u64)> {
+    let mut tails = std::collections::BTreeMap::new();
+    // the listing is sorted and segment names are zero-padded LSNs, so
+    // the last segment seen in a stream directory is its tail
+    for (name, bytes) in snapshot.iter().filter(|(n, _)| n.ends_with(".seg")) {
+        let stream = name.rsplit_once('/').map_or("", |(stream, _)| stream);
+        tails.insert(stream, (name.clone(), bytes.len() as u64));
+    }
+    tails.into_values().collect()
+}
+
+fn fault_suite<S: Durable>(
+    tag: &str,
+    shards: usize,
+    mutations: Vec<S::Mutation>,
+    checkpoint_at: &[usize],
+) where
+    S::Mutation: Clone + ShardRouted,
 {
-    let suite = run_workload::<S>(tag, &mutations, checkpoint_at);
+    let suite = run_workload::<S>(tag, shards, &mutations, checkpoint_at);
     let Suite {
         dir,
         goldens,
@@ -97,48 +124,52 @@ where
     //    the state at that commit, bit for bit.
     for (i, snap) in snapshots.iter().enumerate() {
         restore_dir(dir, snap).expect("restore");
-        let recovered = recovered_state::<S>(dir);
+        let recovered = recovered_state::<S>(dir, shards);
         assert_eq!(
             recovered, goldens[i],
             "clean crash after commit {i}: recovery not bit-identical"
         );
     }
 
-    // 2. Torn append: truncate the tail segment at every byte. Recovery
-    //    must land on some committed prefix, never error, never invent
-    //    state.
+    // 2. Torn append: truncate each shard's tail segment at every byte.
+    //    Recovery must land on some committed prefix, never error, never
+    //    invent state — a frame lost on one shard orphans every later
+    //    frame on the others, which recovery discards.
     let last = snapshots.last().expect("at least the empty snapshot");
-    restore_dir(dir, last).expect("restore");
-    let segments = list_segments(dir).expect("list");
-    let (_, tail) = segments.last().expect("workload produced segments").clone();
-    let tail_name = tail.file_name().unwrap().to_string_lossy().into_owned();
-    let tail_len = last
-        .iter()
-        .find(|(n, _)| *n == tail_name)
-        .map(|(_, c)| c.len() as u64)
-        .expect("tail segment in snapshot");
-    for cut in 0..tail_len {
-        restore_dir(dir, last).expect("restore");
-        truncate_file(&tail, cut).expect("truncate");
-        let recovered = recovered_state::<S>(dir);
-        assert_is_committed_state(&recovered, goldens, &format!("torn at byte {cut}"));
+    let tails = tail_segments(last);
+    assert_eq!(tails.len(), shards, "every shard must hold a segment");
+    for (tail, tail_len) in &tails {
+        let tail = dir.join(tail);
+        for cut in 0..*tail_len {
+            restore_dir(dir, last).expect("restore");
+            truncate_file(&tail, cut).expect("truncate");
+            let recovered = recovered_state::<S>(dir, shards);
+            assert_is_committed_state(
+                &recovered,
+                goldens,
+                &format!("{} torn at byte {cut}", tail.display()),
+            );
+        }
     }
 
-    // 3. Damaged sector: flip every byte of the tail segment. Recovery
-    //    lands on a committed state — except a flip inside the header's
-    //    store tag (bytes 5..9), which makes the segment look like
-    //    another store's and must be refused loudly instead of deleted.
-    for off in 0..tail_len {
-        restore_dir(dir, last).expect("restore");
-        hygraph_persist::fault::flip_byte(&tail, off).expect("flip");
-        match DurableStore::<S>::open(dir) {
-            Ok(store) => {
-                assert_is_committed_state(&store.state_bytes(), goldens, &format!("flip at {off}"))
+    // 3. Damaged sector: flip every byte of each shard's tail segment.
+    //    Recovery lands on a committed state — except a flip inside the
+    //    header's store tag (bytes 5..9), which makes the segment look
+    //    like another store's and must be refused loudly instead of
+    //    deleted.
+    for (tail, tail_len) in &tails {
+        let tail = dir.join(tail);
+        for off in 0..*tail_len {
+            restore_dir(dir, last).expect("restore");
+            hygraph_persist::fault::flip_byte(&tail, off).expect("flip");
+            let context = format!("{} flipped at {off}", tail.display());
+            match ShardedStore::<S>::open(dir, shards) {
+                Ok(store) => assert_is_committed_state(&store.state_bytes(), goldens, &context),
+                Err(e) => assert!(
+                    (5..9).contains(&(off as usize)),
+                    "{context}: refused unexpectedly: {e}"
+                ),
             }
-            Err(e) => assert!(
-                (5..9).contains(&(off as usize)),
-                "flip at {off} refused unexpectedly: {e}"
-            ),
         }
     }
 
@@ -147,7 +178,7 @@ where
     restore_dir(dir, last).expect("restore");
     let pre = snapshot_dir(dir).expect("snapshot");
     {
-        let mut store: DurableStore<S> = DurableStore::open(dir).expect("open");
+        let mut store: ShardedStore<S> = ShardedStore::open(dir, shards).expect("open");
         store.checkpoint().expect("checkpoint");
     }
     let post = snapshot_dir(dir).expect("snapshot");
@@ -160,7 +191,7 @@ where
     for torn_len in [0usize, 5, ck_bytes.len() / 2, ck_bytes.len() - 1] {
         restore_dir(dir, &pre).expect("restore");
         std::fs::write(dir.join(&ck_name), &ck_bytes[..torn_len]).expect("write torn ckpt");
-        let recovered = recovered_state::<S>(dir);
+        let recovered = recovered_state::<S>(dir, shards);
         assert_eq!(
             recovered,
             *goldens.last().unwrap(),
@@ -172,15 +203,15 @@ where
     //    new checkpoint plus the stale segments must recover exactly.
     restore_dir(dir, &pre).expect("restore");
     std::fs::write(dir.join(&ck_name), &ck_bytes).expect("write intact ckpt");
-    let recovered = recovered_state::<S>(dir);
+    let recovered = recovered_state::<S>(dir, shards);
     assert_eq!(
         recovered,
         *goldens.last().unwrap(),
         "crash between checkpoint and purge: recovery not bit-identical"
     );
-    // ... and the stale artifacts were cleaned up: reopening once more
-    // replays nothing and still matches.
-    let recovered = recovered_state::<S>(dir);
+    // ... and the stale segments, all below the new checkpoint, replay
+    // nothing: reopening once more still matches.
+    let recovered = recovered_state::<S>(dir, shards);
     assert_eq!(recovered, *goldens.last().unwrap());
 
     std::fs::remove_dir_all(dir).ok();
@@ -203,7 +234,7 @@ fn ts_store_recovery_is_exact_under_faults() {
     }
     ops.push(TsMutation::RetainFrom(s0, ts(5)));
     ops.push(TsMutation::DropSeries(s1));
-    fault_suite::<TsStore>("faults-ts", ops, &[20]);
+    fault_suite::<TsStore>("faults-ts", 1, ops, &[20]);
 }
 
 fn station_workload() -> Vec<StoreMutation> {
@@ -240,16 +271,15 @@ fn station_workload() -> Vec<StoreMutation> {
 
 #[test]
 fn all_in_graph_recovery_is_exact_under_faults() {
-    fault_suite::<AllInGraphStore>("faults-aig", station_workload(), &[12]);
+    fault_suite::<AllInGraphStore>("faults-aig", 1, station_workload(), &[12]);
 }
 
 #[test]
 fn polyglot_recovery_is_exact_under_faults() {
-    fault_suite::<PolyglotStore>("faults-poly", station_workload(), &[12]);
+    fault_suite::<PolyglotStore>("faults-poly", 1, station_workload(), &[12]);
 }
 
-#[test]
-fn hygraph_recovery_is_exact_under_faults() {
+fn hygraph_workload() -> Vec<HgMutation> {
     let mut ops = vec![
         HgMutation::AddSeries {
             names: vec!["availability".into()],
@@ -309,7 +339,20 @@ fn hygraph_recovery_is_exact_under_faults() {
             row: vec![10.0 - i as f64 * 0.1],
         });
     }
-    fault_suite::<hygraph_core::HyGraph>("faults-hg", ops, &[8]);
+    ops
+}
+
+#[test]
+fn hygraph_recovery_is_exact_under_faults() {
+    fault_suite::<hygraph_core::HyGraph>("faults-hg", 1, hygraph_workload(), &[8]);
+}
+
+/// Two shards: a torn or damaged tail on either stream must still
+/// recover a committed prefix — the contiguous-CSN rule discards what
+/// the other stream holds past the loss.
+#[test]
+fn hygraph_recovery_is_exact_under_faults_at_two_shards() {
+    fault_suite::<hygraph_core::HyGraph>("faults-hg-2", 2, hygraph_workload(), &[8]);
 }
 
 /// Re-checkpointing a quiescent store (periodic checkpointer ticking
@@ -321,7 +364,7 @@ fn hygraph_recovery_is_exact_under_faults() {
 fn quiescent_recheckpoint_never_endangers_the_only_checkpoint() {
     configure();
     let dir = scratch_dir("faults-quiesce");
-    let mut store: DurableStore<PolyglotStore> = DurableStore::open(&dir).expect("open fresh");
+    let mut store: ShardedStore<PolyglotStore> = ShardedStore::open(&dir, 1).expect("open fresh");
     for m in station_workload() {
         store.commit(m).expect("commit");
     }
@@ -344,7 +387,7 @@ fn quiescent_recheckpoint_never_endangers_the_only_checkpoint() {
         .find(|n| n.starts_with("ckpt-"))
         .expect("checkpoint on disk");
     std::fs::write(dir.join(format!("{ck_name}.tmp")), b"HGCK1torn").expect("write torn tmp");
-    let recovered = recovered_state::<PolyglotStore>(&dir);
+    let recovered = recovered_state::<PolyglotStore>(&dir, 1);
     assert_eq!(
         recovered, golden,
         "crashed quiescent re-checkpoint lost committed state"
@@ -352,7 +395,7 @@ fn quiescent_recheckpoint_never_endangers_the_only_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The bulk-load-then-go-durable path: `DurableStore::create` seeds the
+/// The bulk-load-then-go-durable path: `ShardedStore::create` seeds the
 /// log with a full checkpoint of a dataset-loaded store, incremental
 /// commits ride the WAL, and an unclean drop recovers bit-exactly.
 #[test]
@@ -368,7 +411,7 @@ fn create_from_bulk_load_then_crash() {
     let dir = scratch_dir("faults-create");
     let golden = {
         let loaded = PolyglotStore::load(&dataset);
-        let mut store = DurableStore::create(&dir, loaded).expect("create");
+        let mut store = ShardedStore::create(&dir, 1, loaded).expect("create");
         let station = store.get().stations()[0];
         for i in 0..10 {
             store
@@ -382,9 +425,9 @@ fn create_from_bulk_load_then_crash() {
         store.state_bytes()
         // dropped without close — commits are already durable
     };
-    let recovered = recovered_state::<PolyglotStore>(&dir);
+    let recovered = recovered_state::<PolyglotStore>(&dir, 1);
     assert_eq!(recovered, golden, "post-crash recovery not bit-identical");
     // creating again over a non-empty log is refused
-    assert!(DurableStore::create(&dir, PolyglotStore::new()).is_err());
+    assert!(ShardedStore::create(&dir, 1, PolyglotStore::new()).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,16 +1,20 @@
-//! Integration suite for the hash-sharded store: equivalence with the
-//! single-WAL engine, CSN-merged crash recovery (contiguous-prefix
-//! discard of orphaned frames), legacy-layout migration (the PR 8-era
-//! single-WAL fixture), layout-mismatch refusal, format-version refusal
-//! through every open path, and re-sharding.
+//! Integration suite for the durable store: byte-identical state at
+//! every shard count, CSN-merged crash recovery (contiguous-prefix
+//! discard of orphaned frames), pre-shard layout migration, format-
+//! version refusal through every open path, and re-sharding in both
+//! directions.
 
 use hygraph_core::HyGraph;
 use hygraph_persist::fault::{restore_dir, scratch_dir, snapshot_dir, truncate_file};
+use hygraph_persist::wal::Wal;
 use hygraph_persist::{
-    Durable, DurableStore, HgMutation, PersistConfig, RecoveryObserver, ShardedStore, TsMutation,
+    checkpoint, config, Durable, HgMutation, PersistConfig, RecoveryObserver, ShardedStore,
+    TsMutation,
 };
 use hygraph_ts::TsStore;
+use hygraph_types::bytes::ByteWriter;
 use hygraph_types::{HyGraphError, Interval, Label, PropertyMap, SeriesId, Timestamp};
+use std::path::Path;
 
 /// Small segments so tiny workloads rotate; manual checkpoints only, so
 /// the scenarios control exactly when snapshots happen. Process-wide,
@@ -65,14 +69,65 @@ fn hg_workload() -> Vec<HgMutation> {
     muts
 }
 
-/// The same workload through the single-WAL store and through sharded
-/// stores at N = 1, 2, 4 recovers bit-identical state everywhere.
+fn state_bytes<S: Durable>(state: &S) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    state.encode_state(&mut w);
+    w.into_bytes()
+}
+
+/// Writes the pre-shard layout exactly as the single-WAL store of
+/// earlier builds left it: one top-level WAL stream whose records carry
+/// no CSN prefix, one `write` + `fdatasync` per batch with every frame
+/// stamped with the batch's commit timestamp, and after batch
+/// `checkpoint_after` a plain checkpoint (no shard meta) watermarked
+/// with that batch's timestamp, followed by the rotate-and-purge of the
+/// segments it covers. Nothing in the product writes this layout any
+/// more; the store only reads it once, to migrate. Returns the state
+/// bytes after the last batch.
+fn write_pre_shard_dir(
+    dir: &Path,
+    batches: &[(i64, &[HgMutation])],
+    checkpoint_after: usize,
+) -> Vec<u8> {
+    let tag = HyGraph::STORE_TAG;
+    let mut state = HyGraph::fresh();
+    let mut wal = Wal::create(dir, tag, config::configured_segment_bytes()).unwrap();
+    for (i, &(ts, batch)) in batches.iter().enumerate() {
+        for m in batch {
+            let mut w = ByteWriter::new();
+            HyGraph::encode_mutation(m, &mut w);
+            wal.append(ts, &w.into_bytes());
+            state.apply(m).unwrap();
+        }
+        wal.sync().unwrap();
+        if i == checkpoint_after {
+            let lsn = wal.next_lsn();
+            checkpoint::write_checkpoint(dir, tag, lsn, ts, &state_bytes(&state)).unwrap();
+            wal.rotate();
+            wal.purge_up_to(lsn).unwrap();
+        }
+    }
+    state_bytes(&state)
+}
+
+/// The pre-shard fixture the migration tests share: a checkpoint after
+/// the first third of [`hg_workload`] (stamped 1 000), two live batches
+/// above it (stamped 2 000 and 3 000). Returns the final state bytes.
+fn write_hg_pre_shard_dir(dir: &Path) -> Vec<u8> {
+    let muts = hg_workload();
+    let (covered, live) = muts.split_at(muts.len() / 3);
+    let (second, third) = live.split_at(live.len() / 2);
+    write_pre_shard_dir(dir, &[(1_000, covered), (2_000, second), (3_000, third)], 0)
+}
+
+/// The same workload at N = 1, 2, 4 shards builds and recovers the
+/// state the one-shard store does, bit for bit.
 #[test]
-fn sharded_state_matches_single_wal_bit_for_bit() {
+fn state_is_bit_identical_at_every_shard_count() {
     configure();
     let golden = {
-        let dir = scratch_dir("shard-eq-single");
-        let mut store: DurableStore<HyGraph> = DurableStore::open(&dir).unwrap();
+        let dir = scratch_dir("shard-eq-one");
+        let mut store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 1).unwrap();
         store.commit_batch(hg_workload()).unwrap();
         let bytes = store.state_bytes();
         store.close().unwrap();
@@ -86,7 +141,7 @@ fn sharded_state_matches_single_wal_bit_for_bit() {
         assert_eq!(
             store.state_bytes(),
             golden,
-            "{shards}-shard state diverged from the single-WAL engine"
+            "{shards}-shard state diverged from the one-shard store"
         );
         drop(store); // crash: no clean close
         let store: ShardedStore<HyGraph> = ShardedStore::open(&dir, shards).unwrap();
@@ -337,108 +392,147 @@ fn csn_frontiers_track_durability_not_stream_depth() {
 #[derive(Default)]
 struct Timeline {
     base_watermark: i64,
-    replayed: Vec<u64>,
+    base_state: Vec<u8>,
+    /// `(lsn, commit timestamp)` of every replayed frame.
+    replayed: Vec<(u64, i64)>,
 }
 
 impl<S: Durable> RecoveryObserver<S> for Timeline {
-    fn base(&mut self, watermark: i64, _state: &[u8]) {
+    fn base(&mut self, watermark: i64, state: &[u8]) {
         self.base_watermark = watermark;
+        self.base_state = state.to_vec();
     }
-    fn replay(&mut self, lsn: u64, _ts: i64, _m: &S::Mutation) {
-        self.replayed.push(lsn);
+    fn replay(&mut self, lsn: u64, ts: i64, _m: &S::Mutation) {
+        self.replayed.push((lsn, ts));
     }
 }
 
-/// The PR 8-era regression: a directory written by the single-WAL
-/// engine must *migrate* — full replay, re-checkpoint under the sharded
-/// header, old segments archived — never silently ignore the old log.
+/// A directory in the pre-shard layout must *migrate* on its first open
+/// at any shard count — full replay through the observer with the
+/// original commit timestamps, re-checkpoint under the sharded header,
+/// old segments archived — never silently ignore the old log.
 #[test]
-fn legacy_single_wal_directory_migrates_with_segments_archived() {
+fn pre_shard_directory_migrates_with_segments_archived() {
     configure();
-    let dir = scratch_dir("shard-migrate");
-    // Build the PR 8-era fixture with the single-WAL engine: a
-    // checkpoint mid-stream plus live segments above it.
-    let golden = {
-        let mut store: DurableStore<HyGraph> = DurableStore::open(&dir).unwrap();
-        let muts = hg_workload();
-        let mid = muts.len() / 2;
-        store.commit_batch(muts[..mid].iter().cloned()).unwrap();
-        store.checkpoint().unwrap();
-        store.commit_batch(muts[mid..].iter().cloned()).unwrap();
-        let bytes = store.state_bytes();
-        store.close().unwrap();
-        bytes
-    };
-    let legacy_segments: Vec<_> = hygraph_persist::wal::list_segments(&dir)
-        .unwrap()
-        .into_iter()
-        .map(|(_, p)| p.file_name().unwrap().to_owned())
-        .collect();
-    assert!(
-        !legacy_segments.is_empty(),
-        "fixture must leave live top-level segments behind"
-    );
-
-    let mut timeline = Timeline::default();
-    let store: ShardedStore<HyGraph> = ShardedStore::open_observed(&dir, 4, &mut timeline).unwrap();
-    assert_eq!(store.state_bytes(), golden, "migration lost state");
-    assert!(
-        !timeline.replayed.is_empty(),
-        "migration must replay the legacy suffix through the observer"
-    );
-    // Old segments are archived, not ignored and not deleted.
-    assert!(
-        hygraph_persist::wal::list_segments(&dir)
+    let muts = hg_workload();
+    let covered = muts.len() / 3;
+    for shards in [1usize, 4] {
+        let dir = scratch_dir(&format!("shard-migrate-{shards}"));
+        let golden = write_hg_pre_shard_dir(&dir);
+        let legacy_segments: Vec<_> = hygraph_persist::wal::list_segments(&dir)
             .unwrap()
-            .is_empty(),
-        "legacy segments must leave the top level"
-    );
-    let archive = dir.join("legacy-wal");
-    for name in &legacy_segments {
+            .into_iter()
+            .map(|(_, p)| p.file_name().unwrap().to_owned())
+            .collect();
         assert!(
-            archive.join(name).exists(),
-            "{name:?} missing from legacy-wal/"
+            legacy_segments.len() >= 2,
+            "fixture must leave live top-level segments behind"
         );
-    }
-    drop(store);
 
-    // Once migrated, the directory reopens as a sharded store.
-    let store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 4).unwrap();
-    assert_eq!(store.state_bytes(), golden);
-    std::fs::remove_dir_all(&dir).ok();
+        let mut timeline = Timeline::default();
+        let store: ShardedStore<HyGraph> =
+            ShardedStore::open_observed(&dir, shards, &mut timeline).unwrap();
+        assert_eq!(store.shards(), shards);
+        assert_eq!(
+            store.state_bytes(),
+            golden,
+            "{shards}: migration lost state"
+        );
+        assert_eq!(
+            store.next_csn(),
+            muts.len() as u64,
+            "LSNs carry over as CSNs"
+        );
+        assert_eq!(store.history_watermark(), 3_000);
+        // the observer sees the checkpoint at its watermark, then every
+        // live frame at its LSN with the timestamp it was committed at
+        assert_eq!(timeline.base_watermark, 1_000);
+        let mut base = HyGraph::fresh();
+        for m in &muts[..covered] {
+            base.apply(m).unwrap();
+        }
+        assert_eq!(timeline.base_state, state_bytes(&base));
+        let live = muts.len() - covered;
+        let expected: Vec<(u64, i64)> = (covered..muts.len())
+            .map(|lsn| {
+                (
+                    lsn as u64,
+                    if lsn < covered + live / 2 {
+                        2_000
+                    } else {
+                        3_000
+                    },
+                )
+            })
+            .collect();
+        assert_eq!(timeline.replayed, expected, "{shards}: replay stream");
+        // Old segments are archived, not ignored and not deleted.
+        assert!(
+            hygraph_persist::wal::list_segments(&dir)
+                .unwrap()
+                .is_empty(),
+            "legacy segments must leave the top level"
+        );
+        let archive = dir.join("legacy-wal");
+        for name in &legacy_segments {
+            assert!(
+                archive.join(name).exists(),
+                "{name:?} missing from legacy-wal/"
+            );
+        }
+        drop(store);
+
+        // Once migrated, the directory reopens as a sharded store and
+        // replays nothing: the migration checkpoint covers the log.
+        let mut timeline = Timeline::default();
+        let store: ShardedStore<HyGraph> =
+            ShardedStore::open_observed(&dir, shards, &mut timeline).unwrap();
+        assert_eq!(store.state_bytes(), golden);
+        assert_eq!(timeline.base_watermark, 3_000);
+        assert!(timeline.replayed.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
-/// The reverse direction refuses loudly: the single-WAL engine reports
-/// a typed layout error on a sharded directory and leaves it untouched.
+/// A one-shard open of a 2-shard directory re-shards it down like any
+/// other count change: the state bytes are identical, the CSN frontier
+/// carries over, and the old generation is swept.
 #[test]
-fn single_wal_store_refuses_sharded_directory_with_typed_error() {
+fn one_shard_open_of_a_two_shard_directory_reshards_it() {
     configure();
-    let dir = scratch_dir("shard-refuse");
-    let mut store: ShardedStore<TsStore> = ShardedStore::open(&dir, 2).unwrap();
-    store
-        .commit_batch([
-            TsMutation::CreateSeries(SeriesId::new(0)),
-            TsMutation::Insert(SeriesId::new(0), ts(1), 4.5),
-        ])
-        .unwrap();
+    let dir = scratch_dir("shard-down-to-one");
+    let mut store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 2).unwrap();
+    store.commit_batch(hg_workload()).unwrap();
+    let golden = store.state_bytes();
+    let csn = store.next_csn();
     store.close().unwrap();
 
-    let before = snapshot_dir(&dir).unwrap();
-    match DurableStore::<TsStore>::open(&dir) {
-        Err(HyGraphError::ShardLayout(msg)) => {
-            assert!(msg.contains("ShardedStore"), "unhelpful message: {msg}")
-        }
-        other => panic!("expected ShardLayout error, got {other:?}"),
-    }
-    assert_eq!(
-        snapshot_dir(&dir).unwrap(),
-        before,
-        "refused open mutated the directory"
+    let mut store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 1).unwrap();
+    assert_eq!(store.shards(), 1);
+    assert_eq!(store.state_bytes(), golden, "re-shard to one lost state");
+    assert_eq!(store.next_csn(), csn);
+    let names: Vec<String> = snapshot_dir(&dir)
+        .unwrap()
+        .into_iter()
+        .map(|(name, _)| name)
+        .filter(|name| name.starts_with("shards-"))
+        .collect();
+    assert!(
+        names.iter().all(|n| n.starts_with("shards-0002/shard-00/")),
+        "old generation not swept: {names:?}"
     );
-
-    // The rightful engine still recovers everything.
-    let store: ShardedStore<TsStore> = ShardedStore::open(&dir, 2).unwrap();
-    assert_eq!(store.get().value_at(SeriesId::new(0), ts(1)), Some(4.5));
+    // the one-shard store keeps committing and recovers after a crash
+    store
+        .commit(HgMutation::Append {
+            series: SeriesId::new(0),
+            t: ts(10_000),
+            row: vec![42.0],
+        })
+        .unwrap();
+    let after = store.state_bytes();
+    drop(store);
+    let store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 1).unwrap();
+    assert_eq!(store.state_bytes(), after);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -451,8 +545,8 @@ fn single_wal_store_refuses_sharded_directory_with_typed_error() {
 #[test]
 fn foreign_format_versions_are_refused_before_anything_is_repaired() {
     configure();
-    type Open = fn(&std::path::Path) -> hygraph_types::Result<()>;
-    let single: Open = |d| DurableStore::<HyGraph>::open(d).map(drop);
+    type Open = fn(&Path) -> hygraph_types::Result<()>;
+    let one_shard: Open = |d| ShardedStore::<HyGraph>::open(d, 1).map(drop);
     let sharded: Open = |d| ShardedStore::<HyGraph>::open(d, 2).map(drop);
     let observed: Open =
         |d| ShardedStore::<HyGraph>::open_observed(d, 2, &mut Timeline::default()).map(drop);
@@ -461,14 +555,8 @@ fn foreign_format_versions_are_refused_before_anything_is_repaired() {
     // one directory per layout: a checkpoint mid-stream, live segments above
     let muts = hg_workload();
     let (covered, live) = muts.split_at(muts.len() / 2);
-    let single_dir = scratch_dir("version-single");
-    {
-        let mut store: DurableStore<HyGraph> = DurableStore::open(&single_dir).unwrap();
-        store.commit_batch(covered.iter().cloned()).unwrap();
-        store.checkpoint().unwrap();
-        store.commit_batch(live.iter().cloned()).unwrap();
-        store.close().unwrap();
-    }
+    let pre_shard_dir = scratch_dir("version-pre-shard");
+    write_pre_shard_dir(&pre_shard_dir, &[(0, covered), (0, live)], 0);
     let sharded_dir = scratch_dir("version-sharded");
     {
         let mut store: ShardedStore<HyGraph> = ShardedStore::open(&sharded_dir, 2).unwrap();
@@ -479,10 +567,10 @@ fn foreign_format_versions_are_refused_before_anything_is_repaired() {
     }
     let layouts = [
         (
-            &single_dir,
+            &pre_shard_dir,
             vec![
-                ("DurableStore::open", single),
-                ("single-WAL → sharded migration", sharded),
+                ("one-shard migration of the pre-shard layout", one_shard),
+                ("two-shard migration of the pre-shard layout", sharded),
             ],
         ),
         (
@@ -579,18 +667,5 @@ fn reopening_with_a_different_shard_count_reshards() {
         })
         .collect();
     assert_eq!(generations, vec!["shards-0002".to_string()]);
-
-    // Down-sharding works too — N = 1 keeps the same bytes.
-    let mut store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 1).unwrap();
-    assert_eq!(store.shards(), 1);
-    assert_eq!(store.state_bytes(), golden);
-    store
-        .commit(HgMutation::Append {
-            series: SeriesId::new(0),
-            t: ts(10_000),
-            row: vec![42.0],
-        })
-        .unwrap();
-    store.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

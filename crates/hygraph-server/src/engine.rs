@@ -1,12 +1,11 @@
-//! The session-shared execution engine: one HyGraph instance — plain,
-//! durable, or shard-partitioned — behind the lock discipline the
-//! shard count selects.
+//! The execution engine every connection shares: one HyGraph instance
+//! — in memory or in the durable [`ShardedStore`] — behind the lock
+//! discipline the shard count selects.
 //!
-//! With one shard (`HYGRAPH_SHARDS=1`) the engine is exactly the
-//! pre-sharding design: queries take the read lock of a
+//! With one shard (`HYGRAPH_SHARDS=1`) queries take the read lock of a
 //! readers/writer lock and run concurrently; mutations take the write
-//! lock and go through the durable store's group-commit path when
-//! persistence is on.
+//! lock and go through the store's group-commit path (one WAL stream)
+//! when persistence is on.
 //!
 //! With more than one shard the engine switches to **epoch-based
 //! snapshot reads**: the backend lock becomes a pure commit lock
@@ -29,7 +28,7 @@
 
 use crate::proto::{ErrorCode, Request, Response};
 use hygraph_core::HyGraph;
-use hygraph_persist::{Durable, DurableStore, HgMutation, ShardedStore};
+use hygraph_persist::{Durable, HgMutation, ShardedStore};
 use hygraph_query::{PlanCacheHook, PlannedQuery, QueryResult, TemporalBound};
 use hygraph_sub::{DeltaSink, SubConfig, SubscriptionRegistry};
 use hygraph_temporal::{now_ms, HistoryConfig, HistorySeed, HistoryStore, ShardWatermark};
@@ -104,11 +103,9 @@ pub enum Backend {
         applied: u64,
     },
     /// Durable: every committed mutation is WAL-logged and survives a
-    /// crash (see `hygraph-persist`).
-    Durable(Box<DurableStore<HyGraph>>),
-    /// Durable and shard-partitioned: one WAL stream per shard, frames
-    /// placed by [`ShardRouter`], recovery re-merged by global commit
-    /// sequence number (see [`ShardedStore`]).
+    /// crash. One WAL stream per shard (one in all at a single shard),
+    /// frames placed by [`ShardRouter`], recovery re-merged by global
+    /// commit sequence number (see [`ShardedStore`]).
     Sharded(Box<ShardedStore<HyGraph>>),
 }
 
@@ -122,11 +119,6 @@ impl Backend {
     }
 
     /// A durable backend over an opened store.
-    pub fn durable(store: DurableStore<HyGraph>) -> Self {
-        Backend::Durable(Box::new(store))
-    }
-
-    /// A durable backend over an opened shard-partitioned store.
     pub fn sharded(store: ShardedStore<HyGraph>) -> Self {
         Backend::Sharded(Box::new(store))
     }
@@ -135,7 +127,6 @@ impl Backend {
     pub fn graph(&self) -> &HyGraph {
         match self {
             Backend::Memory { hg, .. } => hg,
-            Backend::Durable(store) => store.get(),
             Backend::Sharded(store) => store.get(),
         }
     }
@@ -149,7 +140,6 @@ impl Backend {
                 hg.encode_state(&mut w);
                 w.into_bytes()
             }
-            Backend::Durable(store) => store.state_bytes(),
             Backend::Sharded(store) => store.state_bytes(),
         }
     }
@@ -228,12 +218,6 @@ impl Engine {
     pub fn with_history_config(backend: Backend, capacity: usize, cfg: HistoryConfig) -> Self {
         let history = cfg.enabled.then(|| match &backend {
             Backend::Memory { hg, .. } => HistoryStore::new(cfg.clone(), hg, 0),
-            Backend::Durable(store) => HistoryStore::from_parts(
-                cfg.clone(),
-                store.state_bytes(),
-                store.history_watermark(),
-                Vec::new(),
-            ),
             Backend::Sharded(store) => HistoryStore::from_parts(
                 cfg.clone(),
                 store.state_bytes(),
@@ -251,16 +235,15 @@ impl Engine {
     /// else `HYGRAPH_SHARDS`, else one per core — except that a backend
     /// already opened as [`Backend::Sharded`] pins the engine to that
     /// store's recorded shard count (routing must match frame
-    /// placement), and a [`Backend::Durable`] pins it to one.
+    /// placement).
     pub fn with_seeded_history(
         backend: Backend,
         capacity: usize,
         history: Option<HistoryStore>,
     ) -> Self {
         let router = match &backend {
-            // durable layouts fix the shard count on disk
+            // a durable store fixes the shard count on disk
             Backend::Sharded(store) => store.router(),
-            Backend::Durable(_) => ShardRouter::new(1),
             Backend::Memory { .. } => ShardConfig::new().router(),
         };
         let initial = (!router.is_single()).then(|| Arc::new(backend.graph().clone()));
@@ -290,7 +273,6 @@ impl Engine {
             let guard = self.read();
             let router = match &*guard {
                 Backend::Sharded(store) => store.router(),
-                Backend::Durable(_) => ShardRouter::new(1),
                 Backend::Memory { .. } => ShardRouter::new(shards),
             };
             let initial = (!router.is_single()).then(|| Arc::new(guard.graph().clone()));
@@ -311,10 +293,9 @@ impl Engine {
     /// for everything the log still covers.
     ///
     /// The configured shard count
-    /// ([`hygraph_types::shard::configured_shards`]) picks the store:
-    /// one shard opens the classic single-WAL [`DurableStore`]; more
-    /// open (or migrate to, or re-shard) a per-shard-WAL
-    /// [`ShardedStore`] — see [`Engine::open_durable_sharded`].
+    /// ([`hygraph_types::shard::configured_shards`]) is the number of
+    /// WAL streams the [`ShardedStore`] keeps — see
+    /// [`Engine::open_durable_sharded`].
     pub fn open_durable(
         dir: impl Into<std::path::PathBuf>,
         capacity: usize,
@@ -328,34 +309,16 @@ impl Engine {
         )
     }
 
-    /// [`Engine::open_durable`] with the shard count pinned explicitly.
-    /// `1` opens the classic single-WAL store (and refuses a directory
-    /// already laid out per shard, with a typed error); `> 1` opens the
-    /// sharded store, transparently migrating a legacy single-WAL
-    /// directory or re-sharding one recorded at a different count.
+    /// [`Engine::open_durable`] with the shard count pinned explicitly:
+    /// the store keeps `shards` WAL streams (one at `1`), migrating a
+    /// pre-shard single-WAL directory once or re-sharding one recorded
+    /// at a different count.
     pub fn open_durable_sharded(
         dir: impl Into<std::path::PathBuf>,
         capacity: usize,
         cfg: HistoryConfig,
         shards: usize,
     ) -> Result<Self> {
-        if shards <= 1 {
-            if !cfg.enabled {
-                let store = DurableStore::open(dir)?;
-                return Ok(Self::with_seeded_history(
-                    Backend::durable(store),
-                    capacity,
-                    None,
-                ));
-            }
-            let mut seed = HistorySeed::new(cfg);
-            let store = DurableStore::open_observed(dir, &mut seed)?;
-            return Ok(Self::with_seeded_history(
-                Backend::durable(store),
-                capacity,
-                Some(seed.finish()?),
-            ));
-        }
         if !cfg.enabled {
             let store = ShardedStore::open(dir, shards)?;
             return Ok(Self::with_seeded_history(
@@ -524,7 +487,7 @@ impl Engine {
     }
 
     /// How many shards this engine partitions its commit/storage plane
-    /// into (`1` = the legacy single-store engine).
+    /// into (`1` = one WAL stream, reads under the read/write lock).
     pub fn shards(&self) -> usize {
         self.router.shards()
     }
@@ -560,7 +523,7 @@ impl Engine {
                 lanes: store.shard_lsns(),
                 frontiers: store.shard_csn_frontiers(),
             }),
-            Backend::Memory { .. } | Backend::Durable(_) => None,
+            Backend::Memory { .. } => None,
         }
     }
 
@@ -569,11 +532,10 @@ impl Engine {
     /// [`ShardWatermark`]), fed from the sharded store's per-shard
     /// durable **CSN** frontiers — a shard that happens to receive
     /// little traffic does not pin the watermark, because a fully
-    /// synced shard's frontier is the store-wide next CSN. For
-    /// non-sharded backends this is simply the last frontier observed
-    /// (0 for memory engines). The tracker is fed on every stats report
-    /// and on demand here, so the returned value is current as of this
-    /// call.
+    /// synced shard's frontier is the store-wide next CSN. For memory
+    /// backends this is simply the last frontier observed (0). The
+    /// tracker is fed on every stats report and on demand here, so the
+    /// returned value is current as of this call.
     pub fn shard_watermark(&self) -> u64 {
         let frontiers = self.shard_positions().map(|p| p.frontiers);
         let mut wm = self.watermark.lock().unwrap_or_else(|e| e.into_inner());
@@ -585,7 +547,7 @@ impl Engine {
 
     /// Folds the sharded backend's per-shard WAL positions and CSN
     /// watermark into the global metrics registry's shard gauges
-    /// (no-op for non-sharded backends or when metrics are disabled).
+    /// (no-op for memory backends or when metrics are disabled).
     /// Called on every [`Request::Stats`]; the periodic metrics logger
     /// reaches it the same way.
     fn report_shard_metrics(&self) {
@@ -615,39 +577,12 @@ impl Engine {
     /// Applies a batch of mutations under the write lock. Durable
     /// backends group-commit (WAL append + one fsync); on reply the
     /// batch is on disk. Returns `(first_lsn, count)`.
-    pub fn mutate_batch(&self, mutations: Vec<HgMutation>) -> Result<(u64, u64)> {
+    pub fn mutate_batch(&self, mut mutations: Vec<HgMutation>) -> Result<(u64, u64)> {
         let count = mutations.len() as u64;
         let mut guard = self.write();
+        // the write lock excludes concurrent subscribes, so the check
+        // cannot race a registration
         let notify = !self.subs.is_empty();
-        if self.history.is_none() && !notify {
-            // no history, no standing queries: the original
-            // zero-overhead path (the write lock excludes concurrent
-            // subscribes, so the check cannot race a registration)
-            let outcome = match &mut *guard {
-                Backend::Memory { hg, applied } => {
-                    let first = *applied;
-                    let mut res = Ok((first, count));
-                    for m in &mutations {
-                        if let Err(e) = hg.apply(m) {
-                            res = Err(e);
-                            break;
-                        }
-                        *applied += 1;
-                    }
-                    res
-                }
-                Backend::Durable(store) => store
-                    .commit_batch(mutations)
-                    .map(|range| (range.start, range.end - range.start)),
-                Backend::Sharded(store) => store
-                    .commit_batch(mutations)
-                    .map(|range| (range.start, range.end - range.start)),
-            };
-            // a failed batch keeps its applied prefix, so readers must
-            // still advance to it — publish on both outcomes
-            self.publish(guard.graph());
-            return outcome;
-        }
         // allocate the batch's transaction timestamp before staging so
         // WAL frames carry the same stamp the history records
         let ts = self.history.as_ref().map(|h| {
@@ -655,13 +590,11 @@ impl Engine {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .allocate_ts(now_ms());
-            match &mut *guard {
-                Backend::Durable(store) => store.set_commit_ts(ts),
-                // one cross-shard commit timestamp per batch: every
-                // involved shard's frames carry the same stamp, so an
-                // `AS OF` bound cuts all shards at the same point
-                Backend::Sharded(store) => store.set_commit_ts(ts),
-                Backend::Memory { .. } => {}
+            // one cross-shard commit timestamp per batch: every involved
+            // shard's frames carry the same stamp, so an `AS OF` bound
+            // cuts all shards at the same point
+            if let Backend::Sharded(store) = &mut *guard {
+                store.set_commit_ts(ts);
             }
             ts
         });
@@ -681,21 +614,19 @@ impl Engine {
                 }
                 (res, n)
             }
-            Backend::Durable(store) => {
-                let before = store.next_lsn();
-                let res = store
-                    .commit_batch(mutations.iter().cloned())
-                    .map(|range| (range.start, range.end - range.start));
-                // a failed batch keeps its staged prefix; the LSN delta
-                // is exactly how many mutations applied
-                ((res), (store.next_lsn() - before) as usize)
-            }
             Backend::Sharded(store) => {
                 let before = store.next_csn();
-                let res = store
-                    .commit_batch(mutations.iter().cloned())
-                    .map(|range| (range.start, range.end - range.start));
-                ((res), (store.next_csn() - before) as usize)
+                // history and subscribers read the batch after the
+                // commit; with neither, it moves into the store uncloned
+                let res = if ts.is_some() || notify {
+                    store.commit_batch(mutations.iter().cloned())
+                } else {
+                    store.commit_batch(mutations.drain(..))
+                };
+                // a failed batch keeps its staged prefix; the CSN delta
+                // is exactly how many mutations applied
+                let res = res.map(|range| (range.start, range.end - range.start));
+                (res, (store.next_csn() - before) as usize)
             }
         };
         // readers advance to the batch (or its kept prefix) only now —
@@ -741,10 +672,6 @@ impl Engine {
         let mut guard = self.write();
         match &mut *guard {
             Backend::Memory { applied, .. } => Ok(*applied),
-            Backend::Durable(store) => {
-                store.checkpoint()?;
-                Ok(store.checkpoint_lsn())
-            }
             Backend::Sharded(store) => {
                 store.checkpoint()?;
                 Ok(store.checkpoint_csn())
@@ -757,7 +684,6 @@ impl Engine {
     pub fn sync(&self) -> Result<()> {
         match &mut *self.write() {
             Backend::Memory { .. } => Ok(()),
-            Backend::Durable(store) => store.sync(),
             Backend::Sharded(store) => store.sync(),
         }
     }
@@ -826,7 +752,6 @@ impl std::fmt::Debug for Engine {
         let guard = self.read();
         let kind = match &*guard {
             Backend::Memory { .. } => "memory",
-            Backend::Durable(_) => "durable",
             Backend::Sharded(_) => "sharded",
         };
         f.debug_struct("Engine")
@@ -1089,6 +1014,70 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A directory in the pre-shard layout — one top-level WAL stream
+    /// under a plain checkpoint, as the single-WAL store of earlier
+    /// builds wrote it — opens at one shard and at two with its state
+    /// intact, every commit above the checkpoint still `AS OF`-
+    /// addressable, and its segments archived in `legacy-wal/`.
+    #[test]
+    fn pre_shard_directory_migrates_with_commits_time_addressable() {
+        use hygraph_persist::{checkpoint, wal};
+        let bytes = |f: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            f(&mut w);
+            w.into_bytes()
+        };
+        let station = HgMutation::AddTsVertex {
+            labels: vec![Label::new("Station")],
+            series: SeriesId::new(0),
+        };
+        let batches = [
+            (100, seed_mutations()),
+            (200, vec![station.clone()]),
+            (300, vec![station]),
+        ];
+        for shards in [1, 2] {
+            let dir = hygraph_persist::fault::scratch_dir("engine-pre-shard");
+            let mut hg = HyGraph::new();
+            let mut log = wal::Wal::create(&dir, HyGraph::STORE_TAG, 1 << 20).unwrap();
+            for (i, (ts, batch)) in batches.iter().enumerate() {
+                for m in batch {
+                    log.append(*ts, &bytes(&|w| HyGraph::encode_mutation(m, w)));
+                    hg.apply(m).unwrap();
+                }
+                log.sync().unwrap();
+                if i == 0 {
+                    let (lsn, state) = (log.next_lsn(), bytes(&|w| hg.encode_state(w)));
+                    checkpoint::write_checkpoint(&dir, HyGraph::STORE_TAG, lsn, *ts, &state)
+                        .unwrap();
+                    log.rotate();
+                }
+            }
+            drop(log);
+
+            let engine = Engine::open_durable_sharded(&dir, 8, HistoryConfig::default(), shards)
+                .expect("migrate");
+            assert_eq!(engine.shards(), shards);
+            assert_eq!(engine.state_bytes(), bytes(&|w| hg.encode_state(w)));
+            assert_eq!(engine.history_horizon(), Some(100));
+            assert_eq!(engine.history_commit_timestamps().unwrap(), vec![200, 300]);
+            let text = "MATCH (s:Station) RETURN COUNT(s) AS n";
+            for (as_of, stations) in [(100, 1), (200, 2), (300, 3)] {
+                assert_eq!(
+                    engine.query_as_of(text, as_of).unwrap().rows[0][0],
+                    hygraph_types::Value::Int(stations),
+                    "{shards} shard(s), as of {as_of}"
+                );
+            }
+            assert!(wal::list_segments(&dir).unwrap().is_empty());
+            assert_eq!(
+                wal::list_segments(&dir.join("legacy-wal")).unwrap().len(),
+                2
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn sharded_watermark_tracks_csn_not_stream_depth() {
         let dir = hygraph_persist::fault::scratch_dir("engine-watermark");
@@ -1124,7 +1113,7 @@ mod tests {
             row: vec![1.0],
         });
         assert!(engine.mutate_batch(ms).is_err());
-        // the valid prefix applied (matches DurableStore::commit_batch)
+        // the valid prefix applied (matches ShardedStore::commit_batch)
         engine.with_graph(|hg| assert_eq!(hg.vertex_count(), 2));
         // history recorded exactly that prefix: commit once more, then
         // travel back to the failed batch's timestamp

@@ -4,7 +4,8 @@
 //! TCP server speaking a CRC-guarded, length-prefixed binary protocol
 //! (framing in [`hygraph_types::net`], vocabulary in [`proto`]) over a
 //! shared [`Engine`] holding either an in-memory [`hygraph_core::HyGraph`]
-//! or a durable [`hygraph_persist::DurableStore`].
+//! or a durable [`hygraph_persist::ShardedStore`] (one WAL stream per
+//! shard, one in all at a single shard).
 //!
 //! The serving pipeline is deliberately boring and explicit:
 //!

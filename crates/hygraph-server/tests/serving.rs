@@ -5,7 +5,7 @@
 
 use hygraph_core::HyGraph;
 use hygraph_persist::fault::scratch_dir;
-use hygraph_persist::{Durable, DurableStore, HgMutation};
+use hygraph_persist::{Durable, HgMutation, ShardedStore};
 use hygraph_server::{Backend, Client, ErrorCode, Request, Response, Server};
 use hygraph_types::bytes::ByteWriter;
 use hygraph_types::net::{self, FrameRead, ServerConfig, DEFAULT_MAX_FRAME_BYTES};
@@ -304,8 +304,8 @@ fn corrupt_frame_is_rejected_without_killing_the_connection() {
 #[test]
 fn graceful_shutdown_drains_and_recovers_bit_identical() {
     let dir = scratch_dir("server_shutdown");
-    let store = DurableStore::<HyGraph>::open(&dir).expect("open store");
-    let server = Server::serve(Backend::durable(store), &config(1, 16, 5_000)).expect("serve");
+    let store = ShardedStore::<HyGraph>::open(&dir, 1).expect("open store");
+    let server = Server::serve(Backend::sharded(store), &config(1, 16, 5_000)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     c.mutate_batch(seed_mutations(2)).expect("seed");
@@ -330,7 +330,7 @@ fn graceful_shutdown_drains_and_recovers_bit_identical() {
     let pre_shutdown = backend.state_bytes();
     drop(backend);
 
-    let reopened = DurableStore::<HyGraph>::open(&dir).expect("reopen");
+    let reopened = ShardedStore::<HyGraph>::open(&dir, 1).expect("reopen");
     assert_eq!(
         reopened.state_bytes(),
         pre_shutdown,
@@ -339,7 +339,7 @@ fn graceful_shutdown_drains_and_recovers_bit_identical() {
 
     // and the recovered store serves again
     let server =
-        Server::serve(Backend::durable(reopened), &config(2, 16, 5_000)).expect("serve again");
+        Server::serve(Backend::sharded(reopened), &config(2, 16, 5_000)).expect("serve again");
     let mut c = Client::connect(server.local_addr()).expect("reconnect");
     let rows = c
         .query("MATCH (v:LastWrite) RETURN COUNT(v) AS n")

@@ -12,7 +12,7 @@ use crate::history::{CommitRecord, HistoryStore};
 /// every replayed WAL frame, then assembles them into a
 /// [`HistoryStore`] whose horizon is the checkpoint watermark.
 ///
-/// Pass it to [`hygraph_persist::DurableStore::open_observed`]; call
+/// Pass it to [`hygraph_persist::ShardedStore::open_observed`]; call
 /// [`HistorySeed::finish`] once recovery returns. Frames stamped at or
 /// below the watermark — including the `ts = 0` frames of a writer that
 /// tracked no transaction time — are folded into the base snapshot;

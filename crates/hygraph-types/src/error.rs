@@ -74,12 +74,6 @@ pub enum HyGraphError {
         /// What failed to decode.
         message: String,
     },
-    /// A durable directory's on-disk layout does not match the store
-    /// opening it — e.g. a single-WAL store pointed at a hash-sharded
-    /// directory. The data is intact; open it with the matching store
-    /// (or let the sharded store migrate it) instead of ignoring the
-    /// foreign segments.
-    ShardLayout(String),
     /// A stored artifact (WAL segment, checkpoint, time-series codec
     /// stream) is well-formed but written in a format version this
     /// build does not read. The data is intact and was left untouched;
@@ -114,11 +108,6 @@ impl HyGraphError {
             offset: 0,
             message: msg.into(),
         }
-    }
-
-    /// Shorthand for a [`HyGraphError::ShardLayout`] mismatch.
-    pub fn shard_layout(msg: impl Into<String>) -> Self {
-        HyGraphError::ShardLayout(msg.into())
     }
 }
 
@@ -161,7 +150,6 @@ impl fmt::Display for HyGraphError {
             HyGraphError::Corrupt { offset, message } => {
                 write!(f, "corrupt data at byte {offset}: {message}")
             }
-            HyGraphError::ShardLayout(m) => write!(f, "shard layout mismatch: {m}"),
             HyGraphError::UnsupportedFormat(m) => write!(f, "unsupported format version: {m}"),
         }
     }

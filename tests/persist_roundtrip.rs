@@ -8,7 +8,7 @@
 
 use hygraph::core::binio;
 use hygraph::datagen::random::{random_hygraph, random_walk};
-use hygraph::persist::{DurableStore, TsMutation};
+use hygraph::persist::{ShardedStore, TsMutation};
 use hygraph::ts::TsStore;
 use hygraph::types::SeriesId;
 use proptest::prelude::*;
@@ -113,7 +113,7 @@ proptest! {
         let dir = hygraph::persist::fault::scratch_dir("prop-durable");
         let sid = SeriesId::new(0);
         let golden = {
-            let mut store: DurableStore<TsStore> = DurableStore::open(&dir).expect("open");
+            let mut store: ShardedStore<TsStore> = ShardedStore::open(&dir, 1).expect("open");
             store.commit(TsMutation::CreateSeries(sid)).expect("create");
             let walk = random_walk(n, 1.0, 10.0, seed);
             let batch: Vec<TsMutation> = walk
@@ -124,7 +124,7 @@ proptest! {
             store.state_bytes()
             // dropped uncleanly — commits are synced
         };
-        let store: DurableStore<TsStore> = DurableStore::open(&dir).expect("recover");
+        let store: ShardedStore<TsStore> = ShardedStore::open(&dir, 1).expect("recover");
         prop_assert_eq!(store.state_bytes(), golden);
         std::fs::remove_dir_all(&dir).ok();
     }
