@@ -1,9 +1,10 @@
 //! Time-travel benchmark: `AS OF` snapshot reconstruction latency as a
 //! function of history depth, against the live-query baseline.
 //!
-//! The history design (base snapshot + per-commit deltas) makes a cold
-//! `AS OF t` cost O(depth): decode the base once, then replay every
-//! commit up to `t`. This harness measures that curve at four depths
+//! The history design (in-memory base + per-commit deltas) makes a cold
+//! `AS OF t` on an empty snapshot cache cost O(depth): clone the base
+//! (pointers only), then replay every commit up to `t`. This harness
+//! measures that curve at four depths
 //! (25/50/75/100 % of the retained log), the warm path (snapshot-cache
 //! hit), and the live bound-free query for scale — after first gating
 //! on correctness: every probed reconstruction must be **byte
@@ -155,8 +156,9 @@ fn main() {
             let mut cold_ms = 0.0;
             let mut warm_ms = 0.0;
             for _ in 0..runs {
-                // fresh store per run: an empty snapshot cache makes the
-                // first read pay the full base-decode + replay cost
+                // fresh store per run: an empty snapshot cache holds no
+                // nearer epoch, so the first read replays every commit
+                // up to the probe from the base
                 let mut h = HistoryStore::from_parts(
                     HistoryConfig::default(),
                     base_state.clone(),

@@ -462,15 +462,18 @@ instruments! {
         asof_queries: Counter("hygraph_temporal_asof_queries_total"),
         /// `BETWEEN` queries resolved against the history store.
         between_queries: Counter("hygraph_temporal_between_queries_total"),
-        /// Past snapshots reconstructed by replay (cache misses).
+        /// Past snapshots reconstructed by replay (cache misses), from
+        /// the nearest cached epoch below the target or the base.
         snapshot_rebuilds: Counter("hygraph_temporal_snapshot_rebuilds_total"),
-        /// Past snapshots served from the snapshot cache.
+        /// Past snapshots served without a replay: from the snapshot
+        /// cache, or the in-memory base itself.
         snapshot_cache_hits: Counter("hygraph_temporal_snapshot_cache_hits_total"),
         /// Commits retired from history by retention GC.
         gc_commits_folded: Counter("hygraph_temporal_gc_commits_folded_total"),
         /// Commit records currently retained in history.
         history_commits: Gauge("hygraph_temporal_history_commits"),
-        /// Approximate bytes held by history (base state + deltas).
+        /// Encoded bytes of the retained commit deltas. The base state
+        /// is shared in-memory structure and is not counted.
         history_bytes: Gauge("hygraph_temporal_history_bytes"),
         /// Longest per-entity version chain currently retained.
         version_chain_max: Gauge("hygraph_temporal_version_chain_max"),

@@ -76,9 +76,11 @@ pub trait Durable: Sized {
 pub trait RecoveryObserver<S: Durable> {
     /// The recovered base: the checkpoint's history watermark (commit
     /// timestamp of the newest covered transaction; 0 when untracked)
-    /// and the exact state encoding at that point — the
-    /// fresh-state encoding when the directory had no checkpoint.
-    fn base(&mut self, watermark: i64, state: &[u8]);
+    /// and the decoded state at that point — the fresh state when the
+    /// directory had no checkpoint. Recovery goes on applying WAL
+    /// records to this state after the call; an observer that keeps it
+    /// clones it.
+    fn base(&mut self, watermark: i64, state: &S);
 
     /// One replayed WAL record above the checkpoint, with its commit
     /// timestamp (0 when the writer tracked no transaction time).

@@ -236,8 +236,11 @@ where
         let Some((ckpt_csn, watermark, payload)) = checkpoint else {
             // Fresh directory: pin the empty state under epoch 1 so
             // recovery always has a checkpoint to start from.
-            observe_base(observer, 0, &S::fresh());
-            let store = Self::rebuild(dir, router, 1, S::fresh(), 0, 0, segment_bytes)?;
+            let state = S::fresh();
+            if let Some(o) = observer {
+                o.base(0, &state);
+            }
+            let store = Self::rebuild(dir, router, 1, state, 0, 0, segment_bytes)?;
             store.sweep_stale()?;
             return Ok(store);
         };
@@ -365,7 +368,9 @@ where
         segment_bytes: u64,
         mut observer: Option<&mut dyn RecoveryObserver<S>>,
     ) -> Result<RecoveredGeneration<S>> {
-        observe_base(observer.as_deref_mut(), watermark, &state);
+        if let Some(o) = observer.as_deref_mut() {
+            o.base(watermark, &state);
+        }
         let mut frames: Vec<(u64, i64, S::Mutation)> = Vec::new();
         let mut wals = Vec::with_capacity(router.shards());
         for (idx, &from_lsn) in meta.next_lsns.iter().enumerate() {
@@ -733,19 +738,6 @@ where
     }
 }
 
-/// Reports the recovered base state to `observer`, if any.
-fn observe_base<S: Durable>(
-    observer: Option<&mut (dyn RecoveryObserver<S> + '_)>,
-    watermark: i64,
-    state: &S,
-) {
-    if let Some(o) = observer {
-        let mut w = ByteWriter::new();
-        state.encode_state(&mut w);
-        o.base(watermark, &w.into_bytes());
-    }
-}
-
 /// Recovers a pre-shard directory — one top-level `wal-*.seg` stream
 /// under an optional checkpoint without the shard-meta header, the
 /// layout this store migrates away from — and returns the state, the
@@ -772,7 +764,9 @@ fn read_legacy<S: Durable>(
         }
         None => (0, 0, S::fresh()),
     };
-    observe_base(observer.as_deref_mut(), watermark, &state);
+    if let Some(o) = observer.as_deref_mut() {
+        o.base(watermark, &state);
+    }
     let mut commit_ts = watermark;
     let wal = Wal::recover(
         dir,

@@ -392,15 +392,18 @@ fn csn_frontiers_track_durability_not_stream_depth() {
 #[derive(Default)]
 struct Timeline {
     base_watermark: i64,
+    /// The handed-over base state, encoded here by the observer.
     base_state: Vec<u8>,
     /// `(lsn, commit timestamp)` of every replayed frame.
     replayed: Vec<(u64, i64)>,
 }
 
 impl<S: Durable> RecoveryObserver<S> for Timeline {
-    fn base(&mut self, watermark: i64, state: &[u8]) {
+    fn base(&mut self, watermark: i64, state: &S) {
         self.base_watermark = watermark;
-        self.base_state = state.to_vec();
+        let mut w = ByteWriter::new();
+        state.encode_state(&mut w);
+        self.base_state = w.into_bytes();
     }
     fn replay(&mut self, lsn: u64, ts: i64, _m: &S::Mutation) {
         self.replayed.push((lsn, ts));

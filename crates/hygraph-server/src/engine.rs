@@ -29,9 +29,11 @@
 use crate::proto::{ErrorCode, Request, Response};
 use hygraph_core::HyGraph;
 use hygraph_persist::{Durable, HgMutation, ShardedStore};
-use hygraph_query::{PlanCacheHook, PlannedQuery, QueryResult, TemporalBound};
+use hygraph_query::{PlanCacheHook, PlannedQuery, QueryResult, TemporalBound, TemporalResolver};
 use hygraph_sub::{DeltaSink, SubConfig, SubscriptionRegistry};
-use hygraph_temporal::{now_ms, HistoryConfig, HistorySeed, HistoryStore, ShardWatermark};
+use hygraph_temporal::{
+    now_ms, HistoryConfig, HistorySeed, HistoryStore, ShardWatermark, SharedHistory,
+};
 use hygraph_types::bytes::ByteWriter;
 use hygraph_types::shard::{ShardConfig, ShardRouter};
 use hygraph_types::{Result, Timestamp};
@@ -167,10 +169,15 @@ pub struct Engine {
     /// commit order.
     subs: SubscriptionRegistry,
     /// Transaction-time history (`None` when `HYGRAPH_HISTORY=0`): the
-    /// commit timeline behind `AS OF` / `BETWEEN`. Lock order is always
-    /// backend lock first, then this mutex — queries resolve under the
-    /// read lock, commits record under the write lock.
-    history: Option<Mutex<HistoryStore>>,
+    /// in-memory base plus the commit timeline behind `AS OF` /
+    /// `BETWEEN`. Its mutex covers bookkeeping only: commits allocate a
+    /// timestamp and record under the backend write lock; a temporal
+    /// query takes it inside [`hygraph_query::TemporalResolver::resolve`]
+    /// just to look up its start state (the base or the nearest cached
+    /// epoch) and to cache what it rebuilt — the replay and the
+    /// execution run unlocked, and a live query never touches it. Lock
+    /// order is always backend lock first, then this mutex.
+    history: Option<SharedHistory>,
     /// The element → shard partitioning every layer of this engine
     /// agrees on. Single-shard routers select the legacy lock paths.
     router: ShardRouter,
@@ -218,12 +225,9 @@ impl Engine {
     pub fn with_history_config(backend: Backend, capacity: usize, cfg: HistoryConfig) -> Self {
         let history = cfg.enabled.then(|| match &backend {
             Backend::Memory { hg, .. } => HistoryStore::new(cfg.clone(), hg, 0),
-            Backend::Sharded(store) => HistoryStore::from_parts(
-                cfg.clone(),
-                store.state_bytes(),
-                store.history_watermark(),
-                Vec::new(),
-            ),
+            Backend::Sharded(store) => {
+                HistoryStore::new(cfg.clone(), store.get(), store.history_watermark())
+            }
         });
         Self::with_seeded_history(backend, capacity, history)
     }
@@ -252,7 +256,7 @@ impl Engine {
             inner: RwLock::new(backend),
             plan_cache: (capacity > 0).then(|| PlanCache::new(capacity)),
             subs: SubscriptionRegistry::from_env(),
-            history: history.map(Mutex::new),
+            history: history.map(SharedHistory::new),
             watermark: Mutex::new(ShardWatermark::new(router.shards())),
             router,
             snapshot: initial.map(RwLock::new),
@@ -428,13 +432,11 @@ impl Engine {
         cache: Option<&dyn PlanCacheHook>,
         bound: Option<TemporalBound>,
     ) -> Result<QueryResult> {
-        match &self.history {
-            Some(h) => {
-                let mut h = h.lock().unwrap_or_else(|e| e.into_inner());
-                hygraph_query::run_instrumented_bound(hg, text, cache, Some(&mut *h), bound)
-            }
-            None => hygraph_query::run_instrumented_bound(hg, text, cache, None, bound),
-        }
+        // the resolver locks history only for its lookup and its cache
+        // insert, and only when the query carries a temporal bound
+        let mut history = self.history.as_ref();
+        let resolver = history.as_mut().map(|h| h as &mut dyn TemporalResolver);
+        hygraph_query::run_instrumented_bound(hg, text, cache, resolver, bound)
     }
 
     /// Publishes the current backend state as the new read snapshot
@@ -586,10 +588,7 @@ impl Engine {
         // allocate the batch's transaction timestamp before staging so
         // WAL frames carry the same stamp the history records
         let ts = self.history.as_ref().map(|h| {
-            let ts = h
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .allocate_ts(now_ms());
+            let ts = h.lock().allocate_ts(now_ms());
             // one cross-shard commit timestamp per batch: every involved
             // shard's frames carry the same stamp, so an `AS OF` bound
             // cuts all shards at the same point
@@ -629,21 +628,26 @@ impl Engine {
                 (res, (store.next_csn() - before) as usize)
             }
         };
+        // publication and the history record share one history lock
+        // hold (the fan-out between them needs the batch the record
+        // then takes): a resolver that finds `AS OF t` at the newest
+        // recorded commit answers with the pinned epoch, so no resolver
+        // may see an epoch published that history has not recorded yet
+        let mut history = self.history.as_ref().map(SharedHistory::lock);
         // readers advance to the batch (or its kept prefix) only now —
         // a pinned snapshot can never show a torn batch
         self.publish(guard.graph());
-        if let (Some(ts), Some(h)) = (ts, &self.history) {
-            // record the applied prefix — history replays must
-            // reproduce exactly what the store kept
-            h.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record_commit(ts, mutations[..applied_n].to_vec());
-        }
         if notify {
             // both backends keep the valid prefix of a failed batch, so
             // subscribers must still observe it (failed => rebuild path)
             self.subs
                 .on_commit(guard.graph(), &mutations, pre_v, pre_e, outcome.is_err());
+        }
+        if let (Some(ts), Some(h)) = (ts, &mut history) {
+            // record the applied prefix — history replays must
+            // reproduce exactly what the store kept; the batch moves in
+            mutations.truncate(applied_n);
+            h.record_commit(ts, mutations);
         }
         outcome
     }
@@ -652,18 +656,12 @@ impl Engine {
     /// (oldest first), or `None` with history disabled — how tests and
     /// the bench harness pick `AS OF` targets.
     pub fn history_commit_timestamps(&self) -> Option<Vec<i64>> {
-        self.history.as_ref().map(|h| {
-            h.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .commit_timestamps()
-        })
+        self.history.as_ref().map(|h| h.lock().commit_timestamps())
     }
 
     /// The history horizon (`base_ts`), or `None` with history off.
     pub fn history_horizon(&self) -> Option<i64> {
-        self.history
-            .as_ref()
-            .map(|h| h.lock().unwrap_or_else(|e| e.into_inner()).base_ts())
+        self.history.as_ref().map(|h| h.lock().base_ts())
     }
 
     /// Forces a checkpoint on a durable backend; a no-op pseudo-LSN

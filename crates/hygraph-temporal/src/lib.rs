@@ -9,19 +9,29 @@
 //! epoch current somewhere in the window.
 //!
 //! The design follows the delta-chain school (AeonG, Chronos): the
-//! *current* state stays hot and untouched — history is a base
-//! snapshot (exact state encoding) plus an ordered list of
-//! [`CommitRecord`]s, each the mutation batch of one transaction.
-//! Reconstruction replays the prefix `base ++ commits[..=i]`, which by
-//! the determinism contract of [`hygraph_persist::Durable::apply`]
-//! reproduces the historical state *bit for bit* — the same argument
-//! that makes WAL recovery exact makes time travel exact. A small LRU
-//! of reconstructed snapshots amortises repeated `AS OF` reads of the
-//! same epoch.
+//! *current* state stays hot and untouched — history is an in-memory
+//! base state (an `Arc<HyGraph>` whose persistent structure a clone
+//! shares, so starting a reconstruction there costs pointers) plus an
+//! ordered list of [`CommitRecord`]s, each the mutation batch of one
+//! transaction. The 8-entry LRU of reconstructed snapshots serves
+//! repeated `AS OF` reads of an epoch; on a miss its entries are
+//! anchors, and reconstruction replays only the commits between the
+//! nearest cached epoch at or below the target (else the base) and
+//! the target. By the determinism contract of
+//! [`hygraph_persist::Durable::apply`] that reproduces the historical
+//! state *bit for bit* — the same argument that makes WAL recovery
+//! exact makes time travel exact.
+//!
+//! Every resolution runs the same three steps: a locked lookup
+//! (binary-search the commit, pick the start state, clone the `Arc`s of
+//! the commits to replay), an unlocked replay, and a locked insert into
+//! the cache. [`SharedHistory`] is how a server shares one history
+//! between its writer and its readers: the lock is held for the lookup
+//! and the insert only, never across a replay or the query run on it.
 //!
 //! Retention is bounded by `HYGRAPH_HISTORY_RETAIN_SECS`
-//! ([`HistoryConfig`]): expired commits are folded into the base
-//! snapshot, moving the queryable horizon forward. `AS OF` below the
+//! ([`HistoryConfig`]): expired commits are applied onto a clone of the
+//! base, moving the queryable horizon forward. `AS OF` below the
 //! horizon is a typed error, never a silently wrong answer.
 //!
 //! ```
@@ -56,11 +66,12 @@
 //! Serving integration lives in `hygraph-server`: the engine allocates
 //! a timestamp per mutation batch ([`HistoryStore::allocate_ts`]),
 //! stamps it into the WAL frames and checkpoint watermark
-//! (`hygraph-persist`), mirrors the applied batch into the history,
-//! and passes the store as the [`hygraph_query::TemporalResolver`] for
-//! `AS OF` / `BETWEEN` queries. After a restart, [`HistorySeed`]
-//! rebuilds the commit timeline from the recovered checkpoint plus the
-//! replayed WAL suffix.
+//! (`hygraph-persist`), moves the applied batch into the history, and
+//! passes its [`SharedHistory`] as the
+//! [`hygraph_query::TemporalResolver`] for `AS OF` / `BETWEEN` queries.
+//! After a restart, [`HistorySeed`] rebuilds the commit timeline from
+//! the recovered checkpoint state (handed over decoded, never
+//! re-encoded) plus the replayed WAL suffix.
 
 #![warn(missing_docs)]
 
@@ -70,6 +81,6 @@ mod seed;
 mod watermark;
 
 pub use config::{now_ms, HistoryConfig};
-pub use history::{CommitRecord, HistoryStore, SnapshotResolution};
+pub use history::{CommitRecord, HistoryStore, SharedHistory, SnapshotResolution};
 pub use seed::HistorySeed;
 pub use watermark::ShardWatermark;

@@ -2,27 +2,26 @@
 
 use hygraph_core::HyGraph;
 use hygraph_persist::{Durable, HgMutation, RecoveryObserver};
-use hygraph_types::bytes::ByteWriter;
 use hygraph_types::Result;
 
 use crate::config::HistoryConfig;
 use crate::history::{CommitRecord, HistoryStore};
 
-/// A [`RecoveryObserver`] that captures the recovered checkpoint and
-/// every replayed WAL frame, then assembles them into a
+/// A [`RecoveryObserver`] that captures the recovered checkpoint state
+/// and every replayed WAL frame, then assembles them into a
 /// [`HistoryStore`] whose horizon is the checkpoint watermark.
 ///
 /// Pass it to [`hygraph_persist::ShardedStore::open_observed`]; call
 /// [`HistorySeed::finish`] once recovery returns. Frames stamped at or
 /// below the watermark — including the `ts = 0` frames of a writer that
-/// tracked no transaction time — are folded into the base snapshot;
+/// tracked no transaction time — are applied onto the base state;
 /// frames above it become one [`CommitRecord`] per distinct timestamp
 /// (frames of one commit share a stamp, and stamps are strictly
 /// increasing across commits).
 #[derive(Debug)]
 pub struct HistorySeed {
     cfg: HistoryConfig,
-    base_state: Vec<u8>,
+    base: HyGraph,
     base_ts: i64,
     replays: Vec<(i64, HgMutation)>,
 }
@@ -31,11 +30,9 @@ impl HistorySeed {
     /// An empty seed: until [`RecoveryObserver::base`] fires, the base
     /// is a fresh store at transaction time 0.
     pub fn new(cfg: HistoryConfig) -> Self {
-        let mut w = ByteWriter::new();
-        HyGraph::new().encode_state(&mut w);
         Self {
             cfg,
-            base_state: w.into_bytes(),
+            base: HyGraph::new(),
             base_ts: 0,
             replays: Vec::new(),
         }
@@ -45,27 +42,16 @@ impl HistorySeed {
     pub fn finish(self) -> Result<HistoryStore> {
         let Self {
             cfg,
-            mut base_state,
+            mut base,
             base_ts,
             replays,
         } = self;
-        // Fold untimed / pre-watermark replays into the base. (Empty
+        // Apply untimed / pre-watermark replays onto the base. (Empty
         // above an intact checkpoint when every commit was stamped;
         // frames staged without `set_commit_ts` replay as ts = 0.)
         let split = replays.partition_point(|(ts, _)| *ts <= base_ts);
-        if split > 0 {
-            let mut state = {
-                let mut r = hygraph_types::bytes::ByteReader::new(&base_state);
-                let hg = HyGraph::decode_state(&mut r)?;
-                r.expect_exhausted()?;
-                hg
-            };
-            for (_, m) in &replays[..split] {
-                state.apply(m)?;
-            }
-            let mut w = ByteWriter::new();
-            state.encode_state(&mut w);
-            base_state = w.into_bytes();
+        for (_, m) in &replays[..split] {
+            base.apply(m)?;
         }
         // Group the timed suffix into commits: one record per run of
         // consecutive equal timestamps.
@@ -79,14 +65,14 @@ impl HistorySeed {
                 }),
             }
         }
-        Ok(HistoryStore::from_parts(cfg, base_state, base_ts, commits))
+        Ok(HistoryStore::assemble(cfg, base, base_ts, commits))
     }
 }
 
 impl RecoveryObserver<HyGraph> for HistorySeed {
-    fn base(&mut self, watermark: i64, state: &[u8]) {
+    fn base(&mut self, watermark: i64, state: &HyGraph) {
         self.base_ts = watermark;
-        self.base_state = state.to_vec();
+        self.base = state.clone();
     }
 
     fn replay(&mut self, _lsn: u64, ts: i64, m: &HgMutation) {
@@ -98,7 +84,7 @@ impl RecoveryObserver<HyGraph> for HistorySeed {
 mod tests {
     use super::*;
     use crate::history::SnapshotResolution;
-    use hygraph_types::bytes::ByteReader;
+    use hygraph_types::bytes::ByteWriter;
     use hygraph_types::{Interval, PropertyMap, Timestamp};
 
     fn add_vertex(label: &str) -> HgMutation {
@@ -113,13 +99,6 @@ mod tests {
         let mut w = ByteWriter::new();
         hg.encode_state(&mut w);
         w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> HyGraph {
-        let mut r = ByteReader::new(bytes);
-        let hg = HyGraph::decode_state(&mut r).unwrap();
-        r.expect_exhausted().unwrap();
-        hg
     }
 
     #[test]
@@ -141,7 +120,7 @@ mod tests {
         let base_bytes = state_bytes(&base);
 
         let mut seed = HistorySeed::new(HistoryConfig::default());
-        seed.base(5_000, &base_bytes);
+        seed.base(5_000, &base);
         // two commits above the watermark: t=6000 (two frames), t=7000
         seed.replay(1, 6_000, &add_vertex("A"));
         seed.replay(2, 6_000, &add_vertex("B"));
@@ -194,6 +173,40 @@ mod tests {
             history.snapshot_at(4_000).unwrap(),
             SnapshotResolution::Live
         ));
-        let _ = decode(&state_bytes(&HyGraph::new())); // codec sanity
+    }
+
+    /// Folding pre-watermark frames by `apply` onto the handed-over
+    /// state gives the same base bytes as the decode → apply → encode
+    /// pass over the checkpoint encoding it replaces.
+    #[test]
+    fn pre_watermark_frames_fold_to_the_decode_apply_encode_bytes() {
+        let mut base = HyGraph::new();
+        base.apply(&add_vertex("Base")).unwrap();
+        base.apply(&add_vertex("Base2")).unwrap();
+        let early = [
+            add_vertex("Untimed"),
+            add_vertex("Early"),
+            add_vertex("AtMark"),
+        ];
+
+        let mut seed = HistorySeed::new(HistoryConfig::default());
+        seed.base(5_000, &base);
+        seed.replay(1, 0, &early[0]);
+        seed.replay(2, 3_000, &early[1]);
+        seed.replay(3, 5_000, &early[2]);
+        seed.replay(4, 6_000, &add_vertex("Late"));
+        let history = seed.finish().unwrap();
+
+        // the replaced path: decode the checkpoint encoding (through the
+        // one decode site, `from_parts`), apply, encode
+        let decoded =
+            HistoryStore::from_parts(HistoryConfig::default(), state_bytes(&base), 5_000, vec![]);
+        let mut old = HyGraph::clone(decoded.base());
+        for m in &early {
+            old.apply(m).unwrap();
+        }
+        assert_eq!(state_bytes(history.base()), state_bytes(&old));
+        assert_eq!(history.base_ts(), 5_000);
+        assert_eq!(history.commit_timestamps(), vec![6_000]);
     }
 }

@@ -104,6 +104,12 @@ impl ByteWriter {
         &self.buf
     }
 
+    /// Empties the writer, keeping its capacity — a caller that only
+    /// measures encodings reuses one buffer instead of allocating.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// One raw byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
