@@ -5,9 +5,9 @@
 //!
 //! Run with: `cargo run --release -p hygraph-bench --bin table1 [--scale small|medium|large] [--parallel] [--persist]`
 //!
-//! `--parallel` (or `HYGRAPH_PAR_HARNESS=1`) fans the eight query
-//! trials across the configured thread pool (`HYGRAPH_THREADS`) — same
-//! answers, faster suite, noisier per-query timings.
+//! `--parallel` fans the eight query trials across the configured
+//! thread pool (`HYGRAPH_THREADS`) — same answers, faster suite,
+//! noisier per-query timings.
 //!
 //! `--persist` additionally routes the polyglot ingest through the
 //! durable storage engine (WAL + checkpoint) and reports the durable
@@ -136,8 +136,7 @@ fn main() {
         durable_ingest_report(&dataset, load_poly_ms);
     }
 
-    let parallel_harness = std::env::args().any(|a| a == "--parallel")
-        || std::env::var("HYGRAPH_PAR_HARNESS").is_ok_and(|v| v != "0" && !v.is_empty());
+    let parallel_harness = std::env::args().any(|a| a == "--parallel");
     let w = Workload::for_dataset(&dataset);
     let (stats_aig, stats_poly) = if parallel_harness {
         println!(

@@ -480,10 +480,9 @@ impl std::fmt::Debug for Client {
 /// # Ok::<(), hygraph_types::HyGraphError>(())
 /// ```
 ///
-/// A multi-shard engine serves the same API with snapshot reads:
-/// queries pin the latest published epoch (never blocking behind a
-/// writer) and run the same single-pass executor over it as a
-/// single-shard engine does under its read guard — byte-identical.
+/// Every engine serves reads from published snapshots: a query pins
+/// the latest epoch (never blocking behind a writer), and a caller can
+/// hold one epoch across commits with [`Engine::pin_snapshot`].
 ///
 /// ```
 /// use hygraph_persist::HgMutation;
@@ -491,11 +490,11 @@ impl std::fmt::Debug for Client {
 /// use hygraph_types::{Interval, Label, PropertyMap};
 /// use std::sync::Arc;
 ///
-/// let engine = Engine::new(Backend::memory(hygraph_core::HyGraph::new()))
-///     .with_shards(4); // pin the partitioning regardless of HYGRAPH_SHARDS
-/// assert_eq!(engine.shards(), 4);
+/// let engine = Arc::new(Engine::new(Backend::memory(hygraph_core::HyGraph::new())));
+/// assert_eq!(engine.shards(), 1); // a memory engine keeps no WAL streams to split
 ///
-/// let local = LocalClient::new(Arc::new(engine));
+/// let before = engine.pin_snapshot();
+/// let local = LocalClient::new(Arc::clone(&engine));
 /// local.mutate_batch(vec![
 ///     HgMutation::AddPgVertex {
 ///         labels: vec![Label::new("Station")],
@@ -506,6 +505,7 @@ impl std::fmt::Debug for Client {
 /// ])?;
 /// let rows = local.query("MATCH (s:Station) RETURN COUNT(s) AS n")?;
 /// assert_eq!(rows.rows[0][0], hygraph_types::Value::Int(3));
+/// assert_eq!(before.vertex_count(), 0, "a pinned epoch does not move");
 /// # Ok::<(), hygraph_types::HyGraphError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -519,7 +519,7 @@ impl LocalClient {
         Self { engine }
     }
 
-    /// Executes a HyQL query under the engine's read lock.
+    /// Executes a HyQL query against the engine's published snapshot.
     pub fn query(&self, text: &str) -> Result<QueryResult> {
         self.engine.query(text)
     }
@@ -540,7 +540,7 @@ impl LocalClient {
         self.engine.checkpoint()
     }
 
-    /// Runs `f` against the live graph under the read lock.
+    /// Runs `f` against the engine's published snapshot.
     pub fn with_graph<R>(&self, f: impl FnOnce(&hygraph_core::HyGraph) -> R) -> R {
         self.engine.with_graph(f)
     }

@@ -1,30 +1,26 @@
 //! The execution engine every connection shares: one HyGraph instance
-//! — in memory or in the durable [`ShardedStore`] — behind the lock
-//! discipline the shard count selects.
+//! — in memory or in the durable [`ShardedStore`] — read through
+//! **epoch-based snapshots**.
 //!
-//! With one shard (`HYGRAPH_SHARDS=1`) queries take the read lock of a
-//! readers/writer lock and run concurrently; mutations take the write
-//! lock and go through the store's group-commit path (one WAL stream)
-//! when persistence is on.
+//! The backend lock is a pure commit lock: writers serialise on it
+//! (and, for durable backends, go through the store's group-commit
+//! path), and after every committed batch the writer publishes a new
+//! immutable [`Arc<HyGraph>`] snapshot into a dedicated slot. Queries
+//! never touch the backend lock: they pin the current snapshot (one
+//! `Arc` clone — the interior is persistent tries, so publication is
+//! O(changed structure), not O(data)) and run the single
+//! `hygraph_query::execute_planned` pass against it without blocking
+//! behind writers. A snapshot is published only after the whole batch
+//! applied (and, for durable backends, after every involved shard's WAL
+//! synced), so a reader can never observe a torn batch.
 //!
-//! With more than one shard the engine switches to **epoch-based
-//! snapshot reads**: the backend lock becomes a pure commit lock
-//! (writers serialise on it; readers never touch it), and after every
-//! committed batch the writer publishes a new immutable
-//! [`Arc<HyGraph>`] snapshot into a dedicated slot. Queries pin the
-//! current snapshot (one `Arc` clone — the interior is persistent
-//! tries, so publication is O(changed structure), not O(data)) and
-//! execute against it without blocking behind writers. Either way a
-//! query runs through the same `hygraph_query::execute_planned` pass:
-//! the shard count selects how state is pinned (read guard vs `Arc`
-//! clone), never how a query executes; the [`ShardRouter`] only places
-//! WAL frames and routes subscriptions. A snapshot is published
-//! only after the whole batch applied (and, for durable backends,
-//! after every involved shard's WAL synced), so a reader can never
-//! observe a torn batch. The engine is the single place that maps
-//! [`Request`]s to [`Response`]s, so the TCP server, the in-process
-//! [`crate::LocalClient`], and the load generator all execute requests
-//! identically.
+//! The shard count of a durable backend is the number of WAL streams
+//! its [`ShardedStore`] keeps; it places frames and, through
+//! `HYGRAPH_SHARDS`, partitions the subscription index — it never
+//! changes how state is pinned or how a query executes. The engine is
+//! the single place that maps [`Request`]s to [`Response`]s, so the TCP
+//! server, the in-process [`crate::LocalClient`], and the load
+//! generator all execute requests identically.
 
 use crate::proto::{ErrorCode, Request, Response};
 use hygraph_core::HyGraph;
@@ -35,7 +31,6 @@ use hygraph_temporal::{
     now_ms, HistoryConfig, HistorySeed, HistoryStore, ShardWatermark, SharedHistory,
 };
 use hygraph_types::bytes::ByteWriter;
-use hygraph_types::shard::{ShardConfig, ShardRouter};
 use hygraph_types::{Result, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
@@ -48,7 +43,7 @@ const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 /// canonical fingerprint. Plans are data-independent (pattern
 /// compilation never looks at the instance), so entries stay valid
 /// across mutations and a cached plan re-executes against whatever
-/// state the read lock currently exposes.
+/// snapshot the query pinned.
 struct PlanCache {
     entries: Mutex<Vec<(u64, Arc<PlannedQuery>)>>,
     capacity: usize,
@@ -106,8 +101,9 @@ pub enum Backend {
     },
     /// Durable: every committed mutation is WAL-logged and survives a
     /// crash. One WAL stream per shard (one in all at a single shard),
-    /// frames placed by [`ShardRouter`], recovery re-merged by global
-    /// commit sequence number (see [`ShardedStore`]).
+    /// frames placed by [`hygraph_types::shard::ShardRouter`], recovery
+    /// re-merged by global commit sequence number (see
+    /// [`ShardedStore`]).
     Sharded(Box<ShardedStore<HyGraph>>),
 }
 
@@ -130,6 +126,15 @@ impl Backend {
         match self {
             Backend::Memory { hg, .. } => hg,
             Backend::Sharded(store) => store.get(),
+        }
+    }
+
+    /// How many WAL streams the backend keeps: the store's recorded
+    /// count when durable, `1` in memory.
+    fn shards(&self) -> usize {
+        match self {
+            Backend::Memory { .. } => 1,
+            Backend::Sharded(store) => store.shards(),
         }
     }
 
@@ -159,33 +164,31 @@ struct ShardPositions {
 
 /// Thread-safe request executor over a [`Backend`] (see module docs).
 pub struct Engine {
-    inner: RwLock<Backend>,
+    /// The commit lock: writers, subscription registration and every
+    /// direct look at the store serialise on it; queries never take it.
+    inner: Mutex<Backend>,
     /// Shared compiled-plan LRU; `None` when `HYGRAPH_PLAN_CACHE=0`.
     plan_cache: Option<PlanCache>,
-    /// Standing queries. Registration runs under the read lock (a
+    /// Standing queries. Registration runs under the commit lock (a
     /// snapshot and its registration are atomic w.r.t. writers);
-    /// [`Engine::mutate_batch`] notifies it under the write lock, so
+    /// [`Engine::mutate_batch`] notifies it under the same lock, so
     /// every subscriber observes each committed batch exactly once, in
     /// commit order.
     subs: SubscriptionRegistry,
     /// Transaction-time history (`None` when `HYGRAPH_HISTORY=0`): the
     /// in-memory base plus the commit timeline behind `AS OF` /
     /// `BETWEEN`. Its mutex covers bookkeeping only: commits allocate a
-    /// timestamp and record under the backend write lock; a temporal
+    /// timestamp and record under the commit lock; a temporal
     /// query takes it inside [`hygraph_query::TemporalResolver::resolve`]
     /// just to look up its start state (the base or the nearest cached
     /// epoch) and to cache what it rebuilt — the replay and the
     /// execution run unlocked, and a live query never touches it. Lock
-    /// order is always backend lock first, then this mutex.
+    /// order is always commit lock first, then this mutex.
     history: Option<SharedHistory>,
-    /// The element → shard partitioning every layer of this engine
-    /// agrees on. Single-shard routers select the legacy lock paths.
-    router: ShardRouter,
-    /// Multi-shard only: the published read snapshot. Writers replace
-    /// the `Arc` under the backend write lock after each committed
-    /// batch; readers clone it (pinning that epoch) and never take the
-    /// backend lock at all. `None` exactly when `router.is_single()`.
-    snapshot: Option<RwLock<Arc<HyGraph>>>,
+    /// The published read snapshot. Writers replace the `Arc` under the
+    /// commit lock after each committed batch; readers clone it
+    /// (pinning that epoch) and never take the commit lock at all.
+    snapshot: RwLock<Arc<HyGraph>>,
     /// Monotone snapshot-publication counter (the read epoch). Starts
     /// at 0 for the initial state; each published batch bumps it.
     epoch: AtomicU64,
@@ -198,7 +201,7 @@ pub struct Engine {
     pinned: Mutex<Vec<Weak<HyGraph>>>,
     /// Cross-shard durable watermark tracker, fed from the sharded
     /// store's per-shard durable CSN frontiers whenever stats are
-    /// reported.
+    /// reported. Its lane count is the backend's shard count.
     watermark: Mutex<ShardWatermark>,
 }
 
@@ -234,59 +237,24 @@ impl Engine {
 
     /// An engine over a pre-seeded history (or none) — the assembly
     /// point the other constructors and [`Engine::open_durable`] share.
-    /// The shard count comes from the workspace config
-    /// ([`hygraph_types::shard::configured_shards`]): explicit install,
-    /// else `HYGRAPH_SHARDS`, else one per core — except that a backend
-    /// already opened as [`Backend::Sharded`] pins the engine to that
-    /// store's recorded shard count (routing must match frame
-    /// placement).
+    /// The backend's current state becomes epoch 0 of the snapshot
+    /// plane.
     pub fn with_seeded_history(
         backend: Backend,
         capacity: usize,
         history: Option<HistoryStore>,
     ) -> Self {
-        let router = match &backend {
-            // a durable store fixes the shard count on disk
-            Backend::Sharded(store) => store.router(),
-            Backend::Memory { .. } => ShardConfig::new().router(),
-        };
-        let initial = (!router.is_single()).then(|| Arc::new(backend.graph().clone()));
-        let pinned = Mutex::new(initial.iter().map(Arc::downgrade).collect());
+        let initial = Arc::new(backend.graph().clone());
         Self {
-            inner: RwLock::new(backend),
             plan_cache: (capacity > 0).then(|| PlanCache::new(capacity)),
             subs: SubscriptionRegistry::from_env(),
             history: history.map(SharedHistory::new),
-            watermark: Mutex::new(ShardWatermark::new(router.shards())),
-            router,
-            snapshot: initial.map(RwLock::new),
+            watermark: Mutex::new(ShardWatermark::new(backend.shards())),
+            pinned: Mutex::new(vec![Arc::downgrade(&initial)]),
+            snapshot: RwLock::new(initial),
             epoch: AtomicU64::new(0),
-            pinned,
+            inner: Mutex::new(backend),
         }
-    }
-
-    /// Re-partitions a (memory-backed) engine to exactly `shards`
-    /// shards, regardless of the environment — how tests and the bench
-    /// harness pin the lock discipline. `1` restores the legacy
-    /// readers/writer-lock engine; `> 1` enables snapshot reads.
-    /// Durable backends ignore this (their shard count is recorded on
-    /// disk); re-shard those by reopening the directory via
-    /// [`Engine::open_durable`] under a different `HYGRAPH_SHARDS`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        let (router, initial) = {
-            let guard = self.read();
-            let router = match &*guard {
-                Backend::Sharded(store) => store.router(),
-                Backend::Memory { .. } => ShardRouter::new(shards),
-            };
-            let initial = (!router.is_single()).then(|| Arc::new(guard.graph().clone()));
-            (router, initial)
-        };
-        self.router = router;
-        self.pinned = Mutex::new(initial.iter().map(Arc::downgrade).collect());
-        self.snapshot = initial.map(RwLock::new);
-        self.watermark = Mutex::new(ShardWatermark::new(self.router.shards()));
-        self
     }
 
     /// Opens (or initialises) a durable backend at `dir`, seeding
@@ -352,16 +320,16 @@ impl Engine {
         &self.subs
     }
 
-    /// Registers a standing query for connection `conn` under the read
-    /// lock: the returned snapshot and the registration are atomic with
-    /// respect to mutation batches.
+    /// Registers a standing query for connection `conn` under the
+    /// commit lock: the returned snapshot and the registration are
+    /// atomic with respect to mutation batches.
     pub fn subscribe(
         &self,
         text: &str,
         conn: u64,
         sink: Arc<dyn DeltaSink>,
     ) -> Result<(u64, QueryResult)> {
-        let guard = self.read();
+        let guard = self.lock();
         self.subs.subscribe(guard.graph(), text, conn, sink)
     }
 
@@ -375,18 +343,15 @@ impl Engine {
         self.subs.drop_conn(conn);
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Backend> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, Backend> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Backend> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Executes a HyQL query under the read lock (concurrent with other
-    /// queries), consulting the engine's plan cache: repeated query
-    /// shapes skip parsing's downstream cost — lowering, optimization,
-    /// and pattern compilation — and go straight to execution. Queries
+    /// Executes a HyQL query against the published snapshot (concurrent
+    /// with other queries and with commits), consulting the engine's
+    /// plan cache: repeated query shapes skip parsing's downstream cost
+    /// — lowering, optimization, and pattern compilation — and go
+    /// straight to execution. Queries
     /// carrying `AS OF` / `BETWEEN` resolve against the engine's
     /// history; with history disabled they fail with a typed error
     /// (`AS OF NOW()` still degrades gracefully to the live state).
@@ -407,22 +372,9 @@ impl Engine {
 
     fn run_query(&self, text: &str, bound: Option<TemporalBound>) -> Result<QueryResult> {
         let cache = self.plan_cache.as_ref().map(|c| c as &dyn PlanCacheHook);
-        match &self.snapshot {
-            // Multi-shard: pin the published epoch (one Arc clone, the
-            // slot lock held only for that clone) and execute against
-            // the immutable snapshot — never blocking behind a writer
-            // mid-commit.
-            Some(slot) => {
-                let snap = Arc::clone(&slot.read().unwrap_or_else(|e| e.into_inner()));
-                self.run_pinned(&snap, text, cache, bound)
-            }
-            // Single shard: the exact legacy path — queries share the
-            // backend read lock with each other and exclude writers.
-            None => {
-                let guard = self.read();
-                self.run_pinned(guard.graph(), text, cache, bound)
-            }
-        }
+        // the slot lock is held only for the Arc clone: the query runs
+        // against the immutable epoch, never behind a writer mid-commit
+        self.run_pinned(&self.pin_snapshot(), text, cache, bound)
     }
 
     fn run_pinned(
@@ -439,69 +391,59 @@ impl Engine {
         hygraph_query::run_instrumented_bound(hg, text, cache, resolver, bound)
     }
 
-    /// Publishes the current backend state as the new read snapshot
-    /// (multi-shard engines only; a no-op at one shard). Callers hold
-    /// the backend write lock, so publications happen in commit order.
-    /// The whole step — clone (structural sharing makes it O(structure
-    /// changed by the batch)), slot swap, and the drop of the previous
-    /// epoch's last unpinned reference — lands in the
+    /// Publishes the current backend state as the new read snapshot.
+    /// Callers hold the commit lock, so publications happen in commit
+    /// order. The whole step — clone (structural sharing makes it
+    /// O(structure changed by the batch)), slot swap, and the drop of
+    /// the previous epoch's last unpinned reference — lands in the
     /// `hygraph_commit_publish_us` histogram: it is the per-commit cost
     /// snapshot publication adds to the write path.
     fn publish(&self, hg: &HyGraph) {
-        if let Some(slot) = &self.snapshot {
-            let start = Instant::now();
-            let next = Arc::new(hg.clone());
-            let retired = std::mem::replace(
-                &mut *slot.write().unwrap_or_else(|e| e.into_inner()),
-                Arc::clone(&next),
-            );
-            self.epoch.fetch_add(1, Ordering::Release);
-            drop(retired);
-            if let Some(m) = hygraph_metrics::get() {
-                m.shard.commit_publish_us.observe_duration(start.elapsed());
-            }
-            let mut pinned = self.pinned.lock().unwrap_or_else(|e| e.into_inner());
-            pinned.retain(|w| w.strong_count() > 0);
-            pinned.push(Arc::downgrade(&next));
+        let start = Instant::now();
+        let next = Arc::new(hg.clone());
+        let retired = std::mem::replace(
+            &mut *self.snapshot.write().unwrap_or_else(|e| e.into_inner()),
+            Arc::clone(&next),
+        );
+        self.epoch.fetch_add(1, Ordering::Release);
+        drop(retired);
+        if let Some(m) = hygraph_metrics::get() {
+            m.shard.commit_publish_us.observe_duration(start.elapsed());
         }
+        let mut pinned = self.pinned.lock().unwrap_or_else(|e| e.into_inner());
+        pinned.retain(|w| w.strong_count() > 0);
+        pinned.push(Arc::downgrade(&next));
     }
 
     /// Pins the currently published snapshot — the handle a long-running
     /// reader (an export, an analytics scan, the bench harness) holds to
-    /// keep one epoch stable across many queries. `None` on single-shard
-    /// engines, which have no snapshot plane. While the returned `Arc`
-    /// lives, that epoch counts into the `hygraph_snapshot_pinned`
+    /// keep one epoch stable across many queries. While the returned
+    /// `Arc` lives, that epoch counts into the `hygraph_snapshot_pinned`
     /// gauge.
-    pub fn pin_snapshot(&self) -> Option<Arc<HyGraph>> {
-        self.snapshot
-            .as_ref()
-            .map(|slot| Arc::clone(&slot.read().unwrap_or_else(|e| e.into_inner())))
+    pub fn pin_snapshot(&self) -> Arc<HyGraph> {
+        Arc::clone(&self.snapshot.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// How many published snapshot versions are currently alive: the
     /// slot's own epoch plus every retired epoch a reader still pins.
-    /// `0` on single-shard engines. Prunes released epochs as a side
-    /// effect.
+    /// Prunes released epochs as a side effect.
     pub fn pinned_snapshots(&self) -> usize {
         let mut pinned = self.pinned.lock().unwrap_or_else(|e| e.into_inner());
         pinned.retain(|w| w.strong_count() > 0);
         pinned.len()
     }
 
-    /// How many shards this engine partitions its commit/storage plane
-    /// into (`1` = one WAL stream, reads under the read/write lock).
+    /// How many WAL streams the backend keeps: the store's recorded
+    /// count for a durable engine, `1` for a memory engine.
     pub fn shards(&self) -> usize {
-        self.router.shards()
-    }
-
-    /// The engine's element → shard router.
-    pub fn router(&self) -> ShardRouter {
-        self.router
+        self.watermark
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .shards()
     }
 
     /// The read epoch: how many snapshots have been published. `0`
-    /// until the first committed batch; single-shard engines never
-    /// publish and stay at `0`.
+    /// until the first committed batch.
     pub fn snapshot_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -520,7 +462,7 @@ impl Engine {
     /// one lock acquisition: the WAL-stream `(next_lsn, durable_lsn)`
     /// lanes and the durable CSN frontiers.
     fn shard_positions(&self) -> Option<ShardPositions> {
-        match &*self.read() {
+        match &*self.lock() {
             Backend::Sharded(store) => Some(ShardPositions {
                 lanes: store.shard_lsns(),
                 frontiers: store.shard_csn_frontiers(),
@@ -547,18 +489,15 @@ impl Engine {
         }
     }
 
-    /// Folds the sharded backend's per-shard WAL positions and CSN
-    /// watermark into the global metrics registry's shard gauges
-    /// (no-op for memory backends or when metrics are disabled).
-    /// Called on every [`Request::Stats`]; the periodic metrics logger
-    /// reaches it the same way.
+    /// Folds the pinned-snapshot count and, for a sharded backend, its
+    /// per-shard WAL positions and CSN watermark into the global
+    /// metrics registry's shard gauges (no-op when metrics are
+    /// disabled). Called on every [`Request::Stats`]; the periodic
+    /// metrics logger reaches it the same way.
     fn report_shard_metrics(&self) {
         let Some(m) = hygraph_metrics::get() else {
             return;
         };
-        // the pinned-snapshot gauge covers every multi-shard engine,
-        // memory-backed included — it reads the snapshot plane, not the
-        // store
         m.shard.snapshot_pinned.set(self.pinned_snapshots() as i64);
         let Some(ShardPositions { lanes, frontiers }) = self.shard_positions() else {
             return;
@@ -570,19 +509,19 @@ impl Engine {
         m.shard.set_lanes(&lanes, watermark);
     }
 
-    /// Runs `f` against the instance under the read lock — how tests
-    /// compare served results against direct library calls.
+    /// Runs `f` against the published snapshot — how tests compare
+    /// served results against direct library calls.
     pub fn with_graph<R>(&self, f: impl FnOnce(&HyGraph) -> R) -> R {
-        f(self.read().graph())
+        f(&self.pin_snapshot())
     }
 
-    /// Applies a batch of mutations under the write lock. Durable
+    /// Applies a batch of mutations under the commit lock. Durable
     /// backends group-commit (WAL append + one fsync); on reply the
     /// batch is on disk. Returns `(first_lsn, count)`.
     pub fn mutate_batch(&self, mut mutations: Vec<HgMutation>) -> Result<(u64, u64)> {
         let count = mutations.len() as u64;
-        let mut guard = self.write();
-        // the write lock excludes concurrent subscribes, so the check
+        let mut guard = self.lock();
+        // the commit lock excludes concurrent subscribes, so the check
         // cannot race a registration
         let notify = !self.subs.is_empty();
         // allocate the batch's transaction timestamp before staging so
@@ -667,8 +606,7 @@ impl Engine {
     /// Forces a checkpoint on a durable backend; a no-op pseudo-LSN
     /// report on a memory backend.
     pub fn checkpoint(&self) -> Result<u64> {
-        let mut guard = self.write();
-        match &mut *guard {
+        match &mut *self.lock() {
             Backend::Memory { applied, .. } => Ok(*applied),
             Backend::Sharded(store) => {
                 store.checkpoint()?;
@@ -680,7 +618,7 @@ impl Engine {
     /// Makes every staged mutation durable — the shutdown path's final
     /// WAL sync. A no-op for memory backends.
     pub fn sync(&self) -> Result<()> {
-        match &mut *self.write() {
+        match &mut *self.lock() {
             Backend::Memory { .. } => Ok(()),
             Backend::Sharded(store) => store.sync(),
         }
@@ -735,7 +673,7 @@ impl Engine {
 
     /// The exact binary state encoding at this instant.
     pub fn state_bytes(&self) -> Vec<u8> {
-        self.read().state_bytes()
+        self.lock().state_bytes()
     }
 
     /// Consumes the engine, returning the backend (the shutdown path
@@ -747,14 +685,14 @@ impl Engine {
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let guard = self.read();
+        let guard = self.lock();
         let kind = match &*guard {
             Backend::Memory { .. } => "memory",
             Backend::Sharded(_) => "sharded",
         };
         f.debug_struct("Engine")
             .field("backend", &kind)
-            .field("shards", &self.router.shards())
+            .field("shards", &guard.shards())
             .field("vertices", &guard.graph().vertex_count())
             .finish()
     }

@@ -14,9 +14,10 @@
 //!   full queue is an immediate, typed overload rejection
 //!   ([`proto::ErrorCode::Overloaded`]), not latency;
 //! * a fixed worker pool (sized like the rest of the workspace, via
-//!   [`hygraph_types::parallel`]) executes requests under a
-//!   readers/writer lock — queries run concurrently, mutations
-//!   serialise through the WAL's group-commit path;
+//!   [`hygraph_types::parallel`]) executes requests — queries run
+//!   concurrently against a published snapshot and never wait for a
+//!   writer, mutations serialise on one commit lock through the WAL's
+//!   group-commit path;
 //! * per-request deadlines drop stale queued work
 //!   ([`proto::ErrorCode::DeadlineExceeded`]) instead of executing it
 //!   after the client stopped caring;

@@ -651,8 +651,8 @@ impl Server {
     }
 
     /// The shared engine this server executes against — lets tests and
-    /// the bench harness pin snapshot epochs ([`Engine::pin_snapshot`])
-    /// alongside live wire traffic.
+    /// embedded callers pin snapshot epochs ([`Engine::pin_snapshot`])
+    /// alongside live wire traffic, at any shard count.
     pub fn engine(&self) -> Arc<Engine> {
         Arc::clone(&self.shared.as_ref().expect("server not shut down").engine)
     }

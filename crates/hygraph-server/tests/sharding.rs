@@ -1,14 +1,14 @@
-//! Sharded-engine snapshot isolation: readers pinning epoch snapshots
-//! while a writer commits batches must never observe a torn batch —
-//! every count they see is a whole number of committed batches, and
-//! what a single reader sees only moves forward. And the shard count
-//! must not change an answer: the engine's two read paths (read guard
-//! at one shard, pinned snapshot above) serve the bytes of one
+//! Snapshot isolation at every shard count: readers pinning epoch
+//! snapshots while a writer commits batches must never observe a torn
+//! batch — every count they see is a whole number of committed
+//! batches, and what a single reader sees only moves forward. And the
+//! shard count, which only sets the durable store's WAL layout, must
+//! not change an answer: every engine serves the bytes of one
 //! sequential `execute_planned` pass.
 
 use hygraph_core::HyGraphBuilder;
 use hygraph_persist::fault::scratch_dir;
-use hygraph_persist::HgMutation;
+use hygraph_persist::{HgMutation, ShardedStore};
 use hygraph_query::{execute_planned, plan_query};
 use hygraph_server::{Backend, Engine};
 use hygraph_temporal::HistoryConfig;
@@ -52,7 +52,6 @@ fn observed_count(engine: &Engine) -> i64 {
 /// starts only once every reader has observed once — memory commits
 /// are fast enough to all finish before a reader is first scheduled.
 fn readers_never_observe_torn_batches(engine: Arc<Engine>) {
-    assert_eq!(engine.shards(), 4, "the test must run the sharded path");
     let done = Arc::new(AtomicBool::new(false));
     let all_observing = Arc::new(Barrier::new(READERS + 1));
     let readers: Vec<_> = (0..READERS)
@@ -103,17 +102,22 @@ fn readers_never_observe_torn_batches(engine: Arc<Engine>) {
 }
 
 #[test]
-fn memory_sharded_snapshots_are_batch_atomic() {
-    let engine = Engine::new(Backend::memory(hygraph_core::HyGraph::new())).with_shards(4);
+fn memory_snapshots_are_batch_atomic() {
+    let engine = Engine::new(Backend::memory(hygraph_core::HyGraph::new()));
     readers_never_observe_torn_batches(Arc::new(engine));
 }
 
+/// One WAL stream and four: the read path is the same snapshot plane.
 #[test]
-fn durable_sharded_snapshots_are_batch_atomic() {
-    let dir = scratch_dir("sharded-snapshot-reads");
-    let engine = Engine::open_durable_sharded(&dir, 0, HistoryConfig::disabled(), 4)
-        .expect("open sharded store");
-    readers_never_observe_torn_batches(Arc::new(engine));
+fn durable_snapshots_are_batch_atomic() {
+    for shards in [1, 4] {
+        let dir = scratch_dir(&format!("snapshot-reads-{shards}"));
+        let engine = Engine::open_durable_sharded(&dir, 0, HistoryConfig::disabled(), shards)
+            .expect("open sharded store");
+        assert_eq!(engine.shards(), shards);
+        readers_never_observe_torn_batches(Arc::new(engine));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 fn corpus_instance() -> hygraph_core::HyGraph {
@@ -195,7 +199,9 @@ fn served(r: hygraph_types::Result<hygraph_query::QueryResult>) -> Result<Vec<u8
 fn every_shard_count_serves_the_bytes_of_one_sequential_pass() {
     let hg = corpus_instance();
     for shards in [1usize, 2, 4, 7] {
-        let engine = Engine::new(Backend::memory(hg.clone())).with_shards(shards);
+        let dir = scratch_dir(&format!("sequential-pass-{shards}"));
+        let store = ShardedStore::create(&dir, shards, hg.clone()).expect("create store");
+        let engine = Engine::new(Backend::sharded(store));
         assert_eq!(engine.shards(), shards);
         for text in CORPUS {
             let q = hygraph_query::parser::parse(text).expect("corpus parses");
@@ -207,5 +213,7 @@ fn every_shard_count_serves_the_bytes_of_one_sequential_pass() {
                 "{shards} shards diverge from the sequential pass: {text}"
             );
         }
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

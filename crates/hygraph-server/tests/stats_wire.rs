@@ -186,8 +186,8 @@ fn ts_compression_metrics_cross_the_wire() {
     server.shutdown().expect("shutdown");
 }
 
-/// Snapshot-publication instruments cross the wire: on a
-/// multi-shard engine, two `Stats` calls bracket `K` committed batches
+/// Snapshot-publication instruments cross the wire: on a memory
+/// engine (one shard), two `Stats` calls bracket `K` committed batches
 /// and the `hygraph_commit_publish_us` histogram gains exactly `K`
 /// observations — one per publication. The `hygraph_snapshot_pinned`
 /// gauge reads 1 with no readers (only the slot's current epoch is
@@ -196,7 +196,7 @@ fn ts_compression_metrics_cross_the_wire() {
 #[test]
 fn snapshot_publication_metrics_cross_the_wire() {
     let _g = guard();
-    let engine = Engine::with_plan_cache(Backend::memory(HyGraph::new()), 8).with_shards(4);
+    let engine = Engine::with_plan_cache(Backend::memory(HyGraph::new()), 8);
     let server = Server::serve_engine(engine, &config(2, 16, 5_000)).expect("serve");
     let engine = server.engine();
     let mut c = Client::connect(server.local_addr()).expect("connect");
@@ -224,7 +224,7 @@ fn snapshot_publication_metrics_cross_the_wire() {
 
     // pin the current epoch, then retire it with another commit: both
     // the pinned epoch and the new current one are alive
-    let pin = engine.pin_snapshot().expect("multi-shard engines pin");
+    let pin = engine.pin_snapshot();
     c.mutate(mutation()).expect("mutate past the pin");
     let held = c.stats().expect("stats with held pin");
     assert_eq!(

@@ -23,8 +23,9 @@ pub struct SubConfig {
     /// Shard count the registry's append-routing index partitions by —
     /// the workspace shard knob ([`hygraph_types::shard`], so
     /// `HYGRAPH_SHARDS` by default), not a `HYGRAPH_SUB_*` one: routing
-    /// granularity tracks the engine's storage partitioning. `1` keeps
-    /// the flat (route-every-series-reader) index.
+    /// granularity tracks the engine's storage partitioning. At `1`
+    /// every series reader holds the one shard bit, so any append
+    /// reaches them all.
     pub shards: usize,
 }
 

@@ -298,7 +298,7 @@ impl Inner {
 }
 
 /// All standing queries of one engine (see module docs). Thread-safe;
-/// the engine calls [`SubscriptionRegistry::on_commit`] under its write
+/// the engine calls [`SubscriptionRegistry::on_commit`] under its commit
 /// lock, so commit processing is serialised with mutations and
 /// subscription snapshots are transactionally consistent.
 pub struct SubscriptionRegistry {
@@ -369,7 +369,7 @@ impl SubscriptionRegistry {
 
     /// Registers a standing query for `conn` and returns its id plus
     /// the initial materialised snapshot. Must be called with `hg`
-    /// stable (the engine's read lock suffices): the snapshot and the
+    /// stable (under the engine's commit lock): the snapshot and the
     /// registration are then atomic with respect to commits.
     pub fn subscribe(
         &self,
@@ -491,7 +491,7 @@ impl SubscriptionRegistry {
     /// Processes one committed (or partially applied, `batch_failed`)
     /// mutation batch: routes it through the inverted index, advances
     /// every affected subscription, and pushes non-empty deltas. Call
-    /// under the engine's write lock, after the batch is applied, with
+    /// under the engine's commit lock, after the batch is applied, with
     /// `pre_vcap`/`pre_ecap` the topology capacities captured before.
     ///
     /// # Shard-mask maintenance
@@ -648,20 +648,15 @@ impl SubscriptionRegistry {
                 }
             }
             if !appended.is_empty() {
-                if self.router.is_single() {
-                    // one shard: every reachable series shares bit 0
-                    // with every reader — the flat pre-shard route
-                    touched.extend(inner.series_any.iter().copied());
-                } else {
-                    // per-shard index: only series-readers whose mask
-                    // intersects the appended shards can change
-                    touched.extend(inner.series_any.iter().copied().filter(|id| {
-                        inner
-                            .subs
-                            .get(id)
-                            .is_none_or(|s| s.series_mask & appended_mask != 0)
-                    }));
-                }
+                // per-shard index: only series-readers whose mask
+                // intersects the appended shards can change (at one
+                // shard every reader of a reachable series has bit 0)
+                touched.extend(inner.series_any.iter().copied().filter(|id| {
+                    inner
+                        .subs
+                        .get(id)
+                        .is_none_or(|s| s.series_mask & appended_mask != 0)
+                }));
             }
             for m in muts {
                 let (el, prop_key) = match m {
@@ -1092,71 +1087,80 @@ mod tests {
             .hygraph
     }
 
+    /// Masks at one shard are coarser (every reader of a series holds
+    /// bit 0) than at two, where the series straddle the shards; the
+    /// append routing must deliver the same deltas at both.
     #[test]
     fn series_masks_partition_by_footprint_and_route_appends_by_shard() {
-        let mut hg = two_series_instance();
-        let reg = SubscriptionRegistry::new(SubConfig::default().shards(2));
-        let sink = Arc::new(RecordingSink::default());
-        let card = hg.topology().vertices_with_label("Card").next().unwrap().id;
-        let sensor = hg
-            .topology()
-            .vertices_with_label("Sensor")
-            .next()
-            .unwrap()
-            .id;
-        let spend = hg.delta_id(ElementRef::Vertex(card)).unwrap();
-        let temp = hg.delta_id(ElementRef::Vertex(sensor)).unwrap();
-        let spend_bit = 1u64 << reg.router().of_series(spend);
-        let temp_bit = 1u64 << reg.router().of_series(temp);
-        assert_ne!(spend_bit, temp_bit, "dense ids must straddle 2 shards");
+        for shards in [1, 2] {
+            let mut hg = two_series_instance();
+            let reg = SubscriptionRegistry::new(SubConfig::default().shards(shards));
+            let sink = Arc::new(RecordingSink::default());
+            let card = hg.topology().vertices_with_label("Card").next().unwrap().id;
+            let sensor = hg
+                .topology()
+                .vertices_with_label("Sensor")
+                .next()
+                .unwrap()
+                .id;
+            let spend = hg.delta_id(ElementRef::Vertex(card)).unwrap();
+            let temp = hg.delta_id(ElementRef::Vertex(sensor)).unwrap();
+            let spend_bit = 1u64 << reg.router().of_series(spend);
+            let temp_bit = 1u64 << reg.router().of_series(temp);
+            assert_eq!(
+                spend_bit == temp_bit,
+                shards == 1,
+                "dense ids share one shard and straddle two"
+            );
 
-        let (cards, _) = reg
-            .subscribe(
-                &hg,
-                "MATCH (c:Card) RETURN SUM(DELTA(c) IN [0, 1000)) AS s",
-                1,
-                sink.clone(),
-            )
-            .unwrap();
-        let (sensors, _) = reg
-            .subscribe(
-                &hg,
-                "MATCH (s:Sensor) RETURN SUM(DELTA(s) IN [0, 1000)) AS s",
-                1,
-                sink.clone(),
-            )
-            .unwrap();
-        let (wild, _) = reg
-            .subscribe(
-                &hg,
-                "MATCH (x) RETURN SUM(DELTA(x) IN [0, 1000)) AS s",
-                1,
-                sink.clone(),
-            )
-            .unwrap();
-        let (users, _) = reg
-            .subscribe(&hg, "MATCH (u:User) RETURN u.name AS n", 1, sink.clone())
-            .unwrap(); // no User exists yet: empty snapshot, no series
+            let (cards, _) = reg
+                .subscribe(
+                    &hg,
+                    "MATCH (c:Card) RETURN SUM(DELTA(c) IN [0, 1000)) AS s",
+                    1,
+                    sink.clone(),
+                )
+                .unwrap();
+            let (sensors, _) = reg
+                .subscribe(
+                    &hg,
+                    "MATCH (s:Sensor) RETURN SUM(DELTA(s) IN [0, 1000)) AS s",
+                    1,
+                    sink.clone(),
+                )
+                .unwrap();
+            let (wild, _) = reg
+                .subscribe(
+                    &hg,
+                    "MATCH (x) RETURN SUM(DELTA(x) IN [0, 1000)) AS s",
+                    1,
+                    sink.clone(),
+                )
+                .unwrap();
+            let (users, _) = reg
+                .subscribe(&hg, "MATCH (u:User) RETURN u.name AS n", 1, sink.clone())
+                .unwrap(); // no User exists yet: empty snapshot, no series
 
-        // subscribe-time masks: exactly the shards of admitted series
-        assert_eq!(reg.series_shard_mask(cards), Some(spend_bit));
-        assert_eq!(reg.series_shard_mask(sensors), Some(temp_bit));
-        assert_eq!(reg.series_shard_mask(wild), Some(spend_bit | temp_bit));
-        assert_eq!(reg.series_shard_mask(users), Some(0), "no series read");
+            // subscribe-time masks: exactly the shards of admitted series
+            assert_eq!(reg.series_shard_mask(cards), Some(spend_bit));
+            assert_eq!(reg.series_shard_mask(sensors), Some(temp_bit));
+            assert_eq!(reg.series_shard_mask(wild), Some(spend_bit | temp_bit));
+            assert_eq!(reg.series_shard_mask(users), Some(0), "no series read");
 
-        // an append to spend reaches the Card and wildcard readers only
-        commit(
-            &reg,
-            &mut hg,
-            vec![HgMutation::Append {
-                series: spend,
-                t: Timestamp::from_millis(500),
-                row: vec![100.0],
-            }],
-        );
-        let pushed = sink.deltas.lock().unwrap().clone();
-        let ids: BTreeSet<u64> = pushed.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, BTreeSet::from([cards, wild]));
+            // an append to spend reaches the Card and wildcard readers only
+            commit(
+                &reg,
+                &mut hg,
+                vec![HgMutation::Append {
+                    series: spend,
+                    t: Timestamp::from_millis(500),
+                    row: vec![100.0],
+                }],
+            );
+            let pushed = sink.deltas.lock().unwrap().clone();
+            let ids: BTreeSet<u64> = pushed.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, BTreeSet::from([cards, wild]), "{shards} shard(s)");
+        }
     }
 
     #[test]

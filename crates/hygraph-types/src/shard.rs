@@ -14,8 +14,9 @@
 //! pattern as [`crate::parallel`] and [`crate::net::ServerConfig`]):
 //!
 //! 1. Default: one shard per core ([`crate::parallel::configured_threads`]).
-//! 2. Environment: `HYGRAPH_SHARDS`, read once per process. `1` restores
-//!    the exact pre-sharding single-store engine.
+//! 2. Environment: `HYGRAPH_SHARDS`, read once per process. `1` keeps
+//!    one WAL stream and one subscription-index partition; reads are
+//!    served from published snapshots at every count.
 //! 3. Programmatic: [`ShardConfig::install`] overrides the environment;
 //!    an explicit [`ShardConfig::shards`] field wins over everything
 //!    (tests use this to pin a shard count regardless of machine size).
@@ -142,11 +143,6 @@ impl ShardRouter {
         self.shards
     }
 
-    /// Whether this router describes the single-shard (legacy) layout.
-    pub fn is_single(&self) -> bool {
-        self.shards == 1
-    }
-
     /// The shard owning a series — and, by co-location, the ts-elements
     /// whose δ points at it.
     pub fn of_series(&self, id: SeriesId) -> usize {
@@ -186,7 +182,7 @@ mod tests {
     #[test]
     fn single_shard_routes_everything_to_zero() {
         let r = ShardRouter::new(1);
-        assert!(r.is_single());
+        assert_eq!(r.shards(), 1);
         for raw in [0u64, 1, 17, u64::MAX] {
             assert_eq!(r.of_series(SeriesId::new(raw)), 0);
             assert_eq!(r.of_csn(raw), 0);
