@@ -247,7 +247,7 @@ impl Engine {
         let initial = Arc::new(backend.graph().clone());
         Self {
             plan_cache: (capacity > 0).then(|| PlanCache::new(capacity)),
-            subs: SubscriptionRegistry::from_env(),
+            subs: SubscriptionRegistry::new(SubConfig::from_env().shards(backend.shards())),
             history: history.map(SharedHistory::new),
             watermark: Mutex::new(ShardWatermark::new(backend.shards())),
             pinned: Mutex::new(vec![Arc::downgrade(&initial)]),
@@ -309,9 +309,11 @@ impl Engine {
     }
 
     /// Replaces the subscription-layer settings (cap, push-buffer
-    /// depth) — lets tests pin them regardless of the environment.
+    /// depth) — lets tests pin them regardless of the environment. The
+    /// registry keeps partitioning by this engine's shard count
+    /// ([`Engine::shards`]), whatever `cfg.shards` says.
     pub fn with_sub_config(mut self, cfg: SubConfig) -> Self {
-        self.subs = SubscriptionRegistry::new(cfg);
+        self.subs = SubscriptionRegistry::new(cfg.shards(self.shards()));
         self
     }
 

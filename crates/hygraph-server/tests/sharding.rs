@@ -11,10 +11,12 @@ use hygraph_persist::fault::scratch_dir;
 use hygraph_persist::{HgMutation, ShardedStore};
 use hygraph_query::{execute_planned, plan_query};
 use hygraph_server::{Backend, Engine};
+use hygraph_sub::SubConfig;
 use hygraph_temporal::HistoryConfig;
 use hygraph_ts::TimeSeries;
 use hygraph_types::bytes::ByteWriter;
 use hygraph_types::parallel::ExecMode;
+use hygraph_types::shard::ShardConfig;
 use hygraph_types::{props, Duration, Interval, Label, PropertyMap, Timestamp, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -118,6 +120,29 @@ fn durable_snapshots_are_batch_atomic() {
         readers_never_observe_torn_batches(Arc::new(engine));
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The subscription index partitions series by the store's recorded
+/// shard count, not the configured one: a store created at four shards
+/// and reopened at four while another count is installed routes by four,
+/// also after its subscription settings are replaced.
+#[test]
+fn subscription_router_follows_the_recorded_shard_count() {
+    let dir = scratch_dir("sub-router-shards");
+    drop(
+        Engine::open_durable_sharded(&dir, 0, HistoryConfig::disabled(), 4)
+            .expect("create at four shards"),
+    );
+    ShardConfig::new().shards(3).install();
+    let engine = Engine::open_durable_sharded(&dir, 0, HistoryConfig::disabled(), 4)
+        .expect("reopen at four shards");
+    assert_eq!(engine.shards(), 4);
+    assert_eq!(engine.subscriptions().router().shards(), engine.shards());
+    let engine = engine.with_sub_config(SubConfig::default().push_buffer(8));
+    assert_eq!(engine.subscriptions().router().shards(), engine.shards());
+    ShardConfig::new().shards(0).install();
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn corpus_instance() -> hygraph_core::HyGraph {

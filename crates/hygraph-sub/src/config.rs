@@ -20,12 +20,13 @@ pub struct SubConfig {
     pub max_subscriptions: usize,
     /// Per-connection push-buffer depth (`HYGRAPH_SUB_BUFFER`).
     pub push_buffer: usize,
-    /// Shard count the registry's append-routing index partitions by —
-    /// the workspace shard knob ([`hygraph_types::shard`], so
-    /// `HYGRAPH_SHARDS` by default), not a `HYGRAPH_SUB_*` one: routing
-    /// granularity tracks the engine's storage partitioning. At `1`
-    /// every series reader holds the one shard bit, so any append
-    /// reaches them all.
+    /// Shard count the registry's append-routing index partitions by.
+    /// It defaults to the workspace shard knob
+    /// ([`hygraph_types::shard`], so `HYGRAPH_SHARDS`), not a
+    /// `HYGRAPH_SUB_*` one, but an engine overrides it with its store's
+    /// recorded shard count (`1` in memory), which can differ from the
+    /// knob after a reopen. At `1` every series reader holds the one
+    /// shard bit, so any append reaches them all.
     pub shards: usize,
 }
 

@@ -305,9 +305,9 @@ pub struct SubscriptionRegistry {
     cfg: SubConfig,
     /// Series → shard routing for the append index, built once from
     /// [`SubConfig::shards`]. Only internal consistency matters for
-    /// soundness (masks and appends are judged by the *same* router),
-    /// but by defaulting to the workspace shard knob it matches the
-    /// engine's storage partitioning.
+    /// soundness (masks and appends are judged by the *same* router);
+    /// an engine sets it to its store's recorded shard count, so the
+    /// index partitions series as the WAL streams do.
     router: ShardRouter,
     /// Lock-free emptiness check so commit paths with no subscribers
     /// pay one atomic load, not a mutex.
@@ -341,11 +341,6 @@ impl SubscriptionRegistry {
     /// commits — the cost the key-narrowed routing avoids.
     pub fn rerun_count(&self) -> usize {
         self.reruns.load(Ordering::Relaxed)
-    }
-
-    /// A registry configured from the `HYGRAPH_SUB_*` environment.
-    pub fn from_env() -> Self {
-        Self::new(SubConfig::from_env())
     }
 
     /// The effective configuration.
