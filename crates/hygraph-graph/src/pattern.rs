@@ -12,40 +12,9 @@ use crate::graph::{EdgeData, TemporalGraph, VertexData};
 use hygraph_types::{EdgeId, Label, Timestamp, Value, VertexId};
 use std::collections::{BTreeMap, HashMap};
 
-/// Comparison operator for property predicates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpOp {
-    /// Evaluates `lhs op rhs` with SQL-ish null semantics (null never
-    /// matches).
-    pub fn eval(self, lhs: &Value, rhs: &Value) -> bool {
-        if lhs.is_null() || rhs.is_null() {
-            return false;
-        }
-        match self {
-            CmpOp::Eq => lhs.sql_eq(rhs).unwrap_or(false),
-            CmpOp::Ne => lhs.sql_eq(rhs).map(|b| !b).unwrap_or(false),
-            CmpOp::Lt => lhs.total_cmp(rhs).is_lt(),
-            CmpOp::Le => lhs.total_cmp(rhs).is_le(),
-            CmpOp::Gt => lhs.total_cmp(rhs).is_gt(),
-            CmpOp::Ge => lhs.total_cmp(rhs).is_ge(),
-        }
-    }
-}
+/// Comparison operator for property predicates — one type with the
+/// query engine's residual comparisons, evaluated by [`Value::compare`].
+pub use hygraph_types::CmpOp;
 
 /// A static-property predicate `element.key op value`.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,7 +40,7 @@ impl PropPredicate {
     fn holds(&self, props: &hygraph_types::PropertyMap) -> bool {
         props
             .static_value(&self.key)
-            .is_some_and(|v| self.op.eval(v, &self.value))
+            .is_some_and(|v| v.compare(self.op, &self.value) == Some(true))
     }
 }
 
@@ -1170,16 +1139,5 @@ mod tests {
             assert!(after.len() > before.len());
             assert!(before.keys().all(|k| after.contains_key(k)));
         }
-    }
-
-    #[test]
-    fn cmp_op_eval() {
-        use CmpOp::*;
-        assert!(Eq.eval(&Value::Int(1), &Value::Float(1.0)));
-        assert!(Ne.eval(&Value::Int(1), &Value::Int(2)));
-        assert!(Lt.eval(&Value::Int(1), &Value::Int(2)));
-        assert!(Ge.eval(&Value::Float(2.0), &Value::Int(2)));
-        assert!(!Eq.eval(&Value::Null, &Value::Null), "null never matches");
-        assert!(!Gt.eval(&Value::Null, &Value::Int(0)));
     }
 }

@@ -1,6 +1,6 @@
 //! HyQL abstract syntax tree.
 
-use hygraph_types::{Timestamp, Value};
+use hygraph_types::{CmpOp, Timestamp, Value};
 
 /// A transaction-time bound on a query: which historical state of the
 /// store the query executes against. Distinct from `VALID AT`, which
@@ -218,6 +218,22 @@ pub enum BinOp {
     Mul,
     /// `/`
     Div,
+}
+
+impl BinOp {
+    /// The comparison this operator performs, `None` for the logical
+    /// and arithmetic operators.
+    pub fn cmp_op(self) -> Option<CmpOp> {
+        match self {
+            BinOp::Eq => Some(CmpOp::Eq),
+            BinOp::Ne => Some(CmpOp::Ne),
+            BinOp::Lt => Some(CmpOp::Lt),
+            BinOp::Le => Some(CmpOp::Le),
+            BinOp::Gt => Some(CmpOp::Gt),
+            BinOp::Ge => Some(CmpOp::Ge),
+            _ => None,
+        }
+    }
 }
 
 /// One RETURN item.

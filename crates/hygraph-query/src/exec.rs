@@ -1,16 +1,13 @@
 //! HyQL execution: pattern compilation, expression evaluation, and
 //! result assembly.
 
-use crate::ast::{
-    AggFunc, BinOp, EdgeDir, Expr, OrderItem, Query, ReturnItem, RowAggFunc, SeriesRef,
-};
+use crate::ast::{AggFunc, BinOp, EdgeDir, Expr, OrderItem, Query, RowAggFunc, SeriesRef};
 use hygraph_core::{ElementRef, HyGraph};
-use hygraph_graph::pattern::Binding;
+use hygraph_graph::pattern::{Binding, CmpOp};
 use hygraph_graph::{Direction, Pattern};
 use hygraph_ts::store::AggKind;
-use hygraph_types::parallel::{should_parallelize, ExecMode};
+use hygraph_types::parallel::ExecMode;
 use hygraph_types::{HyGraphError, Interval, Result, Timestamp, Value};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -162,102 +159,17 @@ pub(crate) fn contains_rowagg(expr: &Expr) -> bool {
 /// Executes a parsed query against an instance through the planner:
 /// lowers the AST to a logical plan, runs the rewrite rules, and
 /// executes the physical operators ([`ExecMode::Auto`] decides fan-out
-/// from the number of pattern matches). Bit-identical to
-/// [`execute_interpreted`] by construction (see
-/// `tests/plan_equivalence.rs`). An `EXPLAIN`-flagged query returns the
-/// optimized plan rendering instead of executing.
+/// from the number of pattern matches). The rewrites may make a query
+/// cheaper, never different: `tests/plan_equivalence.rs` checks every
+/// answer against a brute-force evaluator (`tests/oracle`) that shares
+/// none of this code. An `EXPLAIN`-flagged query returns the optimized
+/// plan rendering instead of executing.
 pub fn execute(hg: &HyGraph, q: &Query, mode: ExecMode) -> Result<QueryResult> {
     let planned = crate::physical::plan_query(q)?;
     if q.explain {
         return Ok(crate::plan::explain_result(&planned));
     }
     crate::physical::execute_planned(hg, &planned, mode)
-}
-
-/// Executes a parsed query through the legacy one-pass interpreter —
-/// kept as the semantic reference the planner is validated against.
-///
-/// Pattern bindings are materialised up front; per-binding evaluation
-/// (WHERE filter + projections, or group keys + aggregate arguments) is
-/// a pure function of one binding, so it fans out across threads.
-/// Results are re-assembled in binding order, error reporting picks the
-/// first failing binding in that order, and grouped execution folds
-/// aggregate states sequentially in binding order — so the parallel
-/// path returns exactly what the sequential path returns.
-pub fn execute_interpreted(hg: &HyGraph, q: &Query, mode: ExecMode) -> Result<QueryResult> {
-    if let Some(filter) = &q.filter {
-        if contains_rowagg(filter) {
-            return Err(HyGraphError::query(
-                "row aggregates are not allowed in WHERE; use HAVING",
-            ));
-        }
-    }
-    let grouped = q.having.is_some() || q.returns.iter().any(|r| contains_rowagg(&r.expr));
-    let patterns = compile_patterns(q, &[])?;
-    // one materialised binding list, in pattern-then-match order —
-    // identical to the order the streaming visitor would see
-    let bindings: Vec<Binding> = patterns
-        .iter()
-        .flat_map(|p| p.find_all(hg.topology()))
-        .collect();
-    let columns: Vec<String> = q.returns.iter().map(|r| r.alias.clone()).collect();
-    let mut rows = if grouped {
-        execute_grouped(hg, q, &bindings, mode)?
-    } else {
-        execute_flat(hg, q, &bindings, mode)?
-    };
-
-    if q.distinct {
-        let mut seen: Vec<Row> = Vec::new();
-        rows.retain(|r| {
-            if seen.iter().any(|s| rows_equal(s, r)) {
-                false
-            } else {
-                seen.push(r.clone());
-                true
-            }
-        });
-    }
-    sort_rows(&mut rows, &columns, &q.order_by)?;
-    if let Some(limit) = q.limit {
-        rows.truncate(limit);
-    }
-    Ok(QueryResult { columns, rows })
-}
-
-fn execute_flat(hg: &HyGraph, q: &Query, bindings: &[Binding], mode: ExecMode) -> Result<Vec<Row>> {
-    let eval_one = |binding: &Binding| -> Result<Option<Row>> {
-        let ctx = EvalCtx {
-            hg,
-            binding,
-            agg_cache: None,
-            local_agg: None,
-        };
-        if let Some(filter) = &q.filter {
-            if ctx.eval(filter)?.as_bool() != Some(true) {
-                return Ok(None);
-            }
-        }
-        let mut row = Vec::with_capacity(q.returns.len());
-        for ReturnItem { expr, .. } in &q.returns {
-            row.push(ctx.eval(expr)?);
-        }
-        Ok(Some(row))
-    };
-    let evaluated: Vec<Result<Option<Row>>> = if should_parallelize(mode, bindings.len()) {
-        bindings.par_iter().map(eval_one).collect()
-    } else {
-        bindings.iter().map(eval_one).collect()
-    };
-    // assemble in binding order; the first error in that order wins,
-    // matching what streaming evaluation would have reported
-    let mut rows = Vec::new();
-    for r in evaluated {
-        if let Some(row) = r? {
-            rows.push(row);
-        }
-    }
-    Ok(rows)
 }
 
 /// Accumulator for one row-aggregate instance within one group.
@@ -359,8 +271,9 @@ pub(crate) fn collect_rowaggs(expr: &Expr, out: &mut Vec<RowAggSpec>) {
 
 /// Substitutes pre-computed aggregate results (same pre-order as
 /// [`collect_rowaggs`]) while evaluating an expression over a group.
+/// Anything else that reads a binding (a property, a variable, a series
+/// aggregate) outside a grouping key has no row to read and errors.
 pub(crate) fn eval_final(
-    ctx: Option<&EvalCtx<'_>>,
     expr: &Expr,
     agg_values: &[Value],
     cursor: &mut usize,
@@ -381,151 +294,22 @@ pub(crate) fn eval_final(
             Ok(v)
         }
         Expr::Not(inner) => {
-            let v = eval_final(ctx, inner, agg_values, cursor, key_lookup)?;
+            let v = eval_final(inner, agg_values, cursor, key_lookup)?;
             Ok(match v.as_bool() {
                 Some(b) => Value::Bool(!b),
                 None => Value::Null,
             })
         }
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval_final(ctx, lhs, agg_values, cursor, key_lookup)?;
-            let r = eval_final(ctx, rhs, agg_values, cursor, key_lookup)?;
+            let l = eval_final(lhs, agg_values, cursor, key_lookup)?;
+            let r = eval_final(rhs, agg_values, cursor, key_lookup)?;
             Ok(apply_binop(*op, &l, &r))
         }
         Expr::Literal(v) => Ok(v.clone()),
-        other => match ctx {
-            Some(c) => c.eval(other),
-            None => Err(HyGraphError::query(format!(
-                "expression {other:?} requires a bound row outside aggregation"
-            ))),
-        },
+        other => Err(HyGraphError::query(format!(
+            "expression {other:?} requires a bound row outside aggregation"
+        ))),
     }
-}
-
-fn execute_grouped(
-    hg: &HyGraph,
-    q: &Query,
-    bindings: &[Binding],
-    mode: ExecMode,
-) -> Result<Vec<Row>> {
-    // grouping keys: the aggregate-free RETURN items
-    let key_items: Vec<usize> = q
-        .returns
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !contains_rowagg(&r.expr))
-        .map(|(i, _)| i)
-        .collect();
-    // aggregate specs in deterministic order: RETURN items, then HAVING
-    let mut specs: Vec<RowAggSpec> = Vec::new();
-    for r in &q.returns {
-        collect_rowaggs(&r.expr, &mut specs);
-    }
-    if let Some(h) = &q.having {
-        collect_rowaggs(h, &mut specs);
-    }
-
-    // phase 1 (parallelisable): per-binding filter, group key, and
-    // aggregate-argument evaluation — independent pure work
-    type KeyedArgs = Option<(Row, Vec<Value>)>;
-    let eval_one = |binding: &Binding| -> Result<KeyedArgs> {
-        let ctx = EvalCtx {
-            hg,
-            binding,
-            agg_cache: None,
-            local_agg: None,
-        };
-        if let Some(filter) = &q.filter {
-            if ctx.eval(filter)?.as_bool() != Some(true) {
-                return Ok(None);
-            }
-        }
-        let mut key = Vec::with_capacity(key_items.len());
-        for &i in &key_items {
-            key.push(ctx.eval(&q.returns[i].expr)?);
-        }
-        let mut args = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            args.push(match &spec.arg {
-                None => Value::Int(1), // COUNT(*)
-                Some(arg) => ctx.eval(arg)?,
-            });
-        }
-        Ok(Some((key, args)))
-    };
-    let evaluated: Vec<Result<KeyedArgs>> = if should_parallelize(mode, bindings.len()) {
-        bindings.par_iter().map(eval_one).collect()
-    } else {
-        bindings.iter().map(eval_one).collect()
-    };
-
-    // phase 2 (always sequential, in binding order): fold into groups —
-    // group creation order and aggregate update order stay deterministic
-    struct Group {
-        key: Row,
-        states: Vec<AggState>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    for r in evaluated {
-        let Some((key, args)) = r? else { continue };
-        let group = match groups.iter_mut().find(|g| rows_equal(&g.key, &key)) {
-            Some(g) => g,
-            None => {
-                groups.push(Group {
-                    key,
-                    states: vec![AggState::default(); specs.len()],
-                });
-                groups.last_mut().expect("just pushed")
-            }
-        };
-        for ((spec, state), arg) in specs.iter().zip(group.states.iter_mut()).zip(args) {
-            state.update(Some(&arg), spec.distinct && spec.arg.is_some());
-        }
-    }
-    // Cypher semantics: no grouping keys and no matches -> one empty group
-    if groups.is_empty() && key_items.is_empty() {
-        groups.push(Group {
-            key: Vec::new(),
-            states: vec![AggState::default(); specs.len()],
-        });
-    }
-
-    // finalize each group
-    let mut rows = Vec::with_capacity(groups.len());
-    for group in &groups {
-        let agg_values: Vec<Value> = specs
-            .iter()
-            .zip(&group.states)
-            .map(|(spec, state)| state.finalize(spec.func, spec.arg.is_none()))
-            .collect();
-        // map each key RETURN item to its pre-computed value
-        let key_lookup = |expr: &Expr| -> Option<Value> {
-            key_items
-                .iter()
-                .position(|&i| &q.returns[i].expr == expr)
-                .map(|pos| group.key[pos].clone())
-        };
-        let mut cursor = 0usize;
-        let mut row = Vec::with_capacity(q.returns.len());
-        let mut keep = true;
-        for r in &q.returns {
-            row.push(eval_final(
-                None,
-                &r.expr,
-                &agg_values,
-                &mut cursor,
-                &key_lookup,
-            )?);
-        }
-        if let Some(h) = &q.having {
-            let v = eval_final(None, h, &agg_values, &mut cursor, &key_lookup)?;
-            keep = v.as_bool() == Some(true);
-        }
-        if keep {
-            rows.push(row);
-        }
-    }
-    Ok(rows)
 }
 
 pub(crate) fn rows_equal(a: &Row, b: &Row) -> bool {
@@ -573,7 +357,7 @@ pub(crate) fn sort_rows(rows: &mut [Row], columns: &[String], order: &[OrderItem
 /// `pushed` carries WHERE conjuncts the optimizer moved into pattern
 /// matching; they are installed as pushed-down predicates (invisible to
 /// the matcher's selectivity ordering) on the vertex or edge bound to
-/// each predicate's variable. The legacy interpreter passes `&[]`.
+/// each predicate's variable.
 pub(crate) fn compile_patterns(
     q: &Query,
     pushed: &[crate::plan::PushedPred],
@@ -644,11 +428,7 @@ fn compile_one(
         for (key, value) in &node.props {
             pattern.vertex_pred(
                 idx,
-                hygraph_graph::pattern::PropPredicate::new(
-                    key.clone(),
-                    hygraph_graph::pattern::CmpOp::Eq,
-                    value.clone(),
-                ),
+                hygraph_graph::pattern::PropPredicate::new(key.clone(), CmpOp::Eq, value.clone()),
             );
         }
         idx
@@ -737,15 +517,14 @@ pub(crate) type LocalAggCache = std::cell::Cell<
 pub(crate) struct EvalCtx<'a> {
     pub(crate) hg: &'a HyGraph,
     pub(crate) binding: &'a Binding,
-    /// Optional shared series-aggregate memoization table (planner path,
-    /// fan-out patterns); `None` reproduces the legacy interpreter's
-    /// recompute-per-binding behaviour. Cached and uncached evaluation
-    /// are bit-identical — the cache stores the `Copy` summary the
-    /// kernel would have produced.
+    /// Optional shared series-aggregate memoization table (fan-out
+    /// patterns, see the `ts-agg-memoize` rule); `None` recomputes per
+    /// binding. Cached and uncached evaluation are bit-identical — the
+    /// cache stores the `Copy` summary the kernel would have produced.
     pub(crate) agg_cache: Option<&'a AggCache>,
-    /// Optional per-binding single-entry cache (planner path). Checked
-    /// before the shared table; costs one compare on miss, no locking.
-    pub(crate) local_agg: Option<&'a LocalAggCache>,
+    /// Per-binding single-entry cache. Checked before the shared table;
+    /// costs one compare on miss, no locking.
+    pub(crate) local_agg: &'a LocalAggCache,
 }
 
 impl EvalCtx<'_> {
@@ -834,7 +613,7 @@ impl EvalCtx<'_> {
         // column(0) path also mapped to Null
         let local_hit = self
             .local_agg
-            .and_then(|cell| cell.get())
+            .get()
             .filter(|&(k, _)| k == key)
             .map(|(_, s)| s);
         let cached = local_hit.or_else(|| {
@@ -855,8 +634,8 @@ impl EvalCtx<'_> {
                 s
             }
         };
-        if let (Some(cell), Some(s)) = (self.local_agg, summary) {
-            cell.set(Some((key, s)));
+        if let Some(s) = summary {
+            self.local_agg.set(Some((key, s)));
         }
         let Some(summary) = summary else {
             return Ok(Value::Null);
@@ -877,8 +656,13 @@ impl EvalCtx<'_> {
 }
 
 pub(crate) fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Value {
-    use std::cmp::Ordering;
     match op {
+        // one three-valued comparator with the predicates pushed into
+        // pattern matching
+        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            let cmp = op.cmp_op().expect("a comparison operator");
+            l.compare(cmp, r).map_or(Value::Null, Value::Bool)
+        }
         BinOp::And => match (l.as_bool(), r.as_bool()) {
             (Some(a), Some(b)) => Value::Bool(a && b),
             // false AND anything = false (SQL three-valued logic)
@@ -890,27 +674,6 @@ pub(crate) fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Value {
             (Some(true), _) | (_, Some(true)) => Value::Bool(true),
             _ => Value::Null,
         },
-        BinOp::Eq => match l.sql_eq(r) {
-            Some(b) => Value::Bool(b),
-            None => Value::Null,
-        },
-        BinOp::Ne => match l.sql_eq(r) {
-            Some(b) => Value::Bool(!b),
-            None => Value::Null,
-        },
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            if l.is_null() || r.is_null() {
-                return Value::Null;
-            }
-            let ord = l.total_cmp(r);
-            Value::Bool(match op {
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::Le => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                BinOp::Ge => ord != Ordering::Less,
-                _ => unreachable!(),
-            })
-        }
         BinOp::Add => l.add(r).unwrap_or(Value::Null),
         BinOp::Sub => match (l, r) {
             (Value::Int(a), Value::Int(b)) => {

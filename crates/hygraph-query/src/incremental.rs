@@ -30,9 +30,9 @@
 //! [`Pattern::find_keyed_with_vertex`]: hygraph_graph::Pattern::find_keyed_with_vertex
 //! [`execute_planned`]: crate::execute_planned
 
-use crate::ast::{Expr, ReturnItem, SeriesRef};
-use crate::exec::{EvalCtx, LocalAggCache, QueryResult, Row};
-use crate::physical::PlannedQuery;
+use crate::ast::{Expr, SeriesRef};
+use crate::exec::{QueryResult, Row};
+use crate::physical::{eval_filter, project_row, PlannedQuery};
 use crate::plan::LogicalPlan;
 use hygraph_core::{ElementRef, HyGraph};
 use hygraph_graph::pattern::{Binding, MatchKey};
@@ -507,28 +507,15 @@ fn emit_op(ops: &mut Vec<DeltaOp>, pos: &mut usize, old: Option<&Row>, new: Opti
     }
 }
 
-/// Filter + project one binding — the exact per-binding recipe of the
-/// flat physical path (`filter_stage` then `project`), so stored rows
-/// are byte-identical to `execute_planned`'s.
+/// Filter + project one binding through the flat physical path's own
+/// per-binding units, so stored rows are byte-identical to
+/// `execute_planned`'s.
 fn eval_binding(planned: &PlannedQuery, hg: &HyGraph, binding: &Binding) -> Result<Option<Row>> {
     let q = &planned.plan.query;
-    let local = LocalAggCache::default();
-    let ctx = EvalCtx {
-        hg,
-        binding,
-        agg_cache: None,
-        local_agg: Some(&local),
-    };
-    if let Some(filter) = &q.filter {
-        if ctx.eval(filter)?.as_bool() != Some(true) {
-            return Ok(None);
-        }
+    if q.filter.is_some() && !eval_filter(hg, q, None, binding)? {
+        return Ok(None);
     }
-    let mut row = Vec::with_capacity(q.returns.len());
-    for ReturnItem { expr, .. } in &q.returns {
-        row.push(ctx.eval(expr)?);
-    }
-    Ok(Some(row))
+    project_row(hg, q, None, binding).map(Some)
 }
 
 /// Resolves the series ids this binding's evaluation reads (through

@@ -22,9 +22,10 @@
 //! pipeline with per-operator metrics) against a
 //! [`hygraph_core::HyGraph`] — the one executor: a sharded engine
 //! hands it the whole published snapshot, so the shard count never
-//! changes how a query runs. The legacy one-pass interpreter survives
-//! as [`exec::execute_interpreted`], the reference the planner is
-//! validated against (`tests/plan_equivalence.rs`). Prefix a query with
+//! changes how a query runs. The optimizer may make a query cheaper,
+//! never different; `tests/plan_equivalence.rs` checks that against a
+//! brute-force evaluator under `tests/oracle` that shares none of the
+//! engine's evaluation code. Prefix a query with
 //! `EXPLAIN` to get the optimized plan rendering instead of rows. The
 //! roadmap's four *hybrid operators* (Q1 hybrid matching, Q2 hybrid
 //! aggregation, Q3 correlation reachability, Q4 segmentation snapshots)
@@ -124,7 +125,7 @@ pub mod physical;
 pub mod plan;
 
 pub use ast::{Query, TemporalBound};
-pub use exec::{execute, execute_interpreted, QueryResult, Row};
+pub use exec::{execute, QueryResult, Row};
 pub use incremental::{apply_delta, diff_rows, Delta, DeltaOp, IncState};
 pub use physical::{execute_planned, plan_query, PlannedQuery};
 pub use plan::{LogicalPlan, PushedPred};

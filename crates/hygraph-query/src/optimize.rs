@@ -1,10 +1,11 @@
 //! Rule-based logical-plan rewrites.
 //!
 //! Every rule preserves *bit-identical* results and error behaviour
-//! versus the reference interpreter — the equivalence arguments live
-//! next to each rule and are exercised end-to-end by the
-//! `plan_equivalence` proptest. Rules that fired are recorded on the
-//! plan and surface in `EXPLAIN` output.
+//! versus executing the unrewritten query — a rewrite may make a query
+//! cheaper, never different. The equivalence arguments live next to
+//! each rule; the `plan_equivalence` proptest checks the end result
+//! against a brute-force evaluator (`tests/oracle`). Rules that fired
+//! are recorded on the plan and surface in `EXPLAIN` output.
 
 use crate::ast::{BinOp, Expr, Query};
 use crate::exec::apply_binop;
@@ -28,8 +29,8 @@ pub fn optimize(mut plan: LogicalPlan) -> LogicalPlan {
 /// literal never errors and [`apply_binop`] / `NOT` are total and
 /// deterministic, so replacing the subtree with its value is exact.
 /// Deliberately *not* done: short-circuit simplifications like
-/// `false AND x -> false` — the interpreter always evaluates both
-/// operands, and `x` could error on some binding.
+/// `false AND x -> false` — both operands are always evaluated, and `x`
+/// could error on some binding.
 fn constant_fold(plan: &mut LogicalPlan) {
     fn fold(e: &mut Expr) -> bool {
         match e {
@@ -131,18 +132,6 @@ fn split_and(e: Expr, out: &mut Vec<Expr>) {
     }
 }
 
-fn to_cmp(op: BinOp) -> Option<CmpOp> {
-    match op {
-        BinOp::Eq => Some(CmpOp::Eq),
-        BinOp::Ne => Some(CmpOp::Ne),
-        BinOp::Lt => Some(CmpOp::Lt),
-        BinOp::Le => Some(CmpOp::Le),
-        BinOp::Gt => Some(CmpOp::Gt),
-        BinOp::Ge => Some(CmpOp::Ge),
-        _ => None,
-    }
-}
-
 /// Mirrors a comparison across swapped operands: `lit op prop` becomes
 /// `prop flip(op) lit`.
 fn flip(op: CmpOp) -> CmpOp {
@@ -160,7 +149,7 @@ fn as_pushable(e: &Expr) -> Option<PushedPred> {
     let Expr::Binary { op, lhs, rhs } = e else {
         return None;
     };
-    let cmp = to_cmp(*op)?;
+    let cmp = op.cmp_op()?;
     match (&**lhs, &**rhs) {
         (Expr::Prop { var, key }, Expr::Literal(v)) => Some(PushedPred {
             var: var.clone(),
@@ -179,17 +168,17 @@ fn as_pushable(e: &Expr) -> Option<PushedPred> {
 ///
 /// Soundness: only applied when the *entire* WHERE is statically
 /// infallible (see [`infallible`]) — otherwise pruning a binding early
-/// could skip an evaluation error the interpreter would have reported.
+/// could skip an evaluation error the unrewritten query reports.
 /// Given that gate, for a pushable conjunct `P`:
 ///
 /// * `P` is an AND conjunct, so `WHERE` true ⇒ `P` true: every row the
-///   interpreter keeps satisfies `P`, and enforcing `P` during matching
-///   removes no kept row.
+///   unrewritten WHERE keeps satisfies `P`, and enforcing `P` during
+///   matching removes no kept row.
 /// * `P` not-true (missing property, `Null` value, failed comparison —
 ///   exactly the cases where the matcher's `holds()` is false) ⇒ the
-///   interpreter filters the binding anyway, so early pruning removes
-///   only rows the interpreter would drop. Comparison semantics match:
-///   both sides use `total_cmp`/`sql_eq` with null-never-matches.
+///   unrewritten WHERE filters the binding anyway, so early pruning
+///   removes only rows it would drop. Comparison semantics match: both
+///   sides call [`Value::compare`], where Null never matches.
 /// * The residual AND-chain of the remaining conjuncts evaluates
 ///   identically on surviving bindings: pushed conjuncts evaluate to
 ///   `TRUE` there, and `x AND TRUE ≡ x` under the engine's
@@ -313,8 +302,8 @@ mod tests {
 
     #[test]
     fn does_not_shortcircuit_fallible_operands() {
-        // FALSE AND <agg> must stay: the interpreter evaluates both
-        // operands, and the aggregate errors on its reversed range
+        // FALSE AND <agg> must stay: both operands are always
+        // evaluated, and the aggregate errors on its reversed range
         let p = optimized("MATCH (c:Card) WHERE FALSE AND MEAN(DELTA(c) IN [100, 0)) > 1 RETURN c");
         assert!(p.query.filter.is_some());
         assert!(p.pushed.is_empty(), "fallible WHERE blocks pushdown");

@@ -5,9 +5,9 @@
 //! the query text alone (no data dependence), which is what makes
 //! server-side plan caching sound. [`execute_planned`] runs the
 //! operator pipeline (Match → Filter → Project|Aggregate → Distinct →
-//! Sort → Limit) with per-operator metrics, preserving the reference
-//! interpreter's semantics exactly: rows, row order, and the first
-//! error in binding order.
+//! Sort → Limit) with per-operator metrics. Rows are assembled in
+//! binding order and a failing query reports the first error in binding
+//! order, so the answer never depends on the fan-out width.
 
 use crate::ast::{Query, ReturnItem};
 use crate::exec::{
@@ -36,8 +36,8 @@ pub struct PlannedQuery {
 }
 
 /// Plans a parsed query: validates, lowers, optimizes, and compiles
-/// the patterns. Error cases (row aggregate in WHERE, variable-length
-/// expansion cap) match the interpreter's, in the same order.
+/// the patterns. Static errors come in a fixed order: a row aggregate
+/// in WHERE first, then the variable-length expansion cap.
 pub fn plan_query(q: &Query) -> Result<PlannedQuery> {
     if let Some(filter) = &q.filter {
         if contains_rowagg(filter) {
@@ -64,10 +64,9 @@ fn record_op(op: PlanOp, start: Option<Instant>, rows: usize) {
     }
 }
 
-/// Executes a planned query. Parallelism follows the same
-/// `should_parallelize` decision as the interpreter; results are
-/// assembled in binding order so parallel and sequential execution are
-/// byte-identical.
+/// Executes a planned query. Fan-out follows `should_parallelize`;
+/// results are assembled in binding order so parallel and sequential
+/// execution are byte-identical.
 pub fn execute_planned(
     hg: &HyGraph,
     planned: &PlannedQuery,
@@ -127,9 +126,9 @@ fn finish_rows(q: &Query, columns: &[String], rows: &mut Vec<Row>) -> Result<()>
 
 /// Evaluates the residual filter over every binding, returning one
 /// `Result<bool>` per binding (aligned by index). All bindings are
-/// evaluated — no short-circuit — matching the interpreter, which
-/// collects every per-binding result before scanning for the first
-/// error.
+/// evaluated — no short-circuit — and the caller scans the results in
+/// binding order, so the first error in binding order is the one
+/// reported at any fan-out width.
 fn filter_stage(
     hg: &HyGraph,
     q: &Query,
@@ -156,7 +155,7 @@ fn filter_stage(
 
 /// Evaluates the residual WHERE filter for one binding — the per-row
 /// unit of the Filter operator. Callers guarantee `q.filter` is `Some`.
-fn eval_filter(
+pub(crate) fn eval_filter(
     hg: &HyGraph,
     q: &Query,
     cache: Option<&AggCache>,
@@ -168,14 +167,14 @@ fn eval_filter(
         hg,
         binding,
         agg_cache: cache,
-        local_agg: Some(&local),
+        local_agg: &local,
     };
     Ok(ctx.eval(filter)?.as_bool() == Some(true))
 }
 
 /// Evaluates the RETURN projection for one binding — the per-row unit
 /// of the Project operator.
-fn project_row(
+pub(crate) fn project_row(
     hg: &HyGraph,
     q: &Query,
     cache: Option<&AggCache>,
@@ -186,7 +185,7 @@ fn project_row(
         hg,
         binding,
         agg_cache: cache,
-        local_agg: Some(&local),
+        local_agg: &local,
     };
     q.returns
         .iter()
@@ -225,7 +224,7 @@ fn run_flat(
 
     // assemble in binding order, interleaving the filter and project
     // result streams: a filter error at binding i surfaces before any
-    // project error at j > i, exactly as the interpreter reports it
+    // project error at j > i, as one per-binding pass would report it
     let mut rows = Vec::with_capacity(passing.len());
     let mut proj = projected.into_iter();
     for fr in filter_pass {
@@ -267,7 +266,7 @@ fn grouping_layout(q: &Query) -> GroupingLayout {
 
 /// Evaluates one binding's grouping keys + aggregate arguments — the
 /// parallelisable pure work of the Aggregate operator; keys before
-/// args, matching the interpreter's per-binding order.
+/// args, so within one binding a key error wins over an argument error.
 fn eval_key_args(
     hg: &HyGraph,
     q: &Query,
@@ -280,7 +279,7 @@ fn eval_key_args(
         hg,
         binding,
         agg_cache: cache,
-        local_agg: Some(&local),
+        local_agg: &local,
     };
     let mut key = Vec::with_capacity(layout.key_items.len());
     for &i in &layout.key_items {
@@ -299,8 +298,8 @@ fn eval_key_args(
 /// The merge step of a grouped query: a sequential fold in
 /// global binding order (group creation order and aggregate update
 /// order stay deterministic, and error precedence interleaves filter
-/// and key/arg errors exactly like the interpreter's single per-binding
-/// pass), then per-group finalize + HAVING. `evaluated` must align with
+/// and key/arg errors in binding order, as one per-binding pass would),
+/// then per-group finalize + HAVING. `evaluated` must align with
 /// the `Ok(true)` entries of `filter_pass`, in the same order.
 fn fold_groups(
     q: &Query,
@@ -362,7 +361,6 @@ fn fold_groups(
         let mut keep = true;
         for r in &q.returns {
             row.push(crate::exec::eval_final(
-                None,
                 &r.expr,
                 &agg_values,
                 &mut cursor,
@@ -370,7 +368,7 @@ fn fold_groups(
             )?);
         }
         if let Some(h) = &q.having {
-            let v = crate::exec::eval_final(None, h, &agg_values, &mut cursor, &key_lookup)?;
+            let v = crate::exec::eval_final(h, &agg_values, &mut cursor, &key_lookup)?;
             keep = v.as_bool() == Some(true);
         }
         if keep {
@@ -415,7 +413,6 @@ fn run_grouped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, execute_interpreted};
     use crate::parser::parse;
     use hygraph_core::HyGraphBuilder;
     use hygraph_ts::TimeSeries;
@@ -450,72 +447,6 @@ mod tests {
             .pg_edge(Some("t3"), "c2", "m1", ["TX"], props! {"amount" => 20.0})
             .build()
             .unwrap()
-    }
-
-    /// The Table-1-shaped query set every planner change must stay
-    /// bit-identical on (success and error cases).
-    const QUERIES: &[&str] = &[
-        "MATCH (u:User) RETURN u.name AS name ORDER BY name",
-        "MATCH (u:User {name: 'alice'})-[:USES]->(c:CreditCard) RETURN u.age AS age",
-        "MATCH (u:User)-[:USES]->(c:CreditCard)-[t:TX]->(m:Merchant) \
-         WHERE t.amount > 1000 RETURN u.name AS who, t.amount AS amt",
-        "MATCH (u:User)-[:USES]->(c:CreditCard) \
-         WHERE MEAN(DELTA(c) IN [0, 1000)) > 400 RETURN u.name AS who",
-        "MATCH (u:User)-[:USES]->(c:CreditCard) \
-         RETURN u.name AS who, MAX(DELTA(c) IN [0, 1000)) AS peak, \
-         COUNT(DELTA(c) IN [0, 250)) AS n ORDER BY who",
-        "MATCH (c:CreditCard)-[t:TX]->(m:Merchant) RETURN DISTINCT m.name AS m ORDER BY m",
-        "MATCH (c:CreditCard)-[t:TX]->(m) RETURN t.amount AS a ORDER BY a DESC LIMIT 2",
-        "MATCH (u:User) WHERE u.ghost > 1 RETURN u",
-        "MATCH (u:User) WHERE u.name = 'alice' RETURN u.age * 2 + 1 AS x, u.age / 0 AS z",
-        "MATCH (u:User)-[:USES]->(c:CreditCard), (c)-[t:TX]->(m:Merchant) \
-         WHERE m.name = 'm1' RETURN u.name AS who ORDER BY who",
-        "MATCH (u:User)-[:USES]->(c:CreditCard)-[t:TX]->(m:Merchant) \
-         RETURN u.name AS who, COUNT(t) AS n HAVING COUNT(t) > 1 ORDER BY who",
-        "MATCH (c:CreditCard)-[t:TX]->(m:Merchant) \
-         RETURN COUNT(m.name) AS all_rows, COUNT(DISTINCT m.name) AS uniq",
-        "MATCH (u:User) RETURN COUNT(*) AS n",
-        "MATCH (u:Ghost) RETURN COUNT(*) AS n",
-        "MATCH (u:User {name: 'alice'})-[*1..2]->(x) RETURN DISTINCT x ORDER BY x",
-        "MATCH (c:CreditCard)-[:TX*1..3]->(m) RETURN COUNT(*) AS n",
-        "MATCH (u:User)-[:USES]->(c:CreditCard) \
-         RETURN AVG(MEAN(DELTA(c) IN [0, 1000)) ) AS fleet_mean",
-        "MATCH (u:User) RETURN u.name AS n ORDER BY zzz",
-        "MATCH (c:CreditCard) WHERE MEAN(DELTA(c) IN [100, 0)) > 1 RETURN c",
-        "MATCH (u:User) WHERE u.age > 18 AND 1 < 2 RETURN u.name AS n ORDER BY n",
-    ];
-
-    #[test]
-    fn planner_matches_interpreter_on_query_set() {
-        let b = instance();
-        for text in QUERIES {
-            let q = parse(text).unwrap();
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let legacy = execute_interpreted(&b.hygraph, &q, mode);
-                let planned = execute(&b.hygraph, &q, mode);
-                match (legacy, planned) {
-                    (Ok(l), Ok(p)) => {
-                        let mut wl = hygraph_types::bytes::ByteWriter::new();
-                        l.encode(&mut wl);
-                        let mut wp = hygraph_types::bytes::ByteWriter::new();
-                        p.encode(&mut wp);
-                        assert_eq!(
-                            wl.as_bytes(),
-                            wp.as_bytes(),
-                            "wire bytes diverge ({mode:?}): {text}"
-                        );
-                    }
-                    (Err(le), Err(pe)) => {
-                        assert_eq!(
-                            le.to_string(),
-                            pe.to_string(),
-                            "error text diverges ({mode:?}): {text}"
-                        );
-                    }
-                    (l, p) => panic!("outcome diverges ({mode:?}) on {text}: {l:?} vs {p:?}"),
-                }
-            }
-        }
     }
 
     #[test]
@@ -554,8 +485,6 @@ mod tests {
         assert_eq!(planned.plan.pushed.len(), 2);
         assert!(planned.plan.query.filter.is_none());
         let r = execute_planned(&b.hygraph, &planned, ExecMode::Sequential).unwrap();
-        let l = execute_interpreted(&b.hygraph, &q, ExecMode::Sequential).unwrap();
-        assert_eq!(r, l);
         assert_eq!(
             r.rows,
             vec![vec![Value::Str("alice".into()), Value::Float(1500.0)]]

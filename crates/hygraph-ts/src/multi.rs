@@ -256,8 +256,8 @@ impl MultiSeries {
     /// are scanned. `None` when `col` is out of bounds; an empty range
     /// yields an empty summary (count 0).
     ///
-    /// This is the one aggregate kernel shared by every query-execution
-    /// path, so interpreter and planner results are bit-identical by
+    /// This is the one aggregate kernel every HyQL series aggregate
+    /// calls, so cached and uncached evaluation are bit-identical by
     /// construction.
     pub fn summarize(&self, interval: &Interval, col: usize) -> Option<Summary> {
         let column = self.columns.get(col)?;

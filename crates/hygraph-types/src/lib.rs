@@ -30,4 +30,4 @@ pub use ids::{EdgeId, Label, PropertyKey, SeriesId, SubgraphId, VertexId};
 pub use interval::Interval;
 pub use property::{PropertyMap, PropertyValue};
 pub use time::{Duration, Timestamp};
-pub use value::Value;
+pub use value::{CmpOp, Value};

@@ -9,6 +9,25 @@ use crate::time::{Duration, Timestamp};
 use std::cmp::Ordering;
 use std::fmt;
 
+/// Comparison operator of a predicate `lhs op rhs` — the six operators
+/// both pattern-pushed predicates and residual HyQL expressions
+/// evaluate through [`Value::compare`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CmpOp {
+    /// `=`
+    Eq,
+    /// `<>`
+    Ne,
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+}
+
 /// A dynamically-typed static property value (𝒩_Σ).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -141,6 +160,40 @@ impl Value {
         })
     }
 
+    /// Three-valued comparison `self op other`: `None` (SQL unknown)
+    /// when either side is Null. `=` / `<>` follow [`Self::sql_eq`]; the
+    /// four order operators follow [`Self::total_cmp`], except that
+    /// `-0.0` and `0.0` compare equal under all six operators (NaN and
+    /// the cross-family order are unchanged).
+    pub fn compare(&self, op: CmpOp, other: &Value) -> Option<bool> {
+        if self.is_null() || other.is_null() {
+            return None;
+        }
+        // `-0.0 == 0.0`, so folding both zeros to +0.0 puts them in one
+        // place of the total order (an `Int` converts to +0.0 already)
+        fn fold(x: f64) -> f64 {
+            if x == 0.0 {
+                0.0
+            } else {
+                x
+            }
+        }
+        let ord = || match (self, other) {
+            (Value::Float(a), Value::Float(b)) => fold(*a).total_cmp(&fold(*b)),
+            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(&fold(*b)),
+            (Value::Float(a), Value::Int(b)) => fold(*a).total_cmp(&(*b as f64)),
+            (a, b) => a.total_cmp(b),
+        };
+        Some(match op {
+            CmpOp::Eq => self.sql_eq(other)?,
+            CmpOp::Ne => !self.sql_eq(other)?,
+            CmpOp::Lt => ord().is_lt(),
+            CmpOp::Le => ord().is_le(),
+            CmpOp::Gt => ord().is_gt(),
+            CmpOp::Ge => ord().is_ge(),
+        })
+    }
+
     /// Addition where it makes sense (numeric + numeric, string concat,
     /// time + span); `None` otherwise.
     pub fn add(&self, other: &Value) -> Option<Value> {
@@ -253,6 +306,47 @@ mod tests {
         assert_eq!(Value::Int(1).sql_eq(&Value::Float(1.0)), Some(true));
         assert_eq!(Value::Int(1).sql_eq(&Value::Int(2)), Some(false));
         assert_eq!(Value::Str("a".into()).sql_eq(&Value::Int(1)), Some(false));
+    }
+
+    #[test]
+    fn compare_is_three_valued() {
+        use CmpOp::*;
+        assert_eq!(Value::Int(1).compare(Eq, &Value::Float(1.0)), Some(true));
+        assert_eq!(Value::Int(1).compare(Ne, &Value::Int(2)), Some(true));
+        assert_eq!(Value::Int(1).compare(Lt, &Value::Int(2)), Some(true));
+        assert_eq!(Value::Float(2.0).compare(Ge, &Value::Int(2)), Some(true));
+        assert_eq!(
+            Value::Null.compare(Eq, &Value::Null),
+            None,
+            "null is unknown"
+        );
+        assert_eq!(Value::Null.compare(Gt, &Value::Int(0)), None);
+        // cross-family order and NaN are the total order's
+        assert_eq!(
+            Value::Str("a".into()).compare(Gt, &Value::Int(9)),
+            Some(true)
+        );
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan.compare(Eq, &nan), Some(false));
+        assert_eq!(nan.compare(Gt, &Value::Float(f64::INFINITY)), Some(true));
+    }
+
+    #[test]
+    fn signed_zeros_compare_equal_under_every_operator() {
+        use CmpOp::*;
+        let (neg, pos) = (Value::Float(-0.0), Value::Float(0.0));
+        for (a, b) in [(&neg, &pos), (&pos, &neg), (&neg, &Value::Int(0))] {
+            for (op, want) in [
+                (Eq, true),
+                (Ne, false),
+                (Lt, false),
+                (Le, true),
+                (Gt, false),
+                (Ge, true),
+            ] {
+                assert_eq!(a.compare(op, b), Some(want), "{a:?} {op:?} {b:?}");
+            }
+        }
     }
 
     #[test]
