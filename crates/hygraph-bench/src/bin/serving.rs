@@ -8,10 +8,10 @@
 //!
 //! 1. **local** — in-process [`hygraph_server::LocalClient`]s against
 //!    the same engine: the no-socket baseline;
-//! 2. **tcp-memory** — real sockets, in-memory backend: adds framing,
+//! 2. **tcp-memory** — real sockets, a store in memory: adds framing,
 //!    queueing, and the worker pool;
-//! 3. **tcp-durable** — real sockets over a WAL-backed store: adds
-//!    group commit and fsync.
+//! 3. **tcp-durable** — real sockets over a store in a directory: adds
+//!    the filesystem's writes and fsyncs.
 //!
 //! Run with: `cargo run --release -p hygraph-bench --bin serving
 //! [--scale small|medium|large] [--clients N] [--read-pct P]`
@@ -21,8 +21,8 @@
 
 use hygraph_bench::Scale;
 use hygraph_core::HyGraph;
-use hygraph_persist::{HgMutation, ShardedStore};
-use hygraph_server::{Backend, Client, Server};
+use hygraph_persist::HgMutation;
+use hygraph_server::{plan_cache_capacity_from_env, Client, Engine, HistoryConfig, Server};
 use hygraph_types::net::ServerConfig;
 use hygraph_types::{Label, SeriesId, Timestamp};
 use std::time::Instant;
@@ -105,8 +105,19 @@ fn bench_config() -> ServerConfig {
         .req_timeout_ms(0)
 }
 
-fn run_tcp(backend: Backend, clients: usize, ops: usize, read_pct: usize) -> ModeStats {
-    let server = Server::serve(backend, &bench_config()).expect("serve");
+/// An in-memory engine with the environment's plan-cache and history
+/// settings.
+fn memory_engine() -> Engine {
+    Engine::in_memory(
+        HyGraph::new(),
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
+    )
+    .expect("in-memory engine")
+}
+
+fn run_tcp(engine: Engine, clients: usize, ops: usize, read_pct: usize) -> ModeStats {
+    let server = Server::serve_engine(engine, &bench_config()).expect("serve");
     let addr = server.local_addr();
     let mut seeder = Client::connect(addr).expect("connect seeder");
     seeder.mutate_batch(seed(clients)).expect("seed");
@@ -153,7 +164,7 @@ fn run_tcp(backend: Backend, clients: usize, ops: usize, read_pct: usize) -> Mod
 }
 
 fn run_local(clients: usize, ops: usize, read_pct: usize) -> ModeStats {
-    let server = Server::serve(Backend::memory(HyGraph::new()), &bench_config()).expect("serve");
+    let server = Server::serve_engine(memory_engine(), &bench_config()).expect("serve");
     let local = server.local_client();
     local.mutate_batch(seed(clients)).expect("seed");
 
@@ -243,13 +254,19 @@ fn main() {
     let local = run_local(clients, ops, read_pct);
     print_mode("local", &local);
 
-    let tcp_memory = run_tcp(Backend::memory(HyGraph::new()), clients, ops, read_pct);
+    let tcp_memory = run_tcp(memory_engine(), clients, ops, read_pct);
     print_mode("tcp-memory", &tcp_memory);
 
     let dir = std::env::temp_dir().join(format!("hygraph-bench-serving-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 1).expect("open store");
-    let tcp_durable = run_tcp(Backend::sharded(store), clients, ops, read_pct);
+    let engine = Engine::open_durable_sharded(
+        &dir,
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
+        1,
+    )
+    .expect("open store");
+    let tcp_durable = run_tcp(engine, clients, ops, read_pct);
     print_mode("tcp-durable", &tcp_durable);
     std::fs::remove_dir_all(&dir).ok();
 

@@ -104,9 +104,8 @@ pub struct PatternEdge {
 /// Because all candidate orders inside [`Pattern::find`] are ascending
 /// (append-only adjacency lists, sorted anchored candidates, insertion
 /// -ordered label index), iterating matches in ascending key order
-/// reproduces `find`'s emission order *including multiplicity*: a
-/// self-loop graph edge occurs in both adjacency lists, is emitted
-/// twice by `find`, and yields two keys differing only in the side bit.
+/// reproduces `find`'s emission order. A self-loop graph edge sits in
+/// both adjacency lists but binds a slot once, found on side 0.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MatchKey(pub Vec<u64>);
 
@@ -147,6 +146,22 @@ impl Pattern {
             pushed: Vec::new(),
         });
         self.vertices.len() - 1
+    }
+
+    /// Adds `labels` to the ones pattern vertex `idx` requires (a vertex
+    /// must carry all of them).
+    pub fn vertex_labels(
+        &mut self,
+        idx: usize,
+        labels: impl IntoIterator<Item = impl Into<Label>>,
+    ) -> &mut Self {
+        let have = &mut self.vertices[idx].labels;
+        for l in labels.into_iter().map(Into::into) {
+            if !have.contains(&l) {
+                have.push(l);
+            }
+        }
+        self
     }
 
     /// Adds a property predicate to pattern vertex `idx`.
@@ -414,9 +429,12 @@ impl Pattern {
         let from_v = vbind[pe.from].expect("bound");
         let to_v = vbind[pe.to].expect("bound");
 
-        // enumerate graph edges between from_v and to_v honouring direction
+        // enumerate graph edges between from_v and to_v honouring
+        // direction, each once: a self-loop sits in both adjacency
+        // lists, so the in-list skips it
         let candidates: Vec<EdgeId> = g
-            .incident_edges(from_v)
+            .out_edges(from_v)
+            .chain(g.in_edges(from_v).filter(|e| e.src != e.dst))
             .filter(|e| {
                 let fwd = e.src == from_v && e.dst == to_v;
                 let bwd = e.src == to_v && e.dst == from_v;
@@ -449,8 +467,7 @@ impl Pattern {
 
     /// All matches, keyed by [`MatchKey`]: iterating the returned map in
     /// key order visits exactly the bindings [`Self::find`] emits, in
-    /// the same order and with the same multiplicity (each self-loop
-    /// occurrence gets its own key).
+    /// the same order.
     pub fn find_keyed(&self, g: &TemporalGraph) -> BTreeMap<MatchKey, Binding> {
         let mut out = BTreeMap::new();
         self.collect_keyed(
@@ -546,9 +563,8 @@ impl Pattern {
             &mut vbind,
             &mut ebind,
             &mut |vb, eb| {
-                for key in self.canonical_keys(g, &canon_order, &canon_slots, vb, eb) {
-                    out.entry(key).or_insert_with(|| self.to_binding(vb, eb));
-                }
+                let key = self.canonical_key(g, &canon_order, &canon_slots, vb, eb);
+                out.entry(key).or_insert_with(|| self.to_binding(vb, eb));
             },
         );
     }
@@ -568,48 +584,29 @@ impl Pattern {
         slots
     }
 
-    /// Computes the canonical key(s) of a complete assignment. One key
-    /// normally; 2^k keys when k slots bind graph self-loops (one per
-    /// adjacency-occurrence combination, mirroring `find`'s emissions).
-    fn canonical_keys(
+    /// Computes the canonical key of a complete assignment.
+    fn canonical_key(
         &self,
         g: &TemporalGraph,
         order: &[usize],
         slots: &[Vec<usize>],
         vbind: &[Option<VertexId>],
         ebind: &[Option<EdgeId>],
-    ) -> Vec<MatchKey> {
-        let mut keys: Vec<Vec<u64>> = vec![Vec::with_capacity(order.len() + self.edges.len())];
+    ) -> MatchKey {
+        let mut key = Vec::with_capacity(order.len() + self.edges.len());
         for (d, &vi) in order.iter().enumerate() {
-            let v = vbind[vi].expect("complete assignment");
-            for k in &mut keys {
-                k.push(v.index() as u64);
-            }
+            key.push(vbind[vi].expect("complete assignment").index() as u64);
             for &ei in &slots[d] {
                 let id = ebind[ei].expect("complete assignment");
                 let Ok(e) = g.edge(id) else { continue };
                 let from_v = vbind[self.edges[ei].from].expect("bound");
-                let occ0 = id.index() as u64;
-                let occ1 = (1u64 << 63) | occ0;
-                if e.src == e.dst {
-                    let drained = std::mem::take(&mut keys);
-                    for k in drained {
-                        let mut k2 = k.clone();
-                        let mut k1 = k;
-                        k1.push(occ0);
-                        k2.push(occ1);
-                        keys.push(k1);
-                        keys.push(k2);
-                    }
-                } else {
-                    let occ = if e.src == from_v { occ0 } else { occ1 };
-                    for k in &mut keys {
-                        k.push(occ);
-                    }
-                }
+                // a self-loop is found in the out-list, like any edge
+                // leaving `from_v`
+                let side = u64::from(e.src != from_v) << 63;
+                key.push(side | id.index() as u64);
             }
         }
-        keys.into_iter().map(MatchKey).collect()
+        MatchKey(key)
     }
 
     /// [`Self::plan_order`] variant that starts from the pinned
@@ -725,8 +722,8 @@ impl Pattern {
     }
 
     /// Pin-aware twin of [`Self::bind_edges_rec`]. Candidates are
-    /// deduped (a self-loop shows up in both adjacency lists); the
-    /// occurrence multiplicity is restored by [`Self::canonical_keys`].
+    /// deduped (a self-loop shows up in both adjacency lists), so each
+    /// graph edge binds once, as in [`Self::find`].
     #[allow(clippy::too_many_arguments)]
     fn bind_pinned(
         &self,
@@ -1077,8 +1074,8 @@ mod tests {
             p.edge(Some("e"), x, y, ["E"], dir);
             assert_keyed_matches_find(&p, &g);
         }
-        // the homomorphic self-loop match is emitted twice by find and
-        // must occupy two keys in the map
+        // one graph edge binds a pattern edge once: the self-loop sits
+        // in both adjacency lists but is one match
         let mut p = Pattern::new();
         let x = p.vertex("x", ["N"]);
         let y = p.vertex("y", ["N"]);
@@ -1088,7 +1085,7 @@ mod tests {
             .iter()
             .filter(|m| m.vertices["x"] == a && m.vertices["y"] == a)
             .count();
-        assert_eq!(loops, 2, "self-loop emitted once per adjacency occurrence");
+        assert_eq!(loops, 1, "a self-loop binds once");
     }
 
     /// Seeded (pinned) search over the new elements of a growth step

@@ -31,10 +31,9 @@
 //! segments below its LSN are purged; never before, so the fallback
 //! always has the log it needs.
 
+use crate::vfs::Vfs;
 use hygraph_types::bytes::crc32;
 use hygraph_types::{HyGraphError, Result};
-use std::fs::File;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 const CKPT_MAGIC: &[u8; 5] = b"HGCK2";
@@ -55,12 +54,11 @@ fn parse_checkpoint_name(name: &str) -> Option<u64> {
 }
 
 /// Lists `(LSN, path)` of every checkpoint file in `dir`, sorted by LSN.
-pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+pub fn list_checkpoints(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(lsn) = entry.file_name().to_str().and_then(parse_checkpoint_name) {
-            out.push((lsn, entry.path()));
+    for name in vfs.list(dir)? {
+        if let Some(lsn) = parse_checkpoint_name(&name) {
+            out.push((lsn, dir.join(name)));
         }
     }
     out.sort();
@@ -76,6 +74,7 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 /// never truncated: a crash at any point leaves either the old file or
 /// the complete new one.
 pub fn write_checkpoint(
+    vfs: &dyn Vfs,
     dir: &Path,
     tag: [u8; 4],
     lsn: u64,
@@ -95,22 +94,15 @@ pub fn write_checkpoint(
     })?;
     let path = dir.join(checkpoint_name(lsn));
     let tmp = dir.join(format!("{}.tmp", checkpoint_name(lsn)));
-    {
-        let mut payload = Vec::with_capacity(payload_len);
-        payload.extend_from_slice(&watermark.to_le_bytes());
-        payload.extend_from_slice(state);
-        let mut file = File::create(&tmp)?;
-        file.write_all(CKPT_MAGIC)?;
-        file.write_all(&tag)?;
-        file.write_all(&len.to_le_bytes())?;
-        file.write_all(&crc32(&payload).to_le_bytes())?;
-        file.write_all(&payload)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, &path)?;
-    if let Ok(d) = File::open(dir) {
-        d.sync_all()?;
-    }
+    let mut payload = Vec::with_capacity(payload_len);
+    payload.extend_from_slice(&watermark.to_le_bytes());
+    payload.extend_from_slice(state);
+    let header = (len.to_le_bytes(), crc32(&payload).to_le_bytes());
+    vfs.write_renamed(
+        &tmp,
+        &path,
+        &[CKPT_MAGIC, &tag, &header.0, &header.1, &payload],
+    )?;
     Ok(path)
 }
 
@@ -120,8 +112,8 @@ pub fn write_checkpoint(
 /// (`HGCK` family, foreign version digit) or a *different* store
 /// (intact magic, foreign tag). Skipping either silently would make
 /// the caller re-initialise over live data.
-fn read_checkpoint(path: &Path, tag: [u8; 4]) -> Result<Option<(i64, Vec<u8>)>> {
-    let Ok(bytes) = std::fs::read(path) else {
+fn read_checkpoint(vfs: &dyn Vfs, path: &Path, tag: [u8; 4]) -> Result<Option<(i64, Vec<u8>)>> {
+    let Ok(bytes) = vfs.read(path) else {
         return Ok(None);
     };
     if !crate::wal::check_magic("checkpoint", path, &bytes, CKPT_MAGIC)? {
@@ -159,10 +151,10 @@ fn read_checkpoint(path: &Path, tag: [u8; 4]) -> Result<Option<(i64, Vec<u8>)>> 
 /// `(lsn, watermark, state)`. A checkpoint of another format version
 /// or belonging to a different store is a hard error, raised before
 /// any older candidate is considered; nothing is ever deleted here.
-pub fn load_latest(dir: &Path, tag: [u8; 4]) -> Result<Option<(u64, i64, Vec<u8>)>> {
-    let mut candidates = list_checkpoints(dir)?;
+pub fn load_latest(vfs: &dyn Vfs, dir: &Path, tag: [u8; 4]) -> Result<Option<(u64, i64, Vec<u8>)>> {
+    let mut candidates = list_checkpoints(vfs, dir)?;
     while let Some((lsn, path)) = candidates.pop() {
-        if let Some((watermark, state)) = read_checkpoint(&path, tag)? {
+        if let Some((watermark, state)) = read_checkpoint(vfs, &path, tag)? {
             return Ok(Some((lsn, watermark, state)));
         }
     }
@@ -172,18 +164,15 @@ pub fn load_latest(dir: &Path, tag: [u8; 4]) -> Result<Option<(u64, i64, Vec<u8>
 /// Deletes every checkpoint older than `keep_lsn` (the newest intact
 /// one stays by construction, since its LSN equals `keep_lsn`), plus
 /// any stray `.tmp` a crashed [`write_checkpoint`] left behind.
-pub fn purge_older(dir: &Path, keep_lsn: u64) -> Result<()> {
-    for (lsn, path) in list_checkpoints(dir)? {
+pub fn purge_older(vfs: &dyn Vfs, dir: &Path, keep_lsn: u64) -> Result<()> {
+    for (lsn, path) in list_checkpoints(vfs, dir)? {
         if lsn < keep_lsn {
-            std::fs::remove_file(path)?;
+            vfs.remove_file(&path)?;
         }
     }
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
+    for name in vfs.list(dir)? {
         if name.starts_with("ckpt-") && name.ends_with(".ck.tmp") {
-            std::fs::remove_file(entry.path())?;
+            vfs.remove_file(&dir.join(name))?;
         }
     }
     Ok(())
@@ -193,10 +182,10 @@ pub fn purge_older(dir: &Path, keep_lsn: u64) -> Result<()> {
 /// definition torn (recovery just established that none of them load),
 /// and left in place they would shadow the LSN namespace of future
 /// checkpoints.
-pub fn purge_newer_than(dir: &Path, latest_valid_lsn: u64) -> Result<()> {
-    for (lsn, path) in list_checkpoints(dir)? {
+pub fn purge_newer_than(vfs: &dyn Vfs, dir: &Path, latest_valid_lsn: u64) -> Result<()> {
+    for (lsn, path) in list_checkpoints(vfs, dir)? {
         if lsn > latest_valid_lsn {
-            std::fs::remove_file(path)?;
+            vfs.remove_file(&path)?;
         }
     }
     Ok(())
@@ -206,31 +195,32 @@ pub fn purge_newer_than(dir: &Path, latest_valid_lsn: u64) -> Result<()> {
 mod tests {
     use super::*;
     use crate::fault::{flip_byte, scratch_dir, truncate_file};
+    use crate::vfs::OsVfs;
 
     const TAG: [u8; 4] = *b"TEST";
 
     #[test]
     fn write_load_roundtrip_picks_newest() {
         let dir = scratch_dir("ckpt");
-        write_checkpoint(&dir, TAG, 5, 100, b"old-state").unwrap();
-        write_checkpoint(&dir, TAG, 12, 250, b"new-state").unwrap();
-        let (lsn, watermark, payload) = load_latest(&dir, TAG).unwrap().unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 5, 100, b"old-state").unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 12, 250, b"new-state").unwrap();
+        let (lsn, watermark, payload) = load_latest(&OsVfs, &dir, TAG).unwrap().unwrap();
         assert_eq!(lsn, 12);
         assert_eq!(watermark, 250);
         assert_eq!(payload, b"new-state");
-        purge_older(&dir, 12).unwrap();
-        assert_eq!(list_checkpoints(&dir).unwrap().len(), 1);
+        purge_older(&OsVfs, &dir, 12).unwrap();
+        assert_eq!(list_checkpoints(&OsVfs, &dir).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_checkpoint_falls_back_to_previous() {
         let dir = scratch_dir("ckpt-torn");
-        write_checkpoint(&dir, TAG, 3, 7, b"good").unwrap();
-        let newer = write_checkpoint(&dir, TAG, 9, 8, b"doomed-by-crash").unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 3, 7, b"good").unwrap();
+        let newer = write_checkpoint(&OsVfs, &dir, TAG, 9, 8, b"doomed-by-crash").unwrap();
         let len = std::fs::metadata(&newer).unwrap().len();
         truncate_file(&newer, len - 4).unwrap();
-        let (lsn, watermark, payload) = load_latest(&dir, TAG).unwrap().unwrap();
+        let (lsn, watermark, payload) = load_latest(&OsVfs, &dir, TAG).unwrap().unwrap();
         assert_eq!((lsn, watermark, payload.as_slice()), (3, 7, &b"good"[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -238,58 +228,61 @@ mod tests {
     #[test]
     fn corrupt_payload_detected_at_every_byte() {
         let dir = scratch_dir("ckpt-flip");
-        let path = write_checkpoint(&dir, TAG, 1, 42, b"payload-bytes").unwrap();
+        let path = write_checkpoint(&OsVfs, &dir, TAG, 1, 42, b"payload-bytes").unwrap();
         let len = std::fs::metadata(&path).unwrap().len();
         for off in 0..len {
             flip_byte(&path, off).unwrap();
             // a flipped tag byte surfaces as a hard error, every other
             // flip as "no intact checkpoint" — never as a clean load
             assert!(
-                !matches!(load_latest(&dir, TAG), Ok(Some(_))),
+                !matches!(load_latest(&OsVfs, &dir, TAG), Ok(Some(_))),
                 "flip at {off} accepted"
             );
             flip_byte(&path, off).unwrap(); // restore
         }
-        assert!(load_latest(&dir, TAG).unwrap().is_some());
+        assert!(load_latest(&OsVfs, &dir, TAG).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn foreign_tag_is_a_hard_error() {
         let dir = scratch_dir("ckpt-tag");
-        write_checkpoint(&dir, TAG, 1, 0, b"x").unwrap();
-        assert!(load_latest(&dir, *b"OTHR").is_err(), "foreign store opened");
+        write_checkpoint(&OsVfs, &dir, TAG, 1, 0, b"x").unwrap();
+        assert!(
+            load_latest(&OsVfs, &dir, *b"OTHR").is_err(),
+            "foreign store opened"
+        );
         // the file survives for its rightful owner
-        assert_eq!(list_checkpoints(&dir).unwrap().len(), 1);
-        assert!(load_latest(&dir, TAG).unwrap().is_some());
+        assert_eq!(list_checkpoints(&OsVfs, &dir).unwrap().len(), 1);
+        assert!(load_latest(&OsVfs, &dir, TAG).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rewrite_at_same_lsn_never_truncates_the_intact_file() {
         let dir = scratch_dir("ckpt-rewrite");
-        write_checkpoint(&dir, TAG, 7, 1, b"first").unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 7, 1, b"first").unwrap();
         // a rewrite at the same LSN replaces the file atomically…
-        write_checkpoint(&dir, TAG, 7, 2, b"second").unwrap();
-        let (lsn, _, payload) = load_latest(&dir, TAG).unwrap().unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 7, 2, b"second").unwrap();
+        let (lsn, _, payload) = load_latest(&OsVfs, &dir, TAG).unwrap().unwrap();
         assert_eq!((lsn, payload.as_slice()), (7, &b"second"[..]));
         // …and a crash mid-rewrite leaves only a torn .tmp, which can
         // neither shadow the intact file nor survive the next purge
         let tmp = dir.join("ckpt-0000000000000007.ck.tmp");
         std::fs::write(&tmp, b"HGCK2ga").unwrap();
-        let (lsn, _, payload) = load_latest(&dir, TAG).unwrap().unwrap();
+        let (lsn, _, payload) = load_latest(&OsVfs, &dir, TAG).unwrap().unwrap();
         assert_eq!((lsn, payload.as_slice()), (7, &b"second"[..]));
-        purge_older(&dir, 7).unwrap();
+        purge_older(&OsVfs, &dir, 7).unwrap();
         assert!(!tmp.exists(), "stray tmp swept by purge");
-        assert!(load_latest(&dir, TAG).unwrap().is_some());
+        assert!(load_latest(&OsVfs, &dir, TAG).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_state_checkpoint_roundtrips() {
         let dir = scratch_dir("ckpt-empty");
-        write_checkpoint(&dir, TAG, 0, 0, b"").unwrap();
-        let (lsn, watermark, payload) = load_latest(&dir, TAG).unwrap().unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 0, 0, b"").unwrap();
+        let (lsn, watermark, payload) = load_latest(&OsVfs, &dir, TAG).unwrap().unwrap();
         assert_eq!(lsn, 0);
         assert_eq!(watermark, 0);
         assert!(payload.is_empty());
@@ -300,7 +293,7 @@ mod tests {
     /// leave every file as it was.
     fn assert_refused_untouched(dir: &Path, version: &str) {
         let before = crate::fault::snapshot_dir(dir).unwrap();
-        let err = load_latest(dir, TAG).unwrap_err();
+        let err = load_latest(&OsVfs, dir, TAG).unwrap_err();
         assert!(
             matches!(&err, HyGraphError::UnsupportedFormat(m) if m.contains(version)),
             "expected a refusal naming {version}, got {err:?}"
@@ -312,7 +305,7 @@ mod tests {
     fn legacy_v1_checkpoint_is_refused_not_skipped() {
         let dir = scratch_dir("ckpt-v1");
         // an older intact v2 file the loader must NOT fall back to
-        write_checkpoint(&dir, TAG, 2, 5, b"older-v2-state").unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 2, 5, b"older-v2-state").unwrap();
         // hand-write a v1 file: old magic, payload = state (no prefix)
         let state = b"v1-state-bytes";
         let mut bytes = b"HGCK1".to_vec();
@@ -324,8 +317,8 @@ mod tests {
         assert_refused_untouched(&dir, "HGCK1");
 
         // once a newer v2 checkpoint supersedes it, the store opens
-        write_checkpoint(&dir, TAG, 9, 777, b"v2-state").unwrap();
-        let (lsn, watermark, payload) = load_latest(&dir, TAG).unwrap().unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 9, 777, b"v2-state").unwrap();
+        let (lsn, watermark, payload) = load_latest(&OsVfs, &dir, TAG).unwrap().unwrap();
         assert_eq!(
             (lsn, watermark, payload.as_slice()),
             (9, 777, &b"v2-state"[..])
@@ -336,8 +329,8 @@ mod tests {
     #[test]
     fn unknown_newer_checkpoint_version_is_refused_not_skipped() {
         let dir = scratch_dir("ckpt-v3");
-        write_checkpoint(&dir, TAG, 2, 5, b"older-v2-state").unwrap();
-        let newer = write_checkpoint(&dir, TAG, 4, 6, b"from-the-future").unwrap();
+        write_checkpoint(&OsVfs, &dir, TAG, 2, 5, b"older-v2-state").unwrap();
+        let newer = write_checkpoint(&OsVfs, &dir, TAG, 4, 6, b"from-the-future").unwrap();
         let mut bytes = std::fs::read(&newer).unwrap();
         bytes[..5].copy_from_slice(b"HGCK3");
         std::fs::write(&newer, bytes).unwrap();

@@ -15,6 +15,10 @@
 //!    intact WAL suffix, truncating at the first torn frame — the
 //!    recovered state is bit-identical to the committed state.
 //!
+//! Every file operation goes through a [`Vfs`]: [`OsVfs`] for a
+//! directory, [`MemVfs`] for a store kept in memory that runs the same
+//! protocol ([`ShardedStore::open_in`]).
+//!
 //! ```
 //! use hygraph_persist::{ShardedStore, TsMutation};
 //! use hygraph_ts::TsStore;
@@ -46,9 +50,11 @@ pub mod fault;
 pub mod frame;
 pub mod sharded;
 pub mod stores;
+pub mod vfs;
 pub mod wal;
 
 pub use config::PersistConfig;
 pub use durable::{Durable, RecoveryObserver};
 pub use sharded::{ShardRouted, ShardedStore};
 pub use stores::{HgMutation, StoreMutation, TsMutation};
+pub use vfs::{MemVfs, OsVfs, Vfs};

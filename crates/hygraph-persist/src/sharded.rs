@@ -58,12 +58,14 @@
 use crate::checkpoint;
 use crate::config;
 use crate::durable::{Durable, RecoveryObserver};
+use crate::vfs::{OsVfs, Vfs};
 use crate::wal::Wal;
 use hygraph_types::bytes::{ByteReader, ByteWriter};
 use hygraph_types::shard::ShardRouter;
 use hygraph_types::{HyGraphError, Result};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic prefix of a sharded checkpoint payload (ahead of the state
 /// bytes). Its absence marks a pre-shard checkpoint, which the first
@@ -154,6 +156,7 @@ where
     S::Mutation: ShardRouted,
 {
     state: S,
+    vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     router: ShardRouter,
     epoch: u64,
@@ -188,7 +191,7 @@ where
     /// shard count different from `shards` triggers a re-shard under a
     /// fresh directory generation.
     pub fn open(dir: impl Into<PathBuf>, shards: usize) -> Result<Self> {
-        Self::open_impl(dir.into(), shards, None)
+        Self::open_in(OsVfs::shared(), dir, shards, None)
     }
 
     /// [`ShardedStore::open`], reporting the recovered base state and
@@ -201,21 +204,26 @@ where
         shards: usize,
         observer: &mut dyn RecoveryObserver<S>,
     ) -> Result<Self> {
-        Self::open_impl(dir.into(), shards, Some(observer))
+        Self::open_in(OsVfs::shared(), dir, shards, Some(observer))
     }
 
-    fn open_impl(
-        dir: PathBuf,
+    /// [`ShardedStore::open`] (with `observer`, as
+    /// [`ShardedStore::open_observed`]) in `dir` of `vfs` — the real
+    /// filesystem ([`OsVfs`]) or memory ([`crate::vfs::MemVfs`]).
+    pub fn open_in(
+        vfs: Arc<dyn Vfs>,
+        dir: impl Into<PathBuf>,
         shards: usize,
         observer: Option<&mut dyn RecoveryObserver<S>>,
     ) -> Result<Self> {
-        std::fs::create_dir_all(&dir)?;
+        let dir = dir.into();
+        vfs.create_dir_all(&dir)?;
         let router = ShardRouter::new(shards);
         let shards = router.shards();
         let segment_bytes = config::configured_segment_bytes();
 
-        let checkpoint = checkpoint::load_latest(&dir, S::STORE_TAG)?;
-        let legacy_segments = crate::wal::list_segments(&dir)?;
+        let checkpoint = checkpoint::load_latest(&*vfs, &dir, S::STORE_TAG)?;
+        let legacy_segments = crate::wal::list_segments(&*vfs, &dir)?;
         let is_sharded_ckpt = matches!(
             &checkpoint,
             Some((_, _, payload)) if payload.starts_with(SHARD_META_MAGIC)
@@ -227,8 +235,8 @@ where
             // the observer), then the state is re-checkpointed under the
             // sharded meta header and the old segments are archived.
             let (state, csn, commit_ts) =
-                read_legacy::<S>(&dir, checkpoint, segment_bytes, observer)?;
-            let store = Self::rebuild(dir, router, 1, state, csn, commit_ts, segment_bytes)?;
+                read_legacy::<S>(&vfs, &dir, checkpoint, segment_bytes, observer)?;
+            let store = Self::rebuild(vfs, dir, router, 1, state, csn, commit_ts, segment_bytes)?;
             store.sweep_stale()?;
             return Ok(store);
         }
@@ -240,7 +248,7 @@ where
             if let Some(o) = observer {
                 o.base(0, &state);
             }
-            let store = Self::rebuild(dir, router, 1, state, 0, 0, segment_bytes)?;
+            let store = Self::rebuild(vfs, dir, router, 1, state, 0, 0, segment_bytes)?;
             store.sweep_stale()?;
             return Ok(store);
         };
@@ -253,14 +261,16 @@ where
         // all of them before the first removal, so the refusal leaves
         // every shard (and every torn checkpoint) exactly as found
         for idx in 0..meta.next_lsns.len() {
-            crate::wal::refuse_foreign_segments(&shard_dir(&dir, meta.epoch, idx), S::STORE_TAG)?;
+            let sdir = shard_dir(&dir, meta.epoch, idx);
+            crate::wal::refuse_foreign_segments(&*vfs, &sdir, S::STORE_TAG)?;
         }
-        checkpoint::purge_newer_than(&dir, ckpt_csn)?;
+        checkpoint::purge_newer_than(&*vfs, &dir, ckpt_csn)?;
 
         if meta.next_lsns.len() != shards {
             // Shard count changed between runs: recover fully with the
             // recorded count, then rewrite under a fresh generation.
             let recovered = Self::recover_generation(
+                &vfs,
                 &dir,
                 ShardRouter::new(meta.next_lsns.len()),
                 &meta,
@@ -271,6 +281,7 @@ where
                 observer,
             )?;
             let store = Self::rebuild(
+                vfs,
                 dir,
                 router,
                 meta.epoch + 1,
@@ -284,6 +295,7 @@ where
         }
 
         let recovered = Self::recover_generation(
+            &vfs,
             &dir,
             router,
             &meta,
@@ -295,6 +307,7 @@ where
         )?;
         let mut store = Self {
             state: recovered.state,
+            vfs,
             dir,
             router,
             epoch: meta.epoch,
@@ -331,11 +344,21 @@ where
     /// in-memory state (bulk-load-then-go-durable): writes the initial
     /// checkpoint of `initial` at CSN 0 under epoch 1.
     pub fn create(dir: impl Into<PathBuf>, shards: usize, initial: S) -> Result<Self> {
+        Self::create_in(OsVfs::shared(), dir, shards, initial)
+    }
+
+    /// [`ShardedStore::create`] in `dir` of `vfs`.
+    pub fn create_in(
+        vfs: Arc<dyn Vfs>,
+        dir: impl Into<PathBuf>,
+        shards: usize,
+        initial: S,
+    ) -> Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        if !checkpoint::list_checkpoints(&dir)?.is_empty()
-            || !crate::wal::list_segments(&dir)?.is_empty()
-            || list_generations(&dir)?.next().is_some()
+        vfs.create_dir_all(&dir)?;
+        if !checkpoint::list_checkpoints(&*vfs, &dir)?.is_empty()
+            || !crate::wal::list_segments(&*vfs, &dir)?.is_empty()
+            || list_generations(&*vfs, &dir)?.next().is_some()
         {
             return Err(HyGraphError::invalid(format!(
                 "ShardedStore::create: {} already holds a log",
@@ -344,6 +367,7 @@ where
         }
         let router = ShardRouter::new(shards);
         Self::rebuild(
+            vfs,
             dir,
             router,
             1,
@@ -359,6 +383,7 @@ where
     /// checkpoint watermark.
     #[allow(clippy::too_many_arguments)]
     fn recover_generation(
+        vfs: &Arc<dyn Vfs>,
         dir: &Path,
         router: ShardRouter,
         meta: &ShardMeta,
@@ -376,6 +401,7 @@ where
         for (idx, &from_lsn) in meta.next_lsns.iter().enumerate() {
             let sdir = shard_dir(dir, meta.epoch, idx);
             let wal = Wal::recover(
+                Arc::clone(vfs),
                 &sdir,
                 S::STORE_TAG,
                 segment_bytes,
@@ -426,7 +452,9 @@ where
     /// the commit point — a crash before it leaves the previous layout
     /// authoritative, a crash after it leaves only stale directories
     /// for the next open's sweep.
+    #[allow(clippy::too_many_arguments)]
     fn rebuild(
+        vfs: Arc<dyn Vfs>,
         dir: PathBuf,
         router: ShardRouter,
         epoch: u64,
@@ -436,16 +464,17 @@ where
         segment_bytes: u64,
     ) -> Result<Self> {
         let gen_dir = generation_dir(&dir, epoch);
-        if gen_dir.exists() {
+        if vfs.exists(&gen_dir) {
             // leftovers of a rebuild that crashed before its checkpoint
             // committed — the current checkpoint references another
             // epoch, so nothing in here is live
-            std::fs::remove_dir_all(&gen_dir)?;
+            vfs.remove_dir_all(&gen_dir)?;
         }
         let shards = router.shards();
         let mut wals = Vec::with_capacity(shards);
         for idx in 0..shards {
             wals.push(Wal::create(
+                Arc::clone(&vfs),
                 shard_dir(&dir, epoch, idx),
                 S::STORE_TAG,
                 segment_bytes,
@@ -453,6 +482,7 @@ where
         }
         let mut store = Self {
             state,
+            vfs,
             dir,
             router,
             epoch,
@@ -475,12 +505,12 @@ where
     /// after the live checkpoint is durable — everything swept is
     /// superseded by it, so a crash at any point here loses nothing.
     fn sweep_stale(&self) -> Result<()> {
-        for (epoch, path) in list_generations(&self.dir)? {
+        for (epoch, path) in list_generations(&*self.vfs, &self.dir)? {
             if epoch != self.epoch {
-                std::fs::remove_dir_all(path)?;
+                self.vfs.remove_dir_all(&path)?;
             }
         }
-        legacy_wal_archive_moves(&self.dir)?;
+        legacy_wal_archive_moves(&*self.vfs, &self.dir)?;
         Ok(())
     }
 
@@ -596,13 +626,14 @@ where
         );
         self.state.encode_state(&mut w);
         checkpoint::write_checkpoint(
+            &*self.vfs,
             &self.dir,
             S::STORE_TAG,
             csn,
             self.commit_ts,
             &w.into_bytes(),
         )?;
-        checkpoint::purge_older(&self.dir, csn)?;
+        checkpoint::purge_older(&*self.vfs, &self.dir, csn)?;
         for wal in &mut self.wals {
             let lsn = wal.next_lsn();
             wal.rotate();
@@ -746,6 +777,7 @@ where
 /// refuses the open before anything is purged or truncated; a torn log
 /// tail is truncated, as any recovery does.
 fn read_legacy<S: Durable>(
+    vfs: &Arc<dyn Vfs>,
     dir: &Path,
     checkpoint: Option<(u64, i64, Vec<u8>)>,
     segment_bytes: u64,
@@ -756,10 +788,10 @@ fn read_legacy<S: Durable>(
             let mut r = ByteReader::new(&payload);
             let state = S::decode_state(&mut r)?;
             r.expect_exhausted()?;
-            crate::wal::refuse_foreign_segments(dir, S::STORE_TAG)?;
+            crate::wal::refuse_foreign_segments(&**vfs, dir, S::STORE_TAG)?;
             // anything newer than the checkpoint just loaded failed to
             // load — torn; clear the namespace
-            checkpoint::purge_newer_than(dir, lsn)?;
+            checkpoint::purge_newer_than(&**vfs, dir, lsn)?;
             (lsn, watermark, state)
         }
         None => (0, 0, S::fresh()),
@@ -769,6 +801,7 @@ fn read_legacy<S: Durable>(
     }
     let mut commit_ts = watermark;
     let wal = Wal::recover(
+        Arc::clone(vfs),
         dir,
         S::STORE_TAG,
         segment_bytes,
@@ -791,39 +824,34 @@ fn read_legacy<S: Durable>(
 
 /// Iterates `(epoch, path)` of every `shards-<epoch>` generation
 /// directory in `dir`.
-fn list_generations(dir: &Path) -> Result<impl Iterator<Item = (u64, PathBuf)>> {
+fn list_generations(vfs: &dyn Vfs, dir: &Path) -> Result<impl Iterator<Item = (u64, PathBuf)>> {
     let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
+    for name in vfs.list(dir)? {
         let Some(hex) = name.strip_prefix("shards-") else {
             continue;
         };
         if let Ok(epoch) = hex.parse::<u64>() {
-            out.push((epoch, entry.path()));
+            out.push((epoch, dir.join(&name)));
         }
     }
     Ok(out.into_iter())
 }
 
 /// Moves stray top-level `wal-*.seg` files (a pre-shard layout) into
-/// `legacy-wal/`, returning the archived paths. Idempotent; called only
+/// `legacy-wal/`. Idempotent; called only
 /// after the sharded checkpoint covering those frames is durable.
-fn legacy_wal_archive_moves(dir: &Path) -> Result<Vec<PathBuf>> {
-    let segments = crate::wal::list_segments(dir)?;
+fn legacy_wal_archive_moves(vfs: &dyn Vfs, dir: &Path) -> Result<()> {
+    let segments = crate::wal::list_segments(vfs, dir)?;
     if segments.is_empty() {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let archive = dir.join("legacy-wal");
-    std::fs::create_dir_all(&archive)?;
-    let mut moved = Vec::with_capacity(segments.len());
+    vfs.create_dir_all(&archive)?;
     for (_, path) in segments {
         let dest = archive.join(path.file_name().expect("segment file name"));
-        std::fs::rename(&path, &dest)?;
-        moved.push(dest);
+        vfs.rename(&path, &dest)?;
     }
-    Ok(moved)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -846,15 +874,18 @@ mod tests {
             .checkpoint_every(0)
             .install();
         let dir = scratch_dir("sharded-reject-vs-sync");
-        let mut store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 2).unwrap();
+        let vfs = Arc::new(crate::vfs::tests::ShortWrite::default());
+        let mut store: ShardedStore<HyGraph> =
+            ShardedStore::open_in(vfs.clone(), &dir, 2, None).unwrap();
         store
             .commit(HgMutation::AddSeries {
                 names: vec!["v".into()],
                 rows: vec![],
             })
             .unwrap();
-        // series 0 routes to shard 0: make that shard's next write fail
-        store.wals[0].fail_write_after = Some(0);
+        // the append to series 0 is the batch's only staged frame: make
+        // its shard's write fail
+        vfs.fail_next_write_after(0);
         let err = store
             .commit_batch([
                 HgMutation::Append {

@@ -24,11 +24,11 @@
 //! before it removes or truncates anything.
 
 use crate::frame::{append_frame, read_frame, FrameOutcome};
+use crate::vfs::{AppendFile, Vfs};
 use hygraph_metrics as metrics;
 use hygraph_types::{HyGraphError, Result};
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 const SEGMENT_MAGIC: &[u8; 5] = b"HGWL2";
@@ -49,12 +49,11 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// Lists `(base LSN, path)` of every segment in `dir`, sorted by base.
-pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+pub fn list_segments(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(base) = entry.file_name().to_str().and_then(parse_segment_name) {
-            out.push((base, entry.path()));
+    for name in vfs.list(dir)? {
+        if let Some(base) = parse_segment_name(&name) {
+            out.push((base, dir.join(name)));
         }
     }
     out.sort();
@@ -95,16 +94,12 @@ pub(crate) fn check_magic(what: &str, path: &Path, head: &[u8], magic: &[u8; 5])
 /// leaves the directory byte-identical — [`Wal::recover`] runs it
 /// before touching anything, and a caller recovering several logs as
 /// one unit runs it over all of them first.
-pub(crate) fn refuse_foreign_segments(dir: &Path, tag: [u8; 4]) -> Result<()> {
-    use std::io::Read as _;
-    if !dir.exists() {
+pub(crate) fn refuse_foreign_segments(vfs: &dyn Vfs, dir: &Path, tag: [u8; 4]) -> Result<()> {
+    if !vfs.exists(dir) {
         return Ok(());
     }
-    for (_, path) in list_segments(dir)? {
-        let mut head = Vec::with_capacity(SEGMENT_HEADER_BYTES);
-        File::open(&path)?
-            .take(SEGMENT_HEADER_BYTES as u64)
-            .read_to_end(&mut head)?;
+    for (_, path) in list_segments(vfs, dir)? {
+        let head = vfs.read_head(&path, SEGMENT_HEADER_BYTES)?;
         let found = head.get(SEGMENT_MAGIC.len()..SEGMENT_HEADER_BYTES);
         if check_magic("WAL segment", &path, &head, SEGMENT_MAGIC)?
             && found.is_some_and(|found| found != tag)
@@ -120,18 +115,9 @@ pub(crate) fn refuse_foreign_segments(dir: &Path, tag: [u8; 4]) -> Result<()> {
     Ok(())
 }
 
-fn sync_dir(dir: &Path) -> Result<()> {
-    // directory fsync makes created/removed segment names durable; on
-    // platforms where directories cannot be opened this is a no-op
-    if let Ok(d) = File::open(dir) {
-        d.sync_all()?;
-    }
-    Ok(())
-}
-
 struct ActiveSegment {
     path: PathBuf,
-    file: File,
+    file: Box<dyn AppendFile>,
     len: u64,
 }
 
@@ -144,6 +130,7 @@ pub struct PendingMark {
 
 /// The segmented write-ahead log of one durable store.
 pub struct Wal {
+    vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     tag: [u8; 4],
     segment_bytes: u64,
@@ -162,18 +149,20 @@ pub struct Wal {
     /// would append the batch *after* the torn bytes and then claim it
     /// durable while recovery truncates at the tear.
     poisoned: bool,
-    /// Test-only fault injection: the next batch write persists at most
-    /// this many bytes, then errors (a disk filling up mid-`write`).
-    #[cfg(test)]
-    pub(crate) fail_write_after: Option<usize>,
 }
 
 impl Wal {
     /// Opens a fresh, empty log in `dir` (created if missing).
-    pub fn create(dir: impl Into<PathBuf>, tag: [u8; 4], segment_bytes: u64) -> Result<Self> {
+    pub fn create(
+        vfs: Arc<dyn Vfs>,
+        dir: impl Into<PathBuf>,
+        tag: [u8; 4],
+        segment_bytes: u64,
+    ) -> Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        vfs.create_dir_all(&dir)?;
         Ok(Self {
+            vfs,
             dir,
             tag,
             segment_bytes: segment_bytes.max(1),
@@ -183,8 +172,6 @@ impl Wal {
             next_lsn: 0,
             durable_lsn: 0,
             poisoned: false,
-            #[cfg(test)]
-            fail_write_after: None,
         })
     }
 
@@ -194,6 +181,7 @@ impl Wal {
     /// and positions the log for appends. A segment of another format
     /// version or another store fails the call before any file changes.
     pub fn recover(
+        vfs: Arc<dyn Vfs>,
         dir: impl Into<PathBuf>,
         tag: [u8; 4],
         segment_bytes: u64,
@@ -201,12 +189,12 @@ impl Wal {
         mut apply: impl FnMut(u64, i64, &[u8]) -> Result<()>,
     ) -> Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        vfs.create_dir_all(&dir)?;
         let start = Instant::now();
         let mut replayed = 0u64;
         let mut truncations = 0u64;
-        refuse_foreign_segments(&dir, tag)?;
-        let segments = list_segments(&dir)?;
+        refuse_foreign_segments(&*vfs, &dir, tag)?;
+        let segments = list_segments(&*vfs, &dir)?;
         if let Some((first_base, _)) = segments.first() {
             // the log must reach back to the recovery watermark: a first
             // segment starting above it means the prefix (and whatever
@@ -226,11 +214,11 @@ impl Wal {
 
         for (base, path) in &segments {
             if torn {
-                std::fs::remove_file(path)?;
+                vfs.remove_file(path)?;
                 truncations += 1;
                 continue;
             }
-            let bytes = std::fs::read(path)?;
+            let bytes = vfs.read(path)?;
             // anything else the pass above let through is a torn header
             let header_ok = bytes.len() >= SEGMENT_HEADER_BYTES
                 && bytes[..SEGMENT_MAGIC.len()] == *SEGMENT_MAGIC
@@ -244,7 +232,7 @@ impl Wal {
             if !header_ok || !continuous {
                 // nothing in this segment (or anything later) is usable
                 torn = true;
-                std::fs::remove_file(path)?;
+                vfs.remove_file(path)?;
                 truncations += 1;
                 continue;
             }
@@ -282,7 +270,7 @@ impl Wal {
             let valid_file_len = (SEGMENT_HEADER_BYTES + offset) as u64;
             if valid_file_len < bytes.len() as u64 {
                 // torn tail: truncate to the intact prefix, drop the rest
-                crate::fault::truncate_file(path, valid_file_len)?;
+                vfs.truncate(path, valid_file_len)?;
                 torn = true;
                 truncations += 1;
             }
@@ -297,20 +285,20 @@ impl Wal {
         // recovery.
         if expected.unwrap_or(0) < from_lsn {
             for (_, path, _) in survivors.drain(..) {
-                std::fs::remove_file(path)?;
+                vfs.remove_file(&path)?;
                 truncations += 1;
             }
             torn = true; // force the directory fsync below
         }
         if torn {
-            sync_dir(&dir)?;
+            vfs.sync_dir(&dir)?;
         }
 
         let next_lsn = expected.unwrap_or(0).max(from_lsn);
         let active = match survivors.last() {
             Some((_, path, len)) => Some(ActiveSegment {
                 path: path.clone(),
-                file: OpenOptions::new().append(true).open(path)?,
+                file: vfs.open_append(path)?,
                 len: *len,
             }),
             None => None,
@@ -322,6 +310,7 @@ impl Wal {
             m.persist.recovery_us.observe_duration(start.elapsed());
         }
         Ok(Self {
+            vfs,
             dir,
             tag,
             segment_bytes: segment_bytes.max(1),
@@ -331,8 +320,6 @@ impl Wal {
             next_lsn,
             durable_lsn: next_lsn,
             poisoned: false,
-            #[cfg(test)]
-            fail_write_after: None,
         })
     }
 
@@ -435,14 +422,8 @@ impl Wal {
         }
         if self.active.is_none() {
             let path = self.dir.join(segment_name(self.pending_base));
-            let mut file = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&path)?;
-            file.write_all(SEGMENT_MAGIC)?;
-            file.write_all(&self.tag)?;
-            sync_dir(&self.dir)?;
+            let file = self.vfs.create_append(&path, &[SEGMENT_MAGIC, &self.tag])?;
+            self.vfs.sync_dir(&self.dir)?;
             self.active = Some(ActiveSegment {
                 path,
                 file,
@@ -450,32 +431,13 @@ impl Wal {
             });
             rotated = true;
         }
-        #[cfg(test)]
-        let injected_quota = self.fail_write_after.take();
         let a = self.active.as_mut().expect("active segment opened above");
-        #[cfg(test)]
-        let write_res = match injected_quota {
-            Some(quota) => {
-                let n = quota.min(self.pending.len());
-                a.file
-                    .write_all(&self.pending[..n])
-                    .and_then(|()| Err(std::io::Error::other("injected write fault")))
-            }
-            None => a.file.write_all(&self.pending),
-        };
-        #[cfg(not(test))]
-        let write_res = a.file.write_all(&self.pending);
-        if let Err(e) = write_res {
+        if let Err(e) = a.file.write_all(&self.pending) {
             // part of the batch may already be in the file: wind the
             // segment (and the write cursor) back to the known-good
             // length so a retried sync starts exactly where the last
             // successful one ended
-            use std::io::{Seek as _, SeekFrom};
-            let rewound = a
-                .file
-                .set_len(a.len)
-                .and_then(|()| a.file.seek(SeekFrom::Start(a.len)).map(|_| ()));
-            if rewound.is_err() {
+            if a.file.rewind(a.len).is_err() {
                 self.poisoned = true;
             }
             return Err(e.into());
@@ -514,7 +476,7 @@ impl Wal {
     /// are covered by a checkpoint). The active segment is never
     /// deleted.
     pub fn purge_up_to(&mut self, lsn: u64) -> Result<()> {
-        let segments = list_segments(&self.dir)?;
+        let segments = list_segments(&*self.vfs, &self.dir)?;
         let active_path = self.active.as_ref().map(|a| a.path.clone());
         // windows(2) never visits the last segment, so the tail — which
         // may be active or carry the next appends — is always kept
@@ -523,10 +485,10 @@ impl Wal {
             let (next_base, _) = window[1];
             // every frame of window[0] has LSN < next_base
             if next_base <= lsn && Some(path) != active_path.as_ref() {
-                std::fs::remove_file(path)?;
+                self.vfs.remove_file(path)?;
             }
         }
-        sync_dir(&self.dir)?;
+        self.vfs.sync_dir(&self.dir)?;
         Ok(())
     }
 
@@ -553,12 +515,13 @@ impl std::fmt::Debug for Wal {
 mod tests {
     use super::*;
     use crate::fault::{flip_byte, scratch_dir, truncate_file};
+    use crate::vfs::OsVfs;
 
     const TAG: [u8; 4] = *b"TEST";
 
     fn collect(dir: &Path, from: u64) -> (Vec<(u64, Vec<u8>)>, Wal) {
         let mut seen = Vec::new();
-        let wal = Wal::recover(dir, TAG, 64, from, |lsn, _ts, rec| {
+        let wal = Wal::recover(OsVfs::shared(), dir, TAG, 64, from, |lsn, _ts, rec| {
             seen.push((lsn, rec.to_vec()));
             Ok(())
         })
@@ -569,7 +532,7 @@ mod tests {
     #[test]
     fn append_sync_recover_roundtrip() {
         let dir = scratch_dir("roundtrip");
-        let mut wal = Wal::create(&dir, TAG, 1024).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 1024).unwrap();
         for i in 0..10u64 {
             assert_eq!(wal.append(0, format!("r{i}").as_bytes()), i);
         }
@@ -588,7 +551,7 @@ mod tests {
     #[test]
     fn unsynced_batch_is_lost_synced_prefix_survives() {
         let dir = scratch_dir("unsynced");
-        let mut wal = Wal::create(&dir, TAG, 1024).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 1024).unwrap();
         wal.append(0, b"durable");
         wal.sync().unwrap();
         wal.append(0, b"volatile");
@@ -602,12 +565,15 @@ mod tests {
     #[test]
     fn rotation_produces_multiple_segments_and_replays_in_order() {
         let dir = scratch_dir("rotate");
-        let mut wal = Wal::create(&dir, TAG, 64).unwrap(); // tiny segments
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 64).unwrap(); // tiny segments
         for i in 0..50u64 {
             wal.append(0, format!("record-{i:04}").as_bytes());
             wal.sync().unwrap();
         }
-        assert!(list_segments(&dir).unwrap().len() > 1, "rotation happened");
+        assert!(
+            list_segments(&OsVfs, &dir).unwrap().len() > 1,
+            "rotation happened"
+        );
         let (seen, _) = collect(&dir, 0);
         assert_eq!(seen.len(), 50);
         for (i, (lsn, rec)) in seen.iter().enumerate() {
@@ -620,12 +586,12 @@ mod tests {
     #[test]
     fn torn_tail_truncated_on_recovery() {
         let dir = scratch_dir("torn");
-        let mut wal = Wal::create(&dir, TAG, 4096).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 4096).unwrap();
         for i in 0..5u64 {
             wal.append(0, format!("r{i}").as_bytes());
         }
         wal.sync().unwrap();
-        let (base, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let (base, path) = list_segments(&OsVfs, &dir).unwrap().pop().unwrap();
         assert_eq!(base, 0);
         let full = std::fs::metadata(&path).unwrap().len();
         truncate_file(&path, full - 3).unwrap(); // tear the last frame
@@ -647,12 +613,12 @@ mod tests {
     #[test]
     fn corrupt_mid_segment_drops_suffix_and_later_segments() {
         let dir = scratch_dir("corrupt");
-        let mut wal = Wal::create(&dir, TAG, 64).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 64).unwrap();
         for i in 0..30u64 {
             wal.append(0, format!("record-{i:05}").as_bytes());
             wal.sync().unwrap();
         }
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(&OsVfs, &dir).unwrap();
         assert!(segments.len() >= 3);
         // flip a byte in the middle of the second segment
         let (_, ref second) = segments[1];
@@ -665,7 +631,7 @@ mod tests {
             assert_eq!(*lsn, i as u64);
         }
         // later segments were deleted
-        let remaining = list_segments(&dir).unwrap();
+        let remaining = list_segments(&OsVfs, &dir).unwrap();
         assert!(remaining.len() < segments.len());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -673,16 +639,16 @@ mod tests {
     #[test]
     fn wrong_tag_segment_is_rejected() {
         let dir = scratch_dir("tag");
-        let mut wal = Wal::create(&dir, TAG, 1024).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 1024).unwrap();
         wal.append(0, b"x");
         wal.sync().unwrap();
         drop(wal);
-        let res = Wal::recover(&dir, *b"OTHR", 1024, 0, |_, _, _| Ok(()));
+        let res = Wal::recover(OsVfs::shared(), &dir, *b"OTHR", 1024, 0, |_, _, _| Ok(()));
         assert!(res.is_err(), "foreign log must not open");
         // the segment survives untouched for its rightful owner
-        assert_eq!(list_segments(&dir).unwrap().len(), 1);
+        assert_eq!(list_segments(&OsVfs, &dir).unwrap().len(), 1);
         let mut seen = Vec::new();
-        Wal::recover(&dir, TAG, 1024, 0, |lsn, _ts, rec| {
+        Wal::recover(OsVfs::shared(), &dir, TAG, 1024, 0, |lsn, _ts, rec| {
             seen.push((lsn, rec.to_vec()));
             Ok(())
         })
@@ -694,24 +660,24 @@ mod tests {
     #[test]
     fn purge_removes_covered_segments() {
         let dir = scratch_dir("purge");
-        let mut wal = Wal::create(&dir, TAG, 64).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 64).unwrap();
         for i in 0..30u64 {
             wal.append(0, format!("record-{i:05}").as_bytes());
             wal.sync().unwrap();
         }
-        let before = list_segments(&dir).unwrap().len();
+        let before = list_segments(&OsVfs, &dir).unwrap().len();
         assert!(before >= 3);
         wal.rotate();
         wal.purge_up_to(wal.next_lsn()).unwrap();
-        let after = list_segments(&dir).unwrap();
+        let after = list_segments(&OsVfs, &dir).unwrap();
         assert!(after.len() < before, "covered segments deleted");
         // a purged log only opens from a watermark the surviving
         // segments cover (the checkpoint's LSN); recovering from 0
         // would silently skip the purged prefix and must fail loudly
-        assert!(Wal::recover(&dir, TAG, 64, 0, |_, _, _| Ok(())).is_err());
+        assert!(Wal::recover(OsVfs::shared(), &dir, TAG, 64, 0, |_, _, _| Ok(())).is_err());
         // ...while recovery from the watermark replays what remains and
         // positions the log at next_lsn
-        let wal2 = Wal::recover(&dir, TAG, 64, 30, |_, _, _| Ok(())).unwrap();
+        let wal2 = Wal::recover(OsVfs::shared(), &dir, TAG, 64, 30, |_, _, _| Ok(())).unwrap();
         assert_eq!(wal2.next_lsn(), 30);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -719,34 +685,38 @@ mod tests {
     #[test]
     fn missing_log_prefix_is_a_loud_error() {
         let dir = scratch_dir("prefix");
-        let mut wal = Wal::create(&dir, TAG, 64).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 64).unwrap();
         for i in 0..30u64 {
             wal.append(0, format!("record-{i:05}").as_bytes());
             wal.sync().unwrap();
         }
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(&OsVfs, &dir).unwrap();
         assert!(segments.len() >= 3);
         // the first segment vanishes (lost checkpoint scenario): the
         // remaining suffix must not be replayed onto a state missing
         // the prefix mutations
         std::fs::remove_file(&segments[0].1).unwrap();
-        let res = Wal::recover(&dir, TAG, 64, 0, |_, _, _| Ok(()));
+        let res = Wal::recover(OsVfs::shared(), &dir, TAG, 64, 0, |_, _, _| Ok(()));
         assert!(res.is_err(), "missing prefix silently skipped");
         // the error is detected before anything is deleted
-        assert_eq!(list_segments(&dir).unwrap().len(), segments.len() - 1);
+        assert_eq!(
+            list_segments(&OsVfs, &dir).unwrap().len(),
+            segments.len() - 1
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn failed_sync_is_safe_to_retry() {
         let dir = scratch_dir("retry");
-        let mut wal = Wal::create(&dir, TAG, 4096).unwrap();
+        let vfs = Arc::new(crate::vfs::tests::ShortWrite::default());
+        let mut wal = Wal::create(vfs.clone(), &dir, TAG, 4096).unwrap();
         wal.append(0, b"first");
         wal.sync().unwrap();
         wal.append(0, b"second");
         wal.append(0, b"third");
         // the write persists 7 bytes of the batch, then errors (ENOSPC)
-        wal.fail_write_after = Some(7);
+        vfs.fail_next_write_after(7);
         assert!(wal.sync().is_err());
         assert_eq!(wal.durable_lsn(), 1, "failed batch not reported durable");
         // the retry must not append the batch after the torn fragment:
@@ -768,13 +738,13 @@ mod tests {
     #[test]
     fn commit_timestamps_roundtrip_through_recovery() {
         let dir = scratch_dir("wal-ts");
-        let mut wal = Wal::create(&dir, TAG, 4096).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 4096).unwrap();
         wal.append(1_000, b"a");
         wal.append(1_000, b"b");
         wal.append(2_500, b"c");
         wal.sync().unwrap();
         let mut seen = Vec::new();
-        Wal::recover(&dir, TAG, 4096, 0, |lsn, ts, rec| {
+        Wal::recover(OsVfs::shared(), &dir, TAG, 4096, 0, |lsn, ts, rec| {
             seen.push((lsn, ts, rec.to_vec()));
             Ok(())
         })
@@ -792,7 +762,7 @@ mod tests {
 
     fn assert_refused_untouched(dir: &Path, version: &str) {
         let before = crate::fault::snapshot_dir(dir).unwrap();
-        let err = Wal::recover(dir, TAG, 4096, 0, |_, _, _| Ok(())).unwrap_err();
+        let err = Wal::recover(OsVfs::shared(), dir, TAG, 4096, 0, |_, _, _| Ok(())).unwrap_err();
         assert!(
             matches!(&err, HyGraphError::UnsupportedFormat(m) if m.contains(version)),
             "expected a refusal naming {version}, got {err:?}"
@@ -823,13 +793,13 @@ mod tests {
         // behind a head segment with a torn tail: the refusal comes
         // before that tear is truncated
         let dir = scratch_dir("wal-v3");
-        let mut wal = Wal::create(&dir, TAG, 1).unwrap(); // rotate every sync
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 1).unwrap(); // rotate every sync
         wal.append(1_000, b"kept-a");
         wal.sync().unwrap();
         wal.append(2_000, b"kept-b");
         wal.sync().unwrap();
         drop(wal);
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(&OsVfs, &dir).unwrap();
         let (head, tail) = (&segments[0].1, &segments[1].1);
         truncate_file(head, std::fs::metadata(head).unwrap().len() - 2).unwrap();
         let mut bytes = std::fs::read(tail).unwrap();
@@ -842,7 +812,7 @@ mod tests {
     #[test]
     fn group_commit_batches_into_one_segment_write() {
         let dir = scratch_dir("group");
-        let mut wal = Wal::create(&dir, TAG, 1 << 20).unwrap();
+        let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 1 << 20).unwrap();
         for i in 0..100u64 {
             wal.append(0, format!("batched-{i}").as_bytes());
         }
@@ -851,7 +821,7 @@ mod tests {
         wal.sync().unwrap();
         assert_eq!(wal.durable_lsn(), 100);
         assert_eq!(wal.pending_bytes(), 0);
-        assert_eq!(list_segments(&dir).unwrap().len(), 1);
+        assert_eq!(list_segments(&OsVfs, &dir).unwrap().len(), 1);
         let (seen, _) = collect(&dir, 0);
         assert_eq!(seen.len(), 100);
         std::fs::remove_dir_all(&dir).ok();

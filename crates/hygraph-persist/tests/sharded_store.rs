@@ -8,7 +8,7 @@ use hygraph_core::HyGraph;
 use hygraph_persist::fault::{restore_dir, scratch_dir, snapshot_dir, truncate_file};
 use hygraph_persist::wal::Wal;
 use hygraph_persist::{
-    checkpoint, config, Durable, HgMutation, PersistConfig, RecoveryObserver, ShardedStore,
+    checkpoint, config, Durable, HgMutation, OsVfs, PersistConfig, RecoveryObserver, ShardedStore,
     TsMutation,
 };
 use hygraph_ts::TsStore;
@@ -91,7 +91,13 @@ fn write_pre_shard_dir(
 ) -> Vec<u8> {
     let tag = HyGraph::STORE_TAG;
     let mut state = HyGraph::fresh();
-    let mut wal = Wal::create(dir, tag, config::configured_segment_bytes()).unwrap();
+    let mut wal = Wal::create(
+        OsVfs::shared(),
+        dir,
+        tag,
+        config::configured_segment_bytes(),
+    )
+    .unwrap();
     for (i, &(ts, batch)) in batches.iter().enumerate() {
         for m in batch {
             let mut w = ByteWriter::new();
@@ -102,7 +108,7 @@ fn write_pre_shard_dir(
         wal.sync().unwrap();
         if i == checkpoint_after {
             let lsn = wal.next_lsn();
-            checkpoint::write_checkpoint(dir, tag, lsn, ts, &state_bytes(&state)).unwrap();
+            checkpoint::write_checkpoint(&OsVfs, dir, tag, lsn, ts, &state_bytes(&state)).unwrap();
             wal.rotate();
             wal.purge_up_to(lsn).unwrap();
         }
@@ -422,7 +428,7 @@ fn pre_shard_directory_migrates_with_segments_archived() {
     for shards in [1usize, 4] {
         let dir = scratch_dir(&format!("shard-migrate-{shards}"));
         let golden = write_hg_pre_shard_dir(&dir);
-        let legacy_segments: Vec<_> = hygraph_persist::wal::list_segments(&dir)
+        let legacy_segments: Vec<_> = hygraph_persist::wal::list_segments(&OsVfs, &dir)
             .unwrap()
             .into_iter()
             .map(|(_, p)| p.file_name().unwrap().to_owned())
@@ -471,7 +477,7 @@ fn pre_shard_directory_migrates_with_segments_archived() {
         assert_eq!(timeline.replayed, expected, "{shards}: replay stream");
         // Old segments are archived, not ignored and not deleted.
         assert!(
-            hygraph_persist::wal::list_segments(&dir)
+            hygraph_persist::wal::list_segments(&OsVfs, &dir)
                 .unwrap()
                 .is_empty(),
             "legacy segments must leave the top level"

@@ -414,9 +414,9 @@ fn compile_one(
      -> usize {
         let idx = match var_index.get(&node.var) {
             Some(&idx) => {
-                // labels were fixed when the var was first declared;
-                // re-declaring labels for the same var is accepted when
-                // they are empty, and inline props still accumulate.
+                // a re-mentioned variable conjoins the labels of every
+                // mention, as its inline props accumulate below
+                pattern.vertex_labels(idx, node.labels.iter().map(String::as_str));
                 idx
             }
             None => {

@@ -72,13 +72,11 @@ fn ping_every_from_env() -> Option<Duration> {
 /// A blocking TCP client for the HyGraph wire protocol.
 ///
 /// ```
-/// use hygraph_server::{Backend, Client, Server};
+/// use hygraph_server::{Client, Engine, HistoryConfig, Server};
 /// use hygraph_types::net::ServerConfig;
 ///
-/// let server = Server::serve(
-///     Backend::memory(hygraph_core::HyGraph::new()),
-///     &ServerConfig::new().addr("127.0.0.1:0").workers(2),
-/// )?;
+/// let engine = Engine::in_memory(hygraph_core::HyGraph::new(), 64, HistoryConfig::from_env())?;
+/// let server = Server::serve_engine(engine, &ServerConfig::new().addr("127.0.0.1:0").workers(2))?;
 ///
 /// let mut client = Client::connect(server.local_addr())?;
 /// client.ping()?;
@@ -461,13 +459,11 @@ impl std::fmt::Debug for Client {
 /// socket.
 ///
 /// ```
-/// use hygraph_server::{Backend, Server};
+/// use hygraph_server::{Engine, HistoryConfig, Server};
 /// use hygraph_types::net::ServerConfig;
 ///
-/// let server = Server::serve(
-///     Backend::memory(hygraph_core::HyGraph::new()),
-///     &ServerConfig::new().addr("127.0.0.1:0").workers(2),
-/// )?;
+/// let engine = Engine::in_memory(hygraph_core::HyGraph::new(), 64, HistoryConfig::from_env())?;
+/// let server = Server::serve_engine(engine, &ServerConfig::new().addr("127.0.0.1:0").workers(2))?;
 ///
 /// // same engine, same locks, no socket
 /// let local = server.local_client();
@@ -475,8 +471,8 @@ impl std::fmt::Debug for Client {
 /// assert_eq!(rows.rows[0][0], hygraph_types::Value::Int(0));
 /// local.with_graph(|hg| assert_eq!(hg.vertex_count(), 0));
 ///
-/// // the engine is still shared, so shutdown hands back no backend
-/// assert!(server.shutdown()?.backend.is_none());
+/// // the engine is still shared, so shutdown does not hand it back
+/// assert!(server.shutdown()?.engine.is_none());
 /// # Ok::<(), hygraph_types::HyGraphError>(())
 /// ```
 ///
@@ -486,12 +482,13 @@ impl std::fmt::Debug for Client {
 ///
 /// ```
 /// use hygraph_persist::HgMutation;
-/// use hygraph_server::{Backend, Engine, LocalClient};
+/// use hygraph_server::{Engine, HistoryConfig, LocalClient};
 /// use hygraph_types::{Interval, Label, PropertyMap};
 /// use std::sync::Arc;
 ///
-/// let engine = Arc::new(Engine::new(Backend::memory(hygraph_core::HyGraph::new())));
-/// assert_eq!(engine.shards(), 1); // a memory engine keeps no WAL streams to split
+/// let hg = hygraph_core::HyGraph::new();
+/// let engine = Arc::new(Engine::in_memory(hg, 64, HistoryConfig::from_env())?);
+/// assert_eq!(engine.shards(), 1); // an in-memory store keeps one WAL stream
 ///
 /// let before = engine.pin_snapshot();
 /// let local = LocalClient::new(Arc::clone(&engine));

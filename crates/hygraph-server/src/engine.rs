@@ -1,43 +1,50 @@
 //! The execution engine every connection shares: one HyGraph instance
-//! — in memory or in the durable [`ShardedStore`] — read through
-//! **epoch-based snapshots**.
+//! in a durable [`ShardedStore`], read through **epoch-based
+//! snapshots**.
 //!
-//! The backend lock is a pure commit lock: writers serialise on it
-//! (and, for durable backends, go through the store's group-commit
-//! path), and after every committed batch the writer publishes a new
-//! immutable [`Arc<HyGraph>`] snapshot into a dedicated slot. Queries
-//! never touch the backend lock: they pin the current snapshot (one
-//! `Arc` clone — the interior is persistent tries, so publication is
-//! O(changed structure), not O(data)) and run the single
-//! `hygraph_query::execute_planned` pass against it without blocking
-//! behind writers. A snapshot is published only after the whole batch
-//! applied (and, for durable backends, after every involved shard's WAL
-//! synced), so a reader can never observe a torn batch.
+//! There is one store and one write path. Where the store's files live
+//! is the only difference between a durable engine
+//! ([`Engine::open_durable`]: a directory, through [`OsVfs`]) and an
+//! in-memory one ([`Engine::in_memory`]: a [`MemVfs`] that dies with the
+//! process); both log, checkpoint, recover and seed history the same
+//! way.
 //!
-//! The shard count of a durable backend is the number of WAL streams
-//! its [`ShardedStore`] keeps; it places frames and, through
-//! `HYGRAPH_SHARDS`, partitions the subscription index — it never
-//! changes how state is pinned or how a query executes. The engine is
-//! the single place that maps [`Request`]s to [`Response`]s, so the TCP
-//! server, the in-process [`crate::LocalClient`], and the load
-//! generator all execute requests identically.
+//! The store lock is a pure commit lock: writers serialise on it and go
+//! through the store's group-commit path, and after every committed
+//! batch the writer publishes a new immutable [`Arc<HyGraph>`] snapshot
+//! into a dedicated slot. Queries never touch the store lock: they pin
+//! the current snapshot (one `Arc` clone — the interior is persistent
+//! tries, so publication is O(changed structure), not O(data)) and run
+//! the single `hygraph_query::execute_planned` pass against it without
+//! blocking behind writers. A snapshot is published only after the
+//! whole batch applied and every involved shard's WAL synced, so a
+//! reader can never observe a torn batch.
+//!
+//! The shard count is the number of WAL streams the [`ShardedStore`]
+//! keeps; it places frames and, through `HYGRAPH_SHARDS`, partitions
+//! the subscription index — it never changes how state is pinned or
+//! how a query executes. The engine is the single place that maps
+//! [`Request`]s to [`Response`]s, so the TCP server, the in-process
+//! [`crate::LocalClient`], and the load generator all execute requests
+//! identically.
 
 use crate::proto::{ErrorCode, Request, Response};
 use hygraph_core::HyGraph;
-use hygraph_persist::{Durable, HgMutation, ShardedStore};
+use hygraph_persist::{HgMutation, MemVfs, OsVfs, RecoveryObserver, ShardedStore, Vfs};
 use hygraph_query::{PlanCacheHook, PlannedQuery, QueryResult, TemporalBound, TemporalResolver};
 use hygraph_sub::{DeltaSink, SubConfig, SubscriptionRegistry};
-use hygraph_temporal::{
-    now_ms, HistoryConfig, HistorySeed, HistoryStore, ShardWatermark, SharedHistory,
-};
-use hygraph_types::bytes::ByteWriter;
+use hygraph_temporal::{now_ms, HistoryConfig, HistorySeed, ShardWatermark, SharedHistory};
 use hygraph_types::{Result, Timestamp};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 /// Default plan-cache capacity when `HYGRAPH_PLAN_CACHE` is unset.
 const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
+
+/// Where an in-memory engine's store lives inside its [`MemVfs`].
+const MEMORY_DIR: &str = "memory";
 
 /// A bounded move-to-front LRU of compiled plans, keyed by the query's
 /// canonical fingerprint. Plans are data-independent (pattern
@@ -79,81 +86,18 @@ impl PlanCacheHook for PlanCache {
 }
 
 /// Plan-cache capacity from `HYGRAPH_PLAN_CACHE` (`0` disables the
-/// cache; unset/unparsable falls back to the default of
-/// [`DEFAULT_PLAN_CACHE_CAPACITY`]).
-fn plan_cache_capacity_from_env() -> usize {
+/// cache; unset/unparsable falls back to the default of 64 entries) —
+/// the capacity to pass an engine constructor for the environment's
+/// setting.
+pub fn plan_cache_capacity_from_env() -> usize {
     std::env::var("HYGRAPH_PLAN_CACHE")
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(DEFAULT_PLAN_CACHE_CAPACITY)
 }
 
-/// The state a server serves: the full hybrid model, either purely in
-/// memory or wrapped in the WAL/checkpoint engine.
-pub enum Backend {
-    /// In-memory only — mutations die with the process. `applied`
-    /// counts mutations so replies carry monotone pseudo-LSNs.
-    Memory {
-        /// The instance.
-        hg: Box<HyGraph>,
-        /// Mutations applied so far (the pseudo-LSN counter).
-        applied: u64,
-    },
-    /// Durable: every committed mutation is WAL-logged and survives a
-    /// crash. One WAL stream per shard (one in all at a single shard),
-    /// frames placed by [`hygraph_types::shard::ShardRouter`], recovery
-    /// re-merged by global commit sequence number (see
-    /// [`ShardedStore`]).
-    Sharded(Box<ShardedStore<HyGraph>>),
-}
-
-impl Backend {
-    /// An in-memory backend over `hg`.
-    pub fn memory(hg: HyGraph) -> Self {
-        Backend::Memory {
-            hg: Box::new(hg),
-            applied: 0,
-        }
-    }
-
-    /// A durable backend over an opened store.
-    pub fn sharded(store: ShardedStore<HyGraph>) -> Self {
-        Backend::Sharded(Box::new(store))
-    }
-
-    /// The wrapped instance, whichever backend holds it.
-    pub fn graph(&self) -> &HyGraph {
-        match self {
-            Backend::Memory { hg, .. } => hg,
-            Backend::Sharded(store) => store.get(),
-        }
-    }
-
-    /// How many WAL streams the backend keeps: the store's recorded
-    /// count when durable, `1` in memory.
-    fn shards(&self) -> usize {
-        match self {
-            Backend::Memory { .. } => 1,
-            Backend::Sharded(store) => store.shards(),
-        }
-    }
-
-    /// The exact binary state encoding (recovery tests compare these
-    /// bytes for bit-identity across a shutdown/reopen cycle).
-    pub fn state_bytes(&self) -> Vec<u8> {
-        match self {
-            Backend::Memory { hg, .. } => {
-                let mut w = ByteWriter::new();
-                hg.encode_state(&mut w);
-                w.into_bytes()
-            }
-            Backend::Sharded(store) => store.state_bytes(),
-        }
-    }
-}
-
-/// Both per-shard position feeds of a sharded backend, captured under
-/// one lock acquisition so the two views are mutually consistent.
+/// Both per-shard position feeds of the store, captured under one lock
+/// acquisition so the two views are mutually consistent.
 struct ShardPositions {
     /// Per-stream `(next_lsn, durable_lsn)` WAL-depth lanes (frames
     /// numbered independently from 0 per shard).
@@ -162,11 +106,11 @@ struct ShardPositions {
     frontiers: Vec<u64>,
 }
 
-/// Thread-safe request executor over a [`Backend`] (see module docs).
+/// Thread-safe request executor over one store (see module docs).
 pub struct Engine {
     /// The commit lock: writers, subscription registration and every
     /// direct look at the store serialise on it; queries never take it.
-    inner: Mutex<Backend>,
+    inner: Mutex<ShardedStore<HyGraph>>,
     /// Shared compiled-plan LRU; `None` when `HYGRAPH_PLAN_CACHE=0`.
     plan_cache: Option<PlanCache>,
     /// Standing queries. Registration runs under the commit lock (a
@@ -199,65 +143,28 @@ pub struct Engine {
     /// since, but a reader pinning one for a long scan still holds that
     /// delta live; this gauge is how operators see it.
     pinned: Mutex<Vec<Weak<HyGraph>>>,
-    /// Cross-shard durable watermark tracker, fed from the sharded
-    /// store's per-shard durable CSN frontiers whenever stats are
-    /// reported. Its lane count is the backend's shard count.
+    /// Cross-shard durable watermark tracker, fed from the store's
+    /// per-shard durable CSN frontiers whenever stats are reported. Its
+    /// lane count is the store's shard count.
     watermark: Mutex<ShardWatermark>,
 }
 
 impl Engine {
-    /// An engine serving `backend`, with the plan-cache capacity taken
-    /// from `HYGRAPH_PLAN_CACHE` (default 64 entries, `0` disables) and
-    /// history from `HYGRAPH_HISTORY` / `HYGRAPH_HISTORY_RETAIN_SECS`.
-    pub fn new(backend: Backend) -> Self {
-        Self::with_plan_cache(backend, plan_cache_capacity_from_env())
+    /// An engine over `hg` whose store lives in memory: a [`MemVfs`]
+    /// seeded with a checkpoint of `hg` at commit sequence number 0,
+    /// then opened exactly as [`Engine::open_durable_sharded`] opens a
+    /// directory, at one shard. Commits are logged and checkpointed into
+    /// memory and die with the process. `capacity` sizes the plan cache
+    /// (`0` disables it; [`plan_cache_capacity_from_env`] reads
+    /// `HYGRAPH_PLAN_CACHE`) and `cfg` the history
+    /// ([`HistoryConfig::from_env`] reads `HYGRAPH_HISTORY`).
+    pub fn in_memory(hg: HyGraph, capacity: usize, cfg: HistoryConfig) -> Result<Self> {
+        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        ShardedStore::create_in(Arc::clone(&vfs), MEMORY_DIR, 1, hg)?;
+        Self::open_in(vfs, MEMORY_DIR.into(), capacity, cfg, 1)
     }
 
-    /// An engine with an explicit plan-cache capacity (`0` disables) —
-    /// lets tests pin the behaviour regardless of the environment.
-    /// History still comes from the environment.
-    pub fn with_plan_cache(backend: Backend, capacity: usize) -> Self {
-        Self::with_history_config(backend, capacity, HistoryConfig::from_env())
-    }
-
-    /// An engine with both the plan cache and the history config pinned
-    /// explicitly. History is seeded from the backend's *current* state
-    /// — its horizon is now (memory) or the recovered watermark
-    /// (durable). To keep pre-restart commits individually
-    /// time-addressable, open with [`Engine::open_durable`] instead.
-    pub fn with_history_config(backend: Backend, capacity: usize, cfg: HistoryConfig) -> Self {
-        let history = cfg.enabled.then(|| match &backend {
-            Backend::Memory { hg, .. } => HistoryStore::new(cfg.clone(), hg, 0),
-            Backend::Sharded(store) => {
-                HistoryStore::new(cfg.clone(), store.get(), store.history_watermark())
-            }
-        });
-        Self::with_seeded_history(backend, capacity, history)
-    }
-
-    /// An engine over a pre-seeded history (or none) — the assembly
-    /// point the other constructors and [`Engine::open_durable`] share.
-    /// The backend's current state becomes epoch 0 of the snapshot
-    /// plane.
-    pub fn with_seeded_history(
-        backend: Backend,
-        capacity: usize,
-        history: Option<HistoryStore>,
-    ) -> Self {
-        let initial = Arc::new(backend.graph().clone());
-        Self {
-            plan_cache: (capacity > 0).then(|| PlanCache::new(capacity)),
-            subs: SubscriptionRegistry::new(SubConfig::from_env().shards(backend.shards())),
-            history: history.map(SharedHistory::new),
-            watermark: Mutex::new(ShardWatermark::new(backend.shards())),
-            pinned: Mutex::new(vec![Arc::downgrade(&initial)]),
-            snapshot: RwLock::new(initial),
-            epoch: AtomicU64::new(0),
-            inner: Mutex::new(backend),
-        }
-    }
-
-    /// Opens (or initialises) a durable backend at `dir`, seeding
+    /// Opens (or initialises) a durable store at `dir`, seeding
     /// history from the recovery stream itself: the checkpoint becomes
     /// the history base at its watermark and every replayed WAL frame
     /// above it re-enters the commit timeline with its original
@@ -269,7 +176,7 @@ impl Engine {
     /// WAL streams the [`ShardedStore`] keeps — see
     /// [`Engine::open_durable_sharded`].
     pub fn open_durable(
-        dir: impl Into<std::path::PathBuf>,
+        dir: impl Into<PathBuf>,
         capacity: usize,
         cfg: HistoryConfig,
     ) -> Result<Self> {
@@ -286,26 +193,41 @@ impl Engine {
     /// pre-shard single-WAL directory once or re-sharding one recorded
     /// at a different count.
     pub fn open_durable_sharded(
-        dir: impl Into<std::path::PathBuf>,
+        dir: impl Into<PathBuf>,
         capacity: usize,
         cfg: HistoryConfig,
         shards: usize,
     ) -> Result<Self> {
-        if !cfg.enabled {
-            let store = ShardedStore::open(dir, shards)?;
-            return Ok(Self::with_seeded_history(
-                Backend::sharded(store),
-                capacity,
-                None,
-            ));
-        }
-        let mut seed = HistorySeed::new(cfg);
-        let store = ShardedStore::open_observed(dir, shards, &mut seed)?;
-        Ok(Self::with_seeded_history(
-            Backend::sharded(store),
-            capacity,
-            Some(seed.finish()?),
-        ))
+        Self::open_in(OsVfs::shared(), dir.into(), capacity, cfg, shards)
+    }
+
+    /// The one assembly point: opens the store in `dir` of `vfs`
+    /// (feeding a [`HistorySeed`] when history is on) and publishes its
+    /// recovered state as epoch 0 of the snapshot plane.
+    fn open_in(
+        vfs: Arc<dyn Vfs>,
+        dir: PathBuf,
+        capacity: usize,
+        cfg: HistoryConfig,
+        shards: usize,
+    ) -> Result<Self> {
+        let mut seed = cfg.enabled.then(|| HistorySeed::new(cfg));
+        let observer = seed
+            .as_mut()
+            .map(|s| s as &mut dyn RecoveryObserver<HyGraph>);
+        let store = ShardedStore::open_in(vfs, dir, shards, observer)?;
+        let history = seed.map(HistorySeed::finish).transpose()?;
+        let initial = Arc::new(store.get().clone());
+        Ok(Self {
+            plan_cache: (capacity > 0).then(|| PlanCache::new(capacity)),
+            subs: SubscriptionRegistry::new(SubConfig::from_env().shards(store.shards())),
+            history: history.map(SharedHistory::new),
+            watermark: Mutex::new(ShardWatermark::new(store.shards())),
+            pinned: Mutex::new(vec![Arc::downgrade(&initial)]),
+            snapshot: RwLock::new(initial),
+            epoch: AtomicU64::new(0),
+            inner: Mutex::new(store),
+        })
     }
 
     /// Replaces the subscription-layer settings (cap, push-buffer
@@ -332,7 +254,7 @@ impl Engine {
         sink: Arc<dyn DeltaSink>,
     ) -> Result<(u64, QueryResult)> {
         let guard = self.lock();
-        self.subs.subscribe(guard.graph(), text, conn, sink)
+        self.subs.subscribe(guard.get(), text, conn, sink)
     }
 
     /// Removes standing query `sub_id` if it belongs to `conn`.
@@ -345,7 +267,7 @@ impl Engine {
         self.subs.drop_conn(conn);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Backend> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, ShardedStore<HyGraph>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -393,7 +315,7 @@ impl Engine {
         hygraph_query::run_instrumented_bound(hg, text, cache, resolver, bound)
     }
 
-    /// Publishes the current backend state as the new read snapshot.
+    /// Publishes the store's current state as the new read snapshot.
     /// Callers hold the commit lock, so publications happen in commit
     /// order. The whole step — clone (structural sharing makes it
     /// O(structure changed by the batch)), slot swap, and the drop of
@@ -435,8 +357,8 @@ impl Engine {
         pinned.len()
     }
 
-    /// How many WAL streams the backend keeps: the store's recorded
-    /// count for a durable engine, `1` for a memory engine.
+    /// How many WAL streams the store keeps: its recorded count (`1`
+    /// for an in-memory engine).
     pub fn shards(&self) -> usize {
         self.watermark
             .lock()
@@ -450,26 +372,15 @@ impl Engine {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Per-shard `(next_lsn, durable_lsn)` pairs of a sharded backend,
-    /// `None` otherwise — the feed for the per-shard WAL-depth gauges.
-    /// These are per-stream frame counters (each shard's WAL numbers
-    /// frames independently from 0), **not** global commit sequence
-    /// numbers; the cross-shard watermark is derived from the store's
-    /// CSN frontiers instead.
-    pub fn shard_lsns(&self) -> Option<Vec<(u64, u64)>> {
-        self.shard_positions().map(|p| p.lanes)
-    }
-
-    /// Both per-shard position feeds of a sharded backend, read under
-    /// one lock acquisition: the WAL-stream `(next_lsn, durable_lsn)`
-    /// lanes and the durable CSN frontiers.
-    fn shard_positions(&self) -> Option<ShardPositions> {
-        match &*self.lock() {
-            Backend::Sharded(store) => Some(ShardPositions {
-                lanes: store.shard_lsns(),
-                frontiers: store.shard_csn_frontiers(),
-            }),
-            Backend::Memory { .. } => None,
+    /// Both per-shard position feeds of the store, read under one lock
+    /// acquisition: the WAL-stream `(next_lsn, durable_lsn)` lanes
+    /// (per-stream frame counters, numbered independently from 0 per
+    /// shard) and the durable CSN frontiers.
+    fn shard_positions(&self) -> ShardPositions {
+        let store = self.lock();
+        ShardPositions {
+            lanes: store.shard_lsns(),
+            frontiers: store.shard_csn_frontiers(),
         }
     }
 
@@ -478,32 +389,26 @@ impl Engine {
     /// [`ShardWatermark`]), fed from the sharded store's per-shard
     /// durable **CSN** frontiers — a shard that happens to receive
     /// little traffic does not pin the watermark, because a fully
-    /// synced shard's frontier is the store-wide next CSN. For memory
-    /// backends this is simply the last frontier observed (0). The
-    /// tracker is fed on every stats report and on demand here, so the
-    /// returned value is current as of this call.
+    /// synced shard's frontier is the store-wide next CSN. The tracker
+    /// is fed on every stats report and on demand here, so the returned
+    /// value is current as of this call.
     pub fn shard_watermark(&self) -> u64 {
-        let frontiers = self.shard_positions().map(|p| p.frontiers);
+        let frontiers = self.shard_positions().frontiers;
         let mut wm = self.watermark.lock().unwrap_or_else(|e| e.into_inner());
-        match frontiers {
-            Some(frontiers) => wm.observe_frontiers(&frontiers),
-            None => wm.watermark(),
-        }
+        wm.observe_frontiers(&frontiers)
     }
 
-    /// Folds the pinned-snapshot count and, for a sharded backend, its
-    /// per-shard WAL positions and CSN watermark into the global
-    /// metrics registry's shard gauges (no-op when metrics are
-    /// disabled). Called on every [`Request::Stats`]; the periodic
-    /// metrics logger reaches it the same way.
+    /// Folds the pinned-snapshot count, the per-shard WAL positions and
+    /// the CSN watermark into the global metrics registry's shard gauges
+    /// (no-op when metrics are disabled). Called on every
+    /// [`Request::Stats`]; the periodic metrics logger reaches it the
+    /// same way.
     fn report_shard_metrics(&self) {
         let Some(m) = hygraph_metrics::get() else {
             return;
         };
         m.shard.snapshot_pinned.set(self.pinned_snapshots() as i64);
-        let Some(ShardPositions { lanes, frontiers }) = self.shard_positions() else {
-            return;
-        };
+        let ShardPositions { lanes, frontiers } = self.shard_positions();
         let watermark = {
             let mut wm = self.watermark.lock().unwrap_or_else(|e| e.into_inner());
             wm.observe_frontiers(&frontiers)
@@ -517,58 +422,39 @@ impl Engine {
         f(&self.pin_snapshot())
     }
 
-    /// Applies a batch of mutations under the commit lock. Durable
-    /// backends group-commit (WAL append + one fsync); on reply the
-    /// batch is on disk. Returns `(first_lsn, count)`.
+    /// Applies a batch of mutations under the commit lock and
+    /// group-commits it (WAL append + one sync per touched shard); on
+    /// reply the batch is in the store's files. Returns `(first_lsn,
+    /// count)`: the batch's first commit sequence number and length.
     pub fn mutate_batch(&self, mut mutations: Vec<HgMutation>) -> Result<(u64, u64)> {
-        let count = mutations.len() as u64;
-        let mut guard = self.lock();
+        let mut store = self.lock();
         // the commit lock excludes concurrent subscribes, so the check
         // cannot race a registration
         let notify = !self.subs.is_empty();
         // allocate the batch's transaction timestamp before staging so
-        // WAL frames carry the same stamp the history records
+        // WAL frames carry the same stamp the history records — one
+        // cross-shard commit timestamp per batch: every involved
+        // shard's frames carry it, so an `AS OF` bound cuts all shards
+        // at the same point
         let ts = self.history.as_ref().map(|h| {
             let ts = h.lock().allocate_ts(now_ms());
-            // one cross-shard commit timestamp per batch: every involved
-            // shard's frames carry the same stamp, so an `AS OF` bound
-            // cuts all shards at the same point
-            if let Backend::Sharded(store) = &mut *guard {
-                store.set_commit_ts(ts);
-            }
+            store.set_commit_ts(ts);
             ts
         });
-        let pre_v = guard.graph().topology().vertex_capacity();
-        let pre_e = guard.graph().topology().edge_capacity();
-        let (outcome, applied_n) = match &mut *guard {
-            Backend::Memory { hg, applied } => {
-                let mut res = Ok((*applied, count));
-                let mut n = 0usize;
-                for m in &mutations {
-                    if let Err(e) = hg.apply(m) {
-                        res = Err(e);
-                        break;
-                    }
-                    *applied += 1;
-                    n += 1;
-                }
-                (res, n)
-            }
-            Backend::Sharded(store) => {
-                let before = store.next_csn();
-                // history and subscribers read the batch after the
-                // commit; with neither, it moves into the store uncloned
-                let res = if ts.is_some() || notify {
-                    store.commit_batch(mutations.iter().cloned())
-                } else {
-                    store.commit_batch(mutations.drain(..))
-                };
-                // a failed batch keeps its staged prefix; the CSN delta
-                // is exactly how many mutations applied
-                let res = res.map(|range| (range.start, range.end - range.start));
-                (res, (store.next_csn() - before) as usize)
-            }
+        let pre_v = store.get().topology().vertex_capacity();
+        let pre_e = store.get().topology().edge_capacity();
+        let before = store.next_csn();
+        // history and subscribers read the batch after the commit; with
+        // neither, it moves into the store uncloned
+        let outcome = if ts.is_some() || notify {
+            store.commit_batch(mutations.iter().cloned())
+        } else {
+            store.commit_batch(mutations.drain(..))
         };
+        let outcome = outcome.map(|range| (range.start, range.end - range.start));
+        // a failed batch keeps its staged prefix; the CSN delta is
+        // exactly how many mutations applied
+        let applied_n = (store.next_csn() - before) as usize;
         // publication and the history record share one history lock
         // hold (the fan-out between them needs the batch the record
         // then takes): a resolver that finds `AS OF t` at the newest
@@ -577,12 +463,12 @@ impl Engine {
         let mut history = self.history.as_ref().map(SharedHistory::lock);
         // readers advance to the batch (or its kept prefix) only now —
         // a pinned snapshot can never show a torn batch
-        self.publish(guard.graph());
+        self.publish(store.get());
         if notify {
-            // both backends keep the valid prefix of a failed batch, so
+            // the store keeps the valid prefix of a failed batch, so
             // subscribers must still observe it (failed => rebuild path)
             self.subs
-                .on_commit(guard.graph(), &mutations, pre_v, pre_e, outcome.is_err());
+                .on_commit(store.get(), &mutations, pre_v, pre_e, outcome.is_err());
         }
         if let (Some(ts), Some(h)) = (ts, &mut history) {
             // record the applied prefix — history replays must
@@ -605,25 +491,18 @@ impl Engine {
         self.history.as_ref().map(|h| h.lock().base_ts())
     }
 
-    /// Forces a checkpoint on a durable backend; a no-op pseudo-LSN
-    /// report on a memory backend.
+    /// Forces a checkpoint; returns the commit sequence number it
+    /// covers.
     pub fn checkpoint(&self) -> Result<u64> {
-        match &mut *self.lock() {
-            Backend::Memory { applied, .. } => Ok(*applied),
-            Backend::Sharded(store) => {
-                store.checkpoint()?;
-                Ok(store.checkpoint_csn())
-            }
-        }
+        let mut store = self.lock();
+        store.checkpoint()?;
+        Ok(store.checkpoint_csn())
     }
 
     /// Makes every staged mutation durable — the shutdown path's final
-    /// WAL sync. A no-op for memory backends.
+    /// WAL sync.
     pub fn sync(&self) -> Result<()> {
-        match &mut *self.lock() {
-            Backend::Memory { .. } => Ok(()),
-            Backend::Sharded(store) => store.sync(),
-        }
+        self.lock().sync()
     }
 
     /// Executes one request, mapping every failure to a typed error
@@ -636,8 +515,8 @@ impl Engine {
             Request::Ping | Request::Sleep(_) => return Response::Pong,
             // near lock-free: the registry is all atomics (a disabled
             // registry answers with an all-zero snapshot so the wire
-            // request never errors); a sharded backend first folds its
-            // WAL lane positions into the per-shard gauges
+            // request never errors); the store's WAL lane positions are
+            // folded into the per-shard gauges first
             Request::Stats => {
                 self.report_shard_metrics();
                 return Response::Stats(Box::new(hygraph_metrics::snapshot().unwrap_or_default()));
@@ -677,25 +556,14 @@ impl Engine {
     pub fn state_bytes(&self) -> Vec<u8> {
         self.lock().state_bytes()
     }
-
-    /// Consumes the engine, returning the backend (the shutdown path
-    /// hands it back for inspection or reuse).
-    pub fn into_backend(self) -> Backend {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let guard = self.lock();
-        let kind = match &*guard {
-            Backend::Memory { .. } => "memory",
-            Backend::Sharded(_) => "sharded",
-        };
+        let store = self.lock();
         f.debug_struct("Engine")
-            .field("backend", &kind)
-            .field("shards", &guard.shards())
-            .field("vertices", &guard.graph().vertex_count())
+            .field("store", &*store)
+            .field("vertices", &store.get().vertex_count())
             .finish()
     }
 }
@@ -711,7 +579,13 @@ fn _engine_is_send_sync(e: Engine) -> impl Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hygraph_persist::Durable;
+    use hygraph_types::bytes::ByteWriter;
     use hygraph_types::{Interval, Label, PropertyMap, SeriesId, Timestamp};
+
+    fn memory(capacity: usize, cfg: HistoryConfig) -> Engine {
+        Engine::in_memory(HyGraph::new(), capacity, cfg).expect("in-memory engine")
+    }
 
     fn seed_mutations() -> Vec<HgMutation> {
         vec![
@@ -738,14 +612,14 @@ mod tests {
 
     #[test]
     fn memory_engine_serves_queries_and_mutations() {
-        let engine = Engine::new(Backend::memory(HyGraph::new()));
+        let engine = memory(plan_cache_capacity_from_env(), HistoryConfig::from_env());
         let (first, count) = engine.mutate_batch(seed_mutations()).unwrap();
         assert_eq!((first, count), (0, 4));
         let r = engine
             .query("MATCH (s:Station) RETURN COUNT(s) AS n")
             .unwrap();
         assert_eq!(r.rows[0][0], hygraph_types::Value::Int(1));
-        // pseudo-LSNs advance monotonically
+        // commit sequence numbers advance monotonically
         let (first, _) = engine
             .mutate_batch(vec![HgMutation::AddPgVertex {
                 labels: vec![Label::new("User")],
@@ -758,7 +632,7 @@ mod tests {
 
     #[test]
     fn handle_maps_failures_to_error_responses() {
-        let engine = Engine::new(Backend::memory(HyGraph::new()));
+        let engine = memory(plan_cache_capacity_from_env(), HistoryConfig::from_env());
         // bad query text
         let resp = engine.handle(&Request::Query("MTCH oops".into()));
         assert!(matches!(
@@ -809,7 +683,7 @@ mod tests {
 
     #[test]
     fn cached_plans_serve_repeated_and_explain_queries() {
-        let engine = Engine::with_plan_cache(Backend::memory(HyGraph::new()), 8);
+        let engine = memory(8, HistoryConfig::from_env());
         engine.mutate_batch(seed_mutations()).unwrap();
         let text = "MATCH (s:Station) RETURN COUNT(s) AS n";
         let cold = engine.query(text).unwrap();
@@ -832,18 +706,14 @@ mod tests {
             .to_string()
             .starts_with("Plan fingerprint=0x"));
         // a disabled cache still answers correctly
-        let engine_off = Engine::with_plan_cache(Backend::memory(HyGraph::new()), 0);
+        let engine_off = memory(0, HistoryConfig::from_env());
         engine_off.mutate_batch(seed_mutations()).unwrap();
         assert_eq!(engine_off.query(text).unwrap().rows, cold.rows);
     }
 
     #[test]
     fn as_of_serves_past_states_and_now_serves_live() {
-        let engine = Engine::with_history_config(
-            Backend::memory(HyGraph::new()),
-            8,
-            HistoryConfig::default(),
-        );
+        let engine = memory(8, HistoryConfig::default());
         engine.mutate_batch(seed_mutations()).unwrap();
         let t1 = *engine
             .history_commit_timestamps()
@@ -888,11 +758,7 @@ mod tests {
 
     #[test]
     fn history_disabled_rejects_time_travel_but_serves_now() {
-        let engine = Engine::with_history_config(
-            Backend::memory(HyGraph::new()),
-            8,
-            HistoryConfig::disabled(),
-        );
+        let engine = memory(8, HistoryConfig::disabled());
         engine.mutate_batch(seed_mutations()).unwrap();
         assert!(engine.history_commit_timestamps().is_none());
         let err = engine
@@ -959,7 +825,7 @@ mod tests {
     /// addressable, and its segments archived in `legacy-wal/`.
     #[test]
     fn pre_shard_directory_migrates_with_commits_time_addressable() {
-        use hygraph_persist::{checkpoint, wal};
+        use hygraph_persist::{checkpoint, wal, OsVfs};
         let bytes = |f: &dyn Fn(&mut ByteWriter)| {
             let mut w = ByteWriter::new();
             f(&mut w);
@@ -977,7 +843,8 @@ mod tests {
         for shards in [1, 2] {
             let dir = hygraph_persist::fault::scratch_dir("engine-pre-shard");
             let mut hg = HyGraph::new();
-            let mut log = wal::Wal::create(&dir, HyGraph::STORE_TAG, 1 << 20).unwrap();
+            let mut log =
+                wal::Wal::create(OsVfs::shared(), &dir, HyGraph::STORE_TAG, 1 << 20).unwrap();
             for (i, (ts, batch)) in batches.iter().enumerate() {
                 for m in batch {
                     log.append(*ts, &bytes(&|w| HyGraph::encode_mutation(m, w)));
@@ -986,8 +853,15 @@ mod tests {
                 log.sync().unwrap();
                 if i == 0 {
                     let (lsn, state) = (log.next_lsn(), bytes(&|w| hg.encode_state(w)));
-                    checkpoint::write_checkpoint(&dir, HyGraph::STORE_TAG, lsn, *ts, &state)
-                        .unwrap();
+                    checkpoint::write_checkpoint(
+                        &OsVfs,
+                        &dir,
+                        HyGraph::STORE_TAG,
+                        lsn,
+                        *ts,
+                        &state,
+                    )
+                    .unwrap();
                     log.rotate();
                 }
             }
@@ -1007,9 +881,11 @@ mod tests {
                     "{shards} shard(s), as of {as_of}"
                 );
             }
-            assert!(wal::list_segments(&dir).unwrap().is_empty());
+            assert!(wal::list_segments(&OsVfs, &dir).unwrap().is_empty());
             assert_eq!(
-                wal::list_segments(&dir.join("legacy-wal")).unwrap().len(),
+                wal::list_segments(&OsVfs, &dir.join("legacy-wal"))
+                    .unwrap()
+                    .len(),
                 2
             );
             std::fs::remove_dir_all(&dir).ok();
@@ -1039,11 +915,7 @@ mod tests {
     fn partial_batch_failure_keeps_earlier_mutations() {
         // explicit history config: the assertions below time-travel, so
         // the test must not depend on the ambient HYGRAPH_HISTORY
-        let engine = Engine::with_history_config(
-            Backend::memory(HyGraph::new()),
-            plan_cache_capacity_from_env(),
-            HistoryConfig::default(),
-        );
+        let engine = memory(plan_cache_capacity_from_env(), HistoryConfig::default());
         let mut ms = seed_mutations();
         ms.push(HgMutation::Append {
             series: SeriesId::new(42), // rejected: no such series

@@ -3,9 +3,10 @@
 //! Turns the embedded hybrid-graph library into a network service: a
 //! TCP server speaking a CRC-guarded, length-prefixed binary protocol
 //! (framing in [`hygraph_types::net`], vocabulary in [`proto`]) over a
-//! shared [`Engine`] holding either an in-memory [`hygraph_core::HyGraph`]
-//! or a durable [`hygraph_persist::ShardedStore`] (one WAL stream per
-//! shard, one in all at a single shard).
+//! shared [`Engine`] holding a [`hygraph_core::HyGraph`] in a
+//! [`hygraph_persist::ShardedStore`] (one WAL stream per shard, one in
+//! all at a single shard) whose files live in a directory
+//! ([`Engine::open_durable`]) or in memory ([`Engine::in_memory`]).
 //!
 //! The serving pipeline is deliberately boring and explicit:
 //!
@@ -35,14 +36,13 @@
 //! programmatically via [`hygraph_types::net::ServerConfig`].
 //!
 //! ```
-//! use hygraph_server::{Backend, Client, Server};
+//! use hygraph_server::{Client, Engine, HistoryConfig, Server};
 //! use hygraph_types::net::ServerConfig;
 //!
-//! let server = Server::serve(
-//!     Backend::memory(hygraph_core::HyGraph::new()),
-//!     &ServerConfig::new().addr("127.0.0.1:0").workers(2),
-//! )
-//! .unwrap();
+//! let engine =
+//!     Engine::in_memory(hygraph_core::HyGraph::new(), 64, HistoryConfig::from_env()).unwrap();
+//! let server =
+//!     Server::serve_engine(engine, &ServerConfig::new().addr("127.0.0.1:0").workers(2)).unwrap();
 //! let mut client = Client::connect(server.local_addr()).unwrap();
 //! client.ping().unwrap();
 //! let rows = client.query("MATCH (n) RETURN COUNT(n) AS n").unwrap();
@@ -59,7 +59,8 @@ pub mod queue;
 pub mod server;
 
 pub use client::{Client, LocalClient, Subscription};
-pub use engine::{Backend, Engine};
+pub use engine::{plan_cache_capacity_from_env, Engine};
 pub use hygraph_sub::SubConfig;
+pub use hygraph_temporal::HistoryConfig;
 pub use proto::{ErrorCode, Push, Request, Response};
 pub use server::{Server, ServerStats, ShutdownReport};

@@ -98,7 +98,7 @@ pub enum Request {
     Mutate(HgMutation),
     /// Group-commit a batch of mutations: one fsync for the lot.
     MutateBatch(Vec<HgMutation>),
-    /// Force a checkpoint (snapshot + log purge) on a durable backend.
+    /// Force a checkpoint (snapshot + log purge) of the engine's store.
     Checkpoint,
     /// Hold a worker for the given milliseconds (capped at
     /// [`MAX_SLEEP_MS`]), then reply [`Response::Pong`] — the serving

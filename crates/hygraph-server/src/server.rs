@@ -28,11 +28,11 @@
 //!
 //! [`Server::shutdown`] stops admission (readers answer
 //! [`ErrorCode::ShuttingDown`]), lets the workers drain every admitted
-//! request and write its response, syncs the WAL on a durable backend,
-//! and only then drops connections. A client whose request was
+//! request and write its response, syncs the store's WAL, and only then
+//! drops connections. A client whose request was
 //! admitted before shutdown always gets its reply.
 
-use crate::engine::{Backend, Engine};
+use crate::engine::Engine;
 use crate::proto::{ErrorCode, Push, Request, Response, MAX_SLEEP_MS};
 use crate::queue::{Bounded, PushError};
 use hygraph_metrics as metrics;
@@ -95,10 +95,10 @@ pub struct ServerStats {
 
 /// What a graceful [`Server::shutdown`] accomplished.
 pub struct ShutdownReport {
-    /// The backend, handed back for inspection or reuse — `None` if a
-    /// [`crate::client::LocalClient`] still shares the engine (the
-    /// shutdown itself still completed and the WAL is synced).
-    pub backend: Option<Backend>,
+    /// The engine, handed back for inspection or reuse — `None` if a
+    /// [`crate::client::LocalClient`] still shares it (the shutdown
+    /// itself still completed and the WAL is synced).
+    pub engine: Option<Engine>,
     /// Requests taken off the queue and answered during the drain
     /// (executed or deadline-dropped).
     pub drained: u64,
@@ -112,7 +112,7 @@ pub struct ShutdownReport {
 impl std::fmt::Debug for ShutdownReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShutdownReport")
-            .field("backend", &self.backend.is_some())
+            .field("engine", &self.engine.is_some())
             .field("drained", &self.drained)
             .field("dropped_at_deadline", &self.dropped_at_deadline)
             .field("stats", &self.stats)
@@ -573,17 +573,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts serving `backend` with `config` (explicit
-    /// fields win over `HYGRAPH_*` environment knobs — see
-    /// [`ServerConfig`]). Use address `"127.0.0.1:0"` for an ephemeral
-    /// test port; [`Server::local_addr`] reports what was bound.
-    pub fn serve(backend: Backend, config: &ServerConfig) -> Result<Self> {
-        Self::serve_engine(Engine::new(backend), config)
-    }
-
-    /// Like [`Server::serve`], but over a pre-built [`Engine`] — the
-    /// way to pin engine-level settings ([`Engine::with_plan_cache`],
-    /// [`Engine::with_sub_config`]) regardless of the environment.
+    /// Binds and starts serving `engine` with `config` (explicit fields
+    /// win over `HYGRAPH_*` environment knobs — see [`ServerConfig`]).
+    /// Use address `"127.0.0.1:0"` for an ephemeral test port;
+    /// [`Server::local_addr`] reports what was bound.
     pub fn serve_engine(engine: Engine, config: &ServerConfig) -> Result<Self> {
         let settings = config.resolve();
         let listener = TcpListener::bind(&settings.addr)?;
@@ -634,12 +627,6 @@ impl Server {
         })
     }
 
-    /// Serves `backend` with default configuration (environment knobs
-    /// still apply).
-    pub fn serve_default(backend: Backend) -> Result<Self> {
-        Self::serve(backend, &ServerConfig::new())
-    }
-
     /// The bound listen address.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
@@ -671,9 +658,8 @@ impl Server {
     }
 
     /// Gracefully shuts down: stops admitting, drains every admitted
-    /// request (responses are written), syncs the WAL on a durable
-    /// backend, then closes connections. The report carries the backend
-    /// (unless a [`crate::client::LocalClient`] still shares the
+    /// request (responses are written), syncs the WAL, then closes
+    /// connections. The report carries the engine (unless a [`crate::client::LocalClient`] still shares the
     /// engine), how many queued requests the drain answered, and how
     /// many of those sat past their deadline and were dropped
     /// unexecuted.
@@ -684,7 +670,7 @@ impl Server {
     fn shutdown_impl(&mut self) -> Result<ShutdownReport> {
         let Some(shared) = self.shared.take() else {
             return Ok(ShutdownReport {
-                backend: None,
+                engine: None,
                 drained: 0,
                 dropped_at_deadline: 0,
                 stats: ServerStats::default(),
@@ -733,15 +719,11 @@ impl Server {
             let _ = r.join();
         }
         let stats = snapshot_stats(&shared.stats);
-        let backend = match Arc::try_unwrap(shared) {
-            Ok(shared) => match Arc::try_unwrap(shared.engine) {
-                Ok(engine) => Some(engine.into_backend()),
-                Err(_still_shared) => None,
-            },
-            Err(_still_shared) => None,
-        };
+        let engine = Arc::try_unwrap(shared)
+            .ok()
+            .and_then(|shared| Arc::try_unwrap(shared.engine).ok());
         Ok(ShutdownReport {
-            backend,
+            engine,
             drained,
             dropped_at_deadline,
             stats,
@@ -770,7 +752,14 @@ mod tests {
     use crate::client::Client;
     use hygraph_core::HyGraph;
     use hygraph_persist::HgMutation;
+    use hygraph_temporal::HistoryConfig;
     use hygraph_types::{Label, PropertyMap, Value};
+
+    fn serve_memory() -> Server {
+        let engine =
+            Engine::in_memory(HyGraph::new(), 8, HistoryConfig::from_env()).expect("engine");
+        Server::serve_engine(engine, &test_config()).expect("bind")
+    }
 
     fn test_config() -> ServerConfig {
         ServerConfig::new()
@@ -782,7 +771,7 @@ mod tests {
 
     #[test]
     fn serves_ping_query_and_mutation_over_tcp() {
-        let server = Server::serve(Backend::memory(HyGraph::new()), &test_config()).expect("bind");
+        let server = serve_memory();
         let mut client = Client::connect(server.local_addr()).expect("connect");
         client.ping().expect("ping");
         let (first, count) = client
@@ -800,13 +789,13 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.admitted, 3);
         let report = server.shutdown().expect("shutdown");
-        let backend = report.backend.expect("backend back");
-        assert_eq!(backend.graph().vertex_count(), 1);
+        let engine = report.engine.expect("engine back");
+        assert_eq!(engine.with_graph(HyGraph::vertex_count), 1);
     }
 
     #[test]
     fn rejects_new_requests_while_draining() {
-        let server = Server::serve(Backend::memory(HyGraph::new()), &test_config()).expect("bind");
+        let server = serve_memory();
         let addr = server.local_addr();
         let mut client = Client::connect(addr).expect("connect");
         client.ping().expect("ping");
@@ -818,7 +807,7 @@ mod tests {
 
     #[test]
     fn exec_errors_come_back_typed() {
-        let server = Server::serve(Backend::memory(HyGraph::new()), &test_config()).expect("bind");
+        let server = serve_memory();
         let mut client = Client::connect(server.local_addr()).expect("connect");
         let err = client.query("MTCH nonsense").unwrap_err();
         assert!(

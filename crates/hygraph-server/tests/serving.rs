@@ -6,12 +6,26 @@
 use hygraph_core::HyGraph;
 use hygraph_persist::fault::scratch_dir;
 use hygraph_persist::{Durable, HgMutation, ShardedStore};
-use hygraph_server::{Backend, Client, ErrorCode, Request, Response, Server};
+use hygraph_server::{
+    plan_cache_capacity_from_env, Client, Engine, ErrorCode, HistoryConfig, Request, Response,
+    Server,
+};
 use hygraph_types::bytes::ByteWriter;
 use hygraph_types::net::{self, FrameRead, ServerConfig, DEFAULT_MAX_FRAME_BYTES};
 use hygraph_types::{HyGraphError, Interval, Label, PropertyMap, SeriesId, Timestamp, Value};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// An in-memory engine over `hg` with the environment's plan-cache and
+/// history settings.
+fn memory(hg: HyGraph) -> Engine {
+    Engine::in_memory(
+        hg,
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
+    )
+    .expect("in-memory engine")
+}
 
 fn config(workers: usize, queue_depth: usize, timeout_ms: u64) -> ServerConfig {
     ServerConfig::new()
@@ -81,7 +95,7 @@ fn concurrent_mixed_workload_matches_direct_library_calls() {
     const APPENDS: usize = 40;
 
     let server =
-        Server::serve(Backend::memory(HyGraph::new()), &config(4, 64, 10_000)).expect("serve");
+        Server::serve_engine(memory(HyGraph::new()), &config(4, 64, 10_000)).expect("serve");
     let addr = server.local_addr();
 
     let mut seeder = Client::connect(addr).expect("connect seeder");
@@ -136,15 +150,11 @@ fn concurrent_mixed_workload_matches_direct_library_calls() {
     assert_eq!(stats.rejected_overload, 0, "workload fits the queue");
     assert!(stats.admitted >= (WRITERS * APPENDS + READERS * 20 + 1) as u64);
 
-    let backend = server
-        .shutdown()
-        .expect("shutdown")
-        .backend
-        .expect("backend");
+    let engine = server.shutdown().expect("shutdown").engine.expect("engine");
     let mut w = ByteWriter::new();
     reference.encode_state(&mut w);
     assert_eq!(
-        backend.state_bytes(),
+        engine.state_bytes(),
         w.into_bytes(),
         "served end state must be byte-identical to the direct one"
     );
@@ -156,7 +166,7 @@ fn concurrent_mixed_workload_matches_direct_library_calls() {
 #[test]
 fn saturated_queue_rejects_with_overload() {
     // one worker, one queue slot, no deadline
-    let server = Server::serve(Backend::memory(HyGraph::new()), &config(1, 1, 0)).expect("serve");
+    let server = Server::serve_engine(memory(HyGraph::new()), &config(1, 1, 0)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     let s1 = c.send(&Request::Sleep(600)).expect("send sleep 1");
@@ -189,7 +199,7 @@ fn saturated_queue_rejects_with_overload() {
 /// unexecuted with a typed error.
 #[test]
 fn queued_requests_past_their_deadline_are_dropped() {
-    let server = Server::serve(Backend::memory(HyGraph::new()), &config(1, 8, 100)).expect("serve");
+    let server = Server::serve_engine(memory(HyGraph::new()), &config(1, 8, 100)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     let s = c.send(&Request::Sleep(400)).expect("send sleep");
@@ -218,8 +228,7 @@ fn queued_requests_past_their_deadline_are_dropped() {
 /// the server nor loses the admitted work.
 #[test]
 fn mid_request_disconnect_leaves_server_healthy() {
-    let server =
-        Server::serve(Backend::memory(HyGraph::new()), &config(1, 8, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(HyGraph::new()), &config(1, 8, 5_000)).expect("serve");
     let addr = server.local_addr();
 
     let mut doomed = Client::connect(addr).expect("connect doomed");
@@ -253,8 +262,7 @@ fn mid_request_disconnect_leaves_server_healthy() {
 /// and the connection keeps working — only unframeable garbage kills it.
 #[test]
 fn corrupt_frame_is_rejected_without_killing_the_connection() {
-    let server =
-        Server::serve(Backend::memory(HyGraph::new()), &config(2, 8, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(HyGraph::new()), &config(2, 8, 5_000)).expect("serve");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
 
     // a valid query frame with one payload byte flipped after encoding
@@ -304,8 +312,14 @@ fn corrupt_frame_is_rejected_without_killing_the_connection() {
 #[test]
 fn graceful_shutdown_drains_and_recovers_bit_identical() {
     let dir = scratch_dir("server_shutdown");
-    let store = ShardedStore::<HyGraph>::open(&dir, 1).expect("open store");
-    let server = Server::serve(Backend::sharded(store), &config(1, 16, 5_000)).expect("serve");
+    let engine = Engine::open_durable_sharded(
+        &dir,
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
+        1,
+    )
+    .expect("open store");
+    let server = Server::serve_engine(engine, &config(1, 16, 5_000)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     c.mutate_batch(seed_mutations(2)).expect("seed");
@@ -320,15 +334,15 @@ fn graceful_shutdown_drains_and_recovers_bit_identical() {
         report.drained >= 1,
         "the queued sleep/mutation were answered during the drain: {report:?}"
     );
-    let backend = report.backend.expect("backend returned");
+    let engine = report.engine.expect("engine returned");
     // the drain executed the queued mutation before the WAL sync
     assert_eq!(
-        backend.graph().vertex_count(),
+        engine.with_graph(HyGraph::vertex_count),
         2 + 1 + 1,
         "stations + user + the drained LastWrite vertex"
     );
-    let pre_shutdown = backend.state_bytes();
-    drop(backend);
+    let pre_shutdown = engine.state_bytes();
+    drop(engine);
 
     let reopened = ShardedStore::<HyGraph>::open(&dir, 1).expect("reopen");
     assert_eq!(
@@ -338,8 +352,15 @@ fn graceful_shutdown_drains_and_recovers_bit_identical() {
     );
 
     // and the recovered store serves again
-    let server =
-        Server::serve(Backend::sharded(reopened), &config(2, 16, 5_000)).expect("serve again");
+    drop(reopened);
+    let engine = Engine::open_durable_sharded(
+        &dir,
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
+        1,
+    )
+    .expect("reopen engine");
+    let server = Server::serve_engine(engine, &config(2, 16, 5_000)).expect("serve again");
     let mut c = Client::connect(server.local_addr()).expect("reconnect");
     let rows = c
         .query("MATCH (v:LastWrite) RETURN COUNT(v) AS n")
@@ -356,8 +377,7 @@ fn graceful_shutdown_drains_and_recovers_bit_identical() {
 /// paths agree byte for byte.
 #[test]
 fn explain_works_over_the_wire() {
-    let server =
-        Server::serve(Backend::memory(HyGraph::new()), &config(2, 8, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(HyGraph::new()), &config(2, 8, 5_000)).expect("serve");
     let local = server.local_client();
     local.mutate_batch(seed_mutations(2)).expect("seed");
 
@@ -404,7 +424,7 @@ fn explain_works_over_the_wire() {
 #[test]
 fn hostile_nesting_is_an_error_reply_not_a_dead_server() {
     const LEVELS: usize = 100_000;
-    let server = Server::serve(Backend::memory(HyGraph::new()), &config(2, 8, 0)).expect("serve");
+    let server = Server::serve_engine(memory(HyGraph::new()), &config(2, 8, 0)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
     let filters = [
         format!("{}a.x > 1{}", "(".repeat(LEVELS), ")".repeat(LEVELS)),
@@ -438,7 +458,7 @@ fn hostile_nesting_is_an_error_reply_not_a_dead_server() {
 /// rejection, not a hang or a silent drop.
 #[test]
 fn requests_after_drain_starts_are_rejected_as_shutting_down() {
-    let server = Server::serve(Backend::memory(HyGraph::new()), &config(1, 4, 0)).expect("serve");
+    let server = Server::serve_engine(memory(HyGraph::new()), &config(1, 4, 0)).expect("serve");
     let addr = server.local_addr();
     let mut c = Client::connect(addr).expect("connect");
     // park the worker so shutdown has something to drain

@@ -10,7 +10,7 @@ use hygraph_core::HyGraphBuilder;
 use hygraph_persist::fault::scratch_dir;
 use hygraph_persist::{HgMutation, ShardedStore};
 use hygraph_query::{execute_planned, plan_query};
-use hygraph_server::{Backend, Engine};
+use hygraph_server::{plan_cache_capacity_from_env, Engine};
 use hygraph_sub::SubConfig;
 use hygraph_temporal::HistoryConfig;
 use hygraph_ts::TimeSeries;
@@ -105,7 +105,12 @@ fn readers_never_observe_torn_batches(engine: Arc<Engine>) {
 
 #[test]
 fn memory_snapshots_are_batch_atomic() {
-    let engine = Engine::new(Backend::memory(hygraph_core::HyGraph::new()));
+    let engine = Engine::in_memory(
+        hygraph_core::HyGraph::new(),
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
+    )
+    .unwrap();
     readers_never_observe_torn_batches(Arc::new(engine));
 }
 
@@ -225,8 +230,14 @@ fn every_shard_count_serves_the_bytes_of_one_sequential_pass() {
     let hg = corpus_instance();
     for shards in [1usize, 2, 4, 7] {
         let dir = scratch_dir(&format!("sequential-pass-{shards}"));
-        let store = ShardedStore::create(&dir, shards, hg.clone()).expect("create store");
-        let engine = Engine::new(Backend::sharded(store));
+        ShardedStore::create(&dir, shards, hg.clone()).expect("create store");
+        let engine = Engine::open_durable_sharded(
+            &dir,
+            plan_cache_capacity_from_env(),
+            HistoryConfig::from_env(),
+            shards,
+        )
+        .expect("open store");
         assert_eq!(engine.shards(), shards);
         for text in CORPUS {
             let q = hygraph_query::parser::parse(text).expect("corpus parses");

@@ -9,11 +9,24 @@
 use hygraph_core::HyGraph;
 use hygraph_metrics::Snapshot;
 use hygraph_persist::HgMutation;
-use hygraph_server::{Backend, Client, Engine, Request, Server};
+use hygraph_server::{
+    plan_cache_capacity_from_env, Client, Engine, HistoryConfig, Request, Server,
+};
 use hygraph_types::net::ServerConfig;
 use hygraph_types::{Label, PropertyMap};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// An in-memory engine over `hg` with the environment's plan-cache and
+/// history settings.
+fn memory(hg: HyGraph) -> Engine {
+    Engine::in_memory(
+        hg,
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
+    )
+    .expect("in-memory engine")
+}
 
 /// Serialises the tests in this binary: they all observe the one
 /// process-global registry.
@@ -40,7 +53,7 @@ fn config(workers: usize, queue: usize, timeout_ms: u64) -> ServerConfig {
 fn stats_over_wire_count_requests_exactly() {
     let _g = guard();
     let server =
-        Server::serve(Backend::memory(HyGraph::new()), &config(2, 16, 5_000)).expect("serve");
+        Server::serve_engine(memory(HyGraph::new()), &config(2, 16, 5_000)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     let before = c.stats().expect("stats before");
@@ -100,7 +113,7 @@ fn stats_over_wire_count_requests_exactly() {
 fn wire_snapshot_reencodes_byte_identically() {
     let _g = guard();
     let server =
-        Server::serve(Backend::memory(HyGraph::new()), &config(2, 16, 5_000)).expect("serve");
+        Server::serve_engine(memory(HyGraph::new()), &config(2, 16, 5_000)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
     // put real mass in the histograms and the slow log first
     for _ in 0..4 {
@@ -128,7 +141,7 @@ fn wire_snapshot_reencodes_byte_identically() {
 fn ts_compression_metrics_cross_the_wire() {
     let _g = guard();
     let server =
-        Server::serve(Backend::memory(HyGraph::new()), &config(2, 16, 5_000)).expect("serve");
+        Server::serve_engine(memory(HyGraph::new()), &config(2, 16, 5_000)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     let before = c.stats().expect("stats before");
@@ -196,7 +209,7 @@ fn ts_compression_metrics_cross_the_wire() {
 #[test]
 fn snapshot_publication_metrics_cross_the_wire() {
     let _g = guard();
-    let engine = Engine::with_plan_cache(Backend::memory(HyGraph::new()), 8);
+    let engine = Engine::in_memory(HyGraph::new(), 8, HistoryConfig::from_env()).expect("engine");
     let server = Server::serve_engine(engine, &config(2, 16, 5_000)).expect("serve");
     let engine = server.engine();
     let mut c = Client::connect(server.local_addr()).expect("connect");
@@ -257,8 +270,7 @@ fn shutdown_report_tallies_drain_deadline_drops() {
     let _g = guard();
     // one worker, tight deadline: everything queued behind the parked
     // worker goes stale before the drain reaches it
-    let server =
-        Server::serve(Backend::memory(HyGraph::new()), &config(1, 16, 100)).expect("serve");
+    let server = Server::serve_engine(memory(HyGraph::new()), &config(1, 16, 100)).expect("serve");
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     c.send(&Request::Sleep(500)).expect("park the worker");

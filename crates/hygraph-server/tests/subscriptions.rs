@@ -11,7 +11,8 @@
 use hygraph_core::{ElementRef, HyGraph, HyGraphBuilder};
 use hygraph_persist::HgMutation;
 use hygraph_server::{
-    Backend, Client, Engine, ErrorCode, Push, Request, Response, Server, SubConfig, Subscription,
+    plan_cache_capacity_from_env, Client, Engine, ErrorCode, HistoryConfig, Push, Request,
+    Response, Server, SubConfig, Subscription,
 };
 use hygraph_ts::TimeSeries;
 use hygraph_types::bytes::ByteWriter;
@@ -22,6 +23,17 @@ use hygraph_types::{
 };
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// An in-memory engine over `hg` with the environment's plan-cache and
+/// history settings.
+fn memory(hg: HyGraph) -> Engine {
+    Engine::in_memory(
+        hg,
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
+    )
+    .expect("in-memory engine")
+}
 
 /// Serialises the tests in this binary: they all observe the one
 /// process-global metrics registry.
@@ -139,7 +151,7 @@ fn settle(
 #[test]
 fn standing_queries_track_commits_byte_identically() {
     let _g = guard();
-    let server = Server::serve(Backend::memory(instance()), &config(2, 32, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(instance()), &config(2, 32, 5_000)).expect("serve");
     let mut subscriber = Client::connect(server.local_addr()).expect("connect subscriber");
     let mut oracle = Client::connect(server.local_addr()).expect("connect oracle");
 
@@ -225,7 +237,7 @@ fn standing_queries_track_commits_byte_identically() {
 #[test]
 fn insert_far_down_a_long_standing_result_is_pushed_and_applied() {
     let _g = guard();
-    let server = Server::serve(Backend::memory(instance()), &config(2, 32, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(instance()), &config(2, 32, 5_000)).expect("serve");
     let mut subscriber = Client::connect(server.local_addr()).expect("connect subscriber");
     let mut oracle = Client::connect(server.local_addr()).expect("connect oracle");
     oracle
@@ -252,7 +264,7 @@ fn insert_far_down_a_long_standing_result_is_pushed_and_applied() {
 #[test]
 fn pushes_interleave_with_pipelined_replies() {
     let _g = guard();
-    let server = Server::serve(Backend::memory(instance()), &config(2, 32, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(instance()), &config(2, 32, 5_000)).expect("serve");
     let mut a = Client::connect(server.local_addr()).expect("connect a");
     let mut m = Client::connect(server.local_addr()).expect("connect m");
 
@@ -292,7 +304,7 @@ fn pushes_interleave_with_pipelined_replies() {
 #[test]
 fn idle_subscription_connection_stays_live_via_keepalives() {
     let _g = guard();
-    let server = Server::serve(Backend::memory(instance()), &config(2, 32, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(instance()), &config(2, 32, 5_000)).expect("serve");
     let mut a = Client::connect(server.local_addr())
         .expect("connect a")
         .ping_every_ms(40);
@@ -340,8 +352,7 @@ fn idle_subscription_connection_stays_live_via_keepalives() {
 #[test]
 fn slow_consumer_is_dropped_with_a_typed_close() {
     let _g = guard();
-    let engine = Engine::new(Backend::memory(instance()))
-        .with_sub_config(SubConfig::default().push_buffer(0));
+    let engine = memory(instance()).with_sub_config(SubConfig::default().push_buffer(0));
     let server = Server::serve_engine(engine, &config(2, 32, 5_000)).expect("serve");
     let mut a = Client::connect(server.local_addr()).expect("connect a");
     let mut m = Client::connect(server.local_addr()).expect("connect m");
@@ -381,7 +392,7 @@ fn slow_consumer_is_dropped_with_a_typed_close() {
 #[test]
 fn subscription_metrics_bracket_the_lifecycle() {
     let _g = guard();
-    let server = Server::serve(Backend::memory(instance()), &config(2, 32, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(instance()), &config(2, 32, 5_000)).expect("serve");
     let mut a = Client::connect(server.local_addr()).expect("connect a");
     let mut m = Client::connect(server.local_addr()).expect("connect m");
     assert!(
@@ -453,7 +464,7 @@ fn subscription_metrics_bracket_the_lifecycle() {
 #[test]
 fn unsubscribe_is_idempotent_and_local_clients_are_refused() {
     let _g = guard();
-    let server = Server::serve(Backend::memory(instance()), &config(2, 16, 5_000)).expect("serve");
+    let server = Server::serve_engine(memory(instance()), &config(2, 16, 5_000)).expect("serve");
     let mut a = Client::connect(server.local_addr()).expect("connect a");
     let mut m = Client::connect(server.local_addr()).expect("connect m");
 

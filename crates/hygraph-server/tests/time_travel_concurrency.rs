@@ -9,15 +9,15 @@
 //! - `BETWEEN` two such timestamps, which must equal the first-seen
 //!   union of the fresh-replay answers at every commit in the window.
 //!
-//! A reader error fails the test. Runs once on the memory backend, and
-//! on the durable backend at one and two shards — and at the configured
+//! A reader error fails the test. Runs once on an in-memory engine, and
+//! on a durable one at one and two shards — and at the configured
 //! count, so `HYGRAPH_SHARDS=4` adds a four-shard WAL layout.
 
 use hygraph_core::{ElementRef, HyGraph};
 use hygraph_persist::fault::scratch_dir;
 use hygraph_persist::{Durable, HgMutation};
 use hygraph_query::QueryResult;
-use hygraph_server::{Backend, Engine};
+use hygraph_server::Engine;
 use hygraph_temporal::HistoryConfig;
 use hygraph_types::{props, Interval, Label, PropertyValue, Value, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -231,7 +231,7 @@ fn memory_time_travel_is_exact_beside_a_writer() {
     for m in base_batch() {
         base.apply(&m).unwrap();
     }
-    let engine = Engine::with_history_config(Backend::memory(base), 8, HistoryConfig::default());
+    let engine = Engine::in_memory(base, 8, HistoryConfig::default()).unwrap();
     time_travel_beside_a_writer(engine);
 }
 

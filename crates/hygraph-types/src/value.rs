@@ -118,9 +118,11 @@ impl Value {
     }
 
     /// Total order across all values. Within the numeric family, `Int` and
-    /// `Float` compare by numeric value; across families, the order is
-    /// Null < Bool < numeric < Str < Time < Span. NaN sorts above all
-    /// other floats.
+    /// `Float` compare by numeric value, `-0.0` equals `0.0`, and every
+    /// NaN equals every other and sorts above all other numbers; across
+    /// families, the order is Null < Bool < numeric < Str < Time < Span.
+    /// `Equal` is the "not distinct" relation DISTINCT, grouping and
+    /// ORDER BY ties use.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         fn family(v: &Value) -> u8 {
@@ -133,13 +135,25 @@ impl Value {
                 Span(_) => 5,
             }
         }
+        // one representative per number: `-0.0` folds onto `0.0` (an
+        // `Int` converts to `+0.0` already) and every NaN onto the
+        // positive one `f64::total_cmp` puts above `+inf`
+        fn canon(x: f64) -> f64 {
+            if x == 0.0 {
+                0.0
+            } else if x.is_nan() {
+                f64::NAN
+            } else {
+                x
+            }
+        }
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Float(a), Float(b)) => canon(*a).total_cmp(&canon(*b)),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(&canon(*b)),
+            (Float(a), Int(b)) => canon(*a).total_cmp(&(*b as f64)),
             (Str(a), Str(b)) => a.cmp(b),
             (Time(a), Time(b)) => a.cmp(b),
             (Span(a), Span(b)) => a.cmp(b),
@@ -162,28 +176,13 @@ impl Value {
 
     /// Three-valued comparison `self op other`: `None` (SQL unknown)
     /// when either side is Null. `=` / `<>` follow [`Self::sql_eq`]; the
-    /// four order operators follow [`Self::total_cmp`], except that
-    /// `-0.0` and `0.0` compare equal under all six operators (NaN and
-    /// the cross-family order are unchanged).
+    /// four order operators follow [`Self::total_cmp`], so `-0.0` and
+    /// `0.0` compare equal under all six operators.
     pub fn compare(&self, op: CmpOp, other: &Value) -> Option<bool> {
         if self.is_null() || other.is_null() {
             return None;
         }
-        // `-0.0 == 0.0`, so folding both zeros to +0.0 puts them in one
-        // place of the total order (an `Int` converts to +0.0 already)
-        fn fold(x: f64) -> f64 {
-            if x == 0.0 {
-                0.0
-            } else {
-                x
-            }
-        }
-        let ord = || match (self, other) {
-            (Value::Float(a), Value::Float(b)) => fold(*a).total_cmp(&fold(*b)),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(&fold(*b)),
-            (Value::Float(a), Value::Int(b)) => fold(*a).total_cmp(&(*b as f64)),
-            (a, b) => a.total_cmp(b),
-        };
+        let ord = || self.total_cmp(other);
         Some(match op {
             CmpOp::Eq => self.sql_eq(other)?,
             CmpOp::Ne => !self.sql_eq(other)?,

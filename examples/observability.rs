@@ -12,7 +12,7 @@
 
 use hygraph::metrics::MetricsConfig;
 use hygraph::prelude::*;
-use hygraph::server::{Backend, Client, Server};
+use hygraph::server::{plan_cache_capacity_from_env, Client, Engine, HistoryConfig, Server};
 use hygraph::types::net::ServerConfig;
 
 fn main() -> Result<()> {
@@ -37,10 +37,14 @@ fn main() -> Result<()> {
     }
     let built = builder.build()?;
 
-    let server = Server::serve(
-        Backend::memory(built.hygraph),
-        &ServerConfig::new().addr("127.0.0.1:0").workers(2),
+    // the engine keeps its store in memory; `Engine::open_durable`
+    // would put the same store in a directory
+    let engine = Engine::in_memory(
+        built.hygraph,
+        plan_cache_capacity_from_env(),
+        HistoryConfig::from_env(),
     )?;
+    let server = Server::serve_engine(engine, &ServerConfig::new().addr("127.0.0.1:0").workers(2))?;
     let mut client = Client::connect(server.local_addr())?;
 
     // a mixed workload: matches, aggregates, and a deliberate parse error

@@ -448,3 +448,62 @@ fn signed_zeros_compare_equal_pushed_and_residual() {
         }
     }
 }
+
+/// An instance with what the fixture above lacks: a self-loop, a
+/// vertex with two labels, and the two signed zeros.
+fn semantics_instance() -> HyGraph {
+    HyGraphBuilder::new()
+        .pg_vertex("a", ["N"], props! {"name" => "a", "x" => -0.0})
+        .pg_vertex("b", ["N", "M"], props! {"name" => "b", "x" => 0.0})
+        .pg_vertex("c", ["M"], props! {"name" => "c", "x" => 1.0})
+        .pg_edge(Some("e0"), "a", "a", ["SELF"], props! {})
+        .pg_edge(Some("e1"), "a", "b", ["NEXT"], props! {})
+        .build()
+        .unwrap()
+        .hygraph
+}
+
+/// One binding per graph edge: a self-loop sits in both adjacency
+/// lists of its vertex, and still binds a pattern edge once.
+#[test]
+fn self_loop_binds_once() {
+    let hg = semantics_instance();
+    for text in [
+        "MATCH (a)-[e:SELF]->(b) RETURN e AS e",
+        "MATCH (a)<-[e:SELF]-(b) RETURN a.name AS n",
+        "MATCH (a)-[e:SELF]-(b) RETURN COUNT(*) AS n",
+        "MATCH (a)-[:SELF*1..2]-(b) RETURN COUNT(*) AS n",
+    ] {
+        check(&hg, text).unwrap();
+    }
+}
+
+/// A variable mentioned twice carries the labels of both mentions,
+/// whichever comes first.
+#[test]
+fn re_mentioned_variable_conjoins_labels() {
+    let hg = semantics_instance();
+    for text in [
+        "MATCH (u:N), (u:M) RETURN u.name AS n",
+        "MATCH (u:M), (u:N) RETURN u.name AS n",
+        "MATCH (u:N)-[:NEXT]->(v), (v:M) RETURN v.name AS n",
+    ] {
+        check(&hg, text).unwrap();
+    }
+}
+
+/// `-0.0` and `0.0` are one value under DISTINCT, grouping,
+/// `COUNT(DISTINCT)` and ORDER BY ties (the tie on `x` leaves the order
+/// to `n DESC`).
+#[test]
+fn signed_zeros_are_one_value_when_deduplicating_and_sorting() {
+    let hg = semantics_instance();
+    for text in [
+        "MATCH (p:N) RETURN DISTINCT p.x AS x",
+        "MATCH (p:N) RETURN p.x AS x, COUNT(*) AS n",
+        "MATCH (p:N) RETURN COUNT(DISTINCT p.x) AS n",
+        "MATCH (p:N) RETURN p.x AS x, p.name AS n ORDER BY x, n DESC",
+    ] {
+        check(&hg, text).unwrap();
+    }
+}
