@@ -7,9 +7,9 @@
 //! whole community behaves the same way (e.g. business accounts doing
 //! daily bulk purchases) is a false positive.
 
+use crate::hybrid::vertex_series;
 use hygraph_core::HyGraph;
 use hygraph_graph::algorithms::community::{louvain, Communities};
-use hygraph_query::hybrid::vertex_series;
 use hygraph_ts::ops::{anomaly, features, stats};
 use hygraph_types::VertexId;
 use std::collections::HashMap;

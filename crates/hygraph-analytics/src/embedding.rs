@@ -11,8 +11,8 @@
 //!   "query API + vector similarity search" step of the paper's
 //!   GraphRAG plan.
 
+use crate::hybrid::vertex_series;
 use hygraph_core::HyGraph;
-use hygraph_query::hybrid::vertex_series;
 use hygraph_ts::ops::{features, pca::Pca};
 use hygraph_types::VertexId;
 use rand::rngs::StdRng;

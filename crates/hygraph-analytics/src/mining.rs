@@ -13,8 +13,8 @@
 //!   that are frequent in the member vertices' series: a *hybrid pattern*
 //!   is a (structural pattern, temporal word) pair with joint support.
 
+use crate::hybrid::vertex_series;
 use hygraph_core::HyGraph;
-use hygraph_query::hybrid::vertex_series;
 use hygraph_ts::ops::sax;
 use hygraph_types::VertexId;
 use std::collections::HashMap;

@@ -20,8 +20,8 @@
 use crate::classify::{self, ClusterVerdict};
 use crate::cluster;
 use crate::embedding::{self, FastRpConfig};
+use crate::hybrid::vertex_series;
 use hygraph_core::{ElementRef, HyGraph};
-use hygraph_query::hybrid::vertex_series;
 use hygraph_ts::ops::anomaly;
 use hygraph_types::{Duration, Result, SubgraphId, Timestamp, Value, VertexId};
 use std::collections::HashMap;
@@ -90,15 +90,6 @@ impl PipelineReport {
     /// Verdict lookup by user vertex.
     pub fn verdict(&self, user: VertexId) -> Option<&UserVerdict> {
         self.verdicts.iter().find(|v| v.user == user)
-    }
-
-    /// The set of users finally marked suspicious.
-    pub fn suspicious_users(&self) -> Vec<VertexId> {
-        self.verdicts
-            .iter()
-            .filter(|v| v.suspicious)
-            .map(|v| v.user)
-            .collect()
     }
 }
 

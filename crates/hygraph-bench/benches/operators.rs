@@ -3,11 +3,11 @@
 //! operators, at a CI-friendly scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hygraph_analytics::hybrid;
 use hygraph_core::interfaces::import::graph_to_hygraph;
 use hygraph_datagen::random;
 use hygraph_graph::algorithms::{community, motifs};
 use hygraph_graph::{aggregate, snapshot, traverse, Direction, Pattern};
-use hygraph_query::hybrid;
 use hygraph_ts::ops;
 use hygraph_types::parallel::ExecMode;
 use hygraph_types::{Duration, Interval, Timestamp};

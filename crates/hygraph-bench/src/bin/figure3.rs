@@ -5,12 +5,12 @@
 //!
 //! Run with: `cargo run --release -p hygraph-bench --bin figure3`
 
+use hygraph_analytics::hybrid;
 use hygraph_core::interfaces::{export, import};
 use hygraph_core::view::HyGraphView;
 use hygraph_core::{ElementRef, HyGraph};
 use hygraph_datagen::random;
 use hygraph_graph::{pattern::Pattern, snapshot, Direction};
-use hygraph_query::hybrid;
 use hygraph_ts::ops;
 use hygraph_types::parallel::ExecMode;
 use hygraph_types::{props, Duration, Interval, Timestamp};

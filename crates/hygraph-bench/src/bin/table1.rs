@@ -16,9 +16,9 @@
 
 use hygraph_bench::{time_ms, Scale};
 use hygraph_datagen::bike::{self, BikeConfig};
-use hygraph_persist::{PersistConfig, ShardedStore, StoreMutation};
+use hygraph_persist::{PersistConfig, ShardedStore};
 use hygraph_storage::harness::{measure_all, measure_all_parallel, render_table, Workload};
-use hygraph_storage::{AllInGraphStore, PolyglotStore};
+use hygraph_storage::{AllInGraphStore, PolyglotStore, StoreMutation};
 use hygraph_types::Duration;
 
 /// `--persist`: replays the dataset's observations through the durable

@@ -6,13 +6,13 @@
 //!
 //! Run with: `cargo run --release -p hygraph-bench --bin table2 [--scale small|medium|large]`
 
+use hygraph_analytics::hybrid;
 use hygraph_bench::{time_ms, Scale};
 use hygraph_core::interfaces::import::graph_to_hygraph;
 use hygraph_datagen::random;
 use hygraph_graph::algorithms::{community, metrics, motifs};
 use hygraph_graph::pattern::{CmpOp, PropPredicate};
 use hygraph_graph::{aggregate, snapshot, traverse, Direction, Pattern};
-use hygraph_query::hybrid;
 use hygraph_ts::ops;
 use hygraph_types::parallel::ExecMode;
 use hygraph_types::{Duration, Interval, Timestamp};

@@ -108,26 +108,24 @@ pub fn decode_graph(r: &mut ByteReader<'_>) -> Result<TemporalGraph> {
     Ok(g)
 }
 
-/// Convenience: encodes into a fresh byte vector.
-pub fn graph_to_bytes(g: &TemporalGraph) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    encode_graph(g, &mut w);
-    w.into_bytes()
-}
-
-/// Convenience: decodes a graph from a standalone byte slice, requiring
-/// the slice to be fully consumed.
-pub fn graph_from_bytes(bytes: &[u8]) -> Result<TemporalGraph> {
-    let mut r = ByteReader::new(bytes);
-    let g = decode_graph(&mut r)?;
-    r.expect_exhausted()?;
-    Ok(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hygraph_types::{props, Interval, Timestamp};
+
+    fn graph_to_bytes(g: &TemporalGraph) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_graph(g, &mut w);
+        w.into_bytes()
+    }
+
+    /// Decodes a graph, requiring the slice to be fully consumed.
+    fn graph_from_bytes(bytes: &[u8]) -> Result<TemporalGraph> {
+        let mut r = ByteReader::new(bytes);
+        let g = decode_graph(&mut r)?;
+        r.expect_exhausted()?;
+        Ok(g)
+    }
 
     fn ts(ms: i64) -> Timestamp {
         Timestamp::from_millis(ms)

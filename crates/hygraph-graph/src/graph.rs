@@ -108,17 +108,6 @@ impl TemporalGraph {
         self.add_vertex_valid(labels, props, Interval::ALL)
     }
 
-    /// Adds a vertex valid from `from` onwards (ρ initialised to
-    /// ⟨from, max(T)⟩ per the paper).
-    pub fn add_vertex_from(
-        &mut self,
-        labels: impl IntoIterator<Item = impl Into<Label>>,
-        props: PropertyMap,
-        from: Timestamp,
-    ) -> VertexId {
-        self.add_vertex_valid(labels, props, Interval::from(from))
-    }
-
     /// Adds a vertex with an explicit validity interval.
     pub fn add_vertex_valid(
         &mut self,
@@ -156,18 +145,6 @@ impl TemporalGraph {
         props: PropertyMap,
     ) -> Result<EdgeId> {
         self.add_edge_valid(src, dst, labels, props, Interval::ALL)
-    }
-
-    /// Adds an edge valid from `from` onwards.
-    pub fn add_edge_from(
-        &mut self,
-        src: VertexId,
-        dst: VertexId,
-        labels: impl IntoIterator<Item = impl Into<Label>>,
-        props: PropertyMap,
-        from: Timestamp,
-    ) -> Result<EdgeId> {
-        self.add_edge_valid(src, dst, labels, props, Interval::from(from))
     }
 
     /// Adds an edge with an explicit validity interval. Both endpoints
@@ -232,11 +209,6 @@ impl TemporalGraph {
     /// Whether vertex `v` exists (not tombstoned).
     pub fn contains_vertex(&self, v: VertexId) -> bool {
         self.vertices.get(v.index()).is_some()
-    }
-
-    /// Whether edge `e` exists (not tombstoned).
-    pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.edges.get(e.index()).is_some()
     }
 
     /// Number of live vertices.
@@ -536,7 +508,7 @@ mod tests {
     #[test]
     fn validity_windows() {
         let mut g = TemporalGraph::new();
-        let v = g.add_vertex_from(["Company"], props! {}, ts(1000));
+        let v = g.add_vertex_valid(["Company"], props! {}, Interval::from(ts(1000)));
         assert!(!g.vertex(v).unwrap().validity.contains(ts(999)));
         assert!(g.vertex(v).unwrap().validity.contains(ts(1_000_000)));
     }

@@ -227,11 +227,6 @@ impl Pattern {
         self
     }
 
-    /// Number of pattern vertices.
-    pub fn vertex_len(&self) -> usize {
-        self.vertices.len()
-    }
-
     fn vertex_ok(&self, pv: &PatternVertex, v: &VertexData) -> bool {
         if let Some(t) = self.valid_at {
             if !v.validity.contains(t) {

@@ -52,11 +52,6 @@ impl SlowQueryLog {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Records a completed query if it crossed `threshold`; evicts the
     /// oldest entry when full. A zero `threshold` disables capture.
     /// `plan_fp` is the logical-plan fingerprint (0 = not planned).

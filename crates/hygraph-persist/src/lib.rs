@@ -2,8 +2,8 @@
 //!
 //! Write-ahead logging, binary checkpoints, and crash recovery for the
 //! HyGraph stores. The engine wraps any [`Durable`] state — the
-//! chunked time-series store, the paper's two storage architectures,
-//! and the full hybrid model all implement it — behind a
+//! chunked time-series store and the full hybrid model implement it
+//! here, the paper's two Table-1 stores in `hygraph-storage` — behind a
 //! [`ShardedStore`] that enforces the WAL protocol over one WAL stream
 //! per shard (one shard is one stream):
 //!
@@ -56,5 +56,5 @@ pub mod wal;
 pub use config::PersistConfig;
 pub use durable::{Durable, RecoveryObserver};
 pub use sharded::{ShardRouted, ShardedStore};
-pub use stores::{HgMutation, StoreMutation, TsMutation};
+pub use stores::{HgMutation, TsMutation};
 pub use vfs::{MemVfs, OsVfs, Vfs};

@@ -853,63 +853,3 @@ fn legacy_wal_archive_moves(vfs: &dyn Vfs, dir: &Path) -> Result<()> {
     }
     Ok(())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::PersistConfig;
-    use crate::fault::scratch_dir;
-    use crate::stores::HgMutation;
-    use hygraph_core::HyGraph;
-    use hygraph_types::{SeriesId, Timestamp};
-
-    /// A rejected mutation in a batch must surface as the semantic
-    /// rejection even when the trailing sync of the staged prefix also
-    /// fails — callers distinguish "mutation refused at position k"
-    /// from "I/O error of unknown extent".
-    #[test]
-    fn batch_rejection_outranks_sync_failure() {
-        PersistConfig::new()
-            .segment_bytes(512)
-            .checkpoint_every(0)
-            .install();
-        let dir = scratch_dir("sharded-reject-vs-sync");
-        let vfs = Arc::new(crate::vfs::tests::ShortWrite::default());
-        let mut store: ShardedStore<HyGraph> =
-            ShardedStore::open_in(vfs.clone(), &dir, 2, None).unwrap();
-        store
-            .commit(HgMutation::AddSeries {
-                names: vec!["v".into()],
-                rows: vec![],
-            })
-            .unwrap();
-        // the append to series 0 is the batch's only staged frame: make
-        // its shard's write fail
-        vfs.fail_next_write_after(0);
-        let err = store
-            .commit_batch([
-                HgMutation::Append {
-                    series: SeriesId::new(0),
-                    t: Timestamp::from_millis(1),
-                    row: vec![1.0],
-                },
-                HgMutation::Append {
-                    series: SeriesId::new(99), // rejected: no such series
-                    t: Timestamp::from_millis(2),
-                    row: vec![2.0],
-                },
-            ])
-            .unwrap_err();
-        assert!(
-            matches!(err, HyGraphError::SeriesNotFound(_)),
-            "expected the semantic rejection, got {err:?}"
-        );
-        // the I/O failure was transient (the WAL wound the torn batch
-        // back): a retry syncs the accepted prefix and nothing is lost
-        store.sync().unwrap();
-        drop(store);
-        let store: ShardedStore<HyGraph> = ShardedStore::open(&dir, 2).unwrap();
-        assert_eq!(store.next_csn(), 2, "the accepted prefix survived");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}

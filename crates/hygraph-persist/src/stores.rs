@@ -1,14 +1,14 @@
 //! [`Durable`] implementations for the engine's stores, with their
 //! logged mutation vocabularies.
 //!
-//! Three stores go durable here:
+//! Two stores go durable here:
 //!
 //! * [`TsStore`] — the chunked time-series store ([`TsMutation`]);
-//! * [`AllInGraphStore`] and [`PolyglotStore`] — the paper's two
-//!   storage architectures, sharing the station/trip/observe
-//!   vocabulary ([`StoreMutation`]);
 //! * [`HyGraph`] — the full hybrid model, whose [`HgMutation`] covers
 //!   vertex, edge, subgraph, property, and observation operations.
+//!
+//! The paper's two Table-1 stores implement [`Durable`] in
+//! `hygraph-storage`, next to their definitions.
 //!
 //! Every store allocates ids densely and deterministically, so
 //! replaying a mutation prefix reproduces the exact ids the original
@@ -17,7 +17,6 @@
 
 use crate::durable::Durable;
 use hygraph_core::{ElementRef, HyGraph};
-use hygraph_storage::{AllInGraphStore, PolyglotStore};
 use hygraph_ts::{MultiSeries, TsStore};
 use hygraph_types::bytes::{ByteReader, ByteWriter};
 use hygraph_types::shard::ShardRouter;
@@ -113,144 +112,6 @@ impl Durable for TsStore {
         }
     }
 }
-
-// ---- the two storage-architecture stores ------------------------------
-
-/// Logged operations shared by [`AllInGraphStore`] and
-/// [`PolyglotStore`] — the bike-sharing ingest vocabulary of the
-/// paper's storage experiment.
-#[derive(Clone, Debug, PartialEq)]
-pub enum StoreMutation {
-    /// Add a station vertex (id allocated densely on replay).
-    AddStation {
-        /// Station labels.
-        labels: Vec<Label>,
-        /// Static station properties.
-        props: PropertyMap,
-    },
-    /// Add a trip edge between two stations.
-    AddTrip {
-        /// Source station.
-        src: VertexId,
-        /// Destination station.
-        dst: VertexId,
-        /// Trip labels.
-        labels: Vec<Label>,
-        /// Trip properties.
-        props: PropertyMap,
-    },
-    /// Record one availability observation for a station.
-    Observe {
-        /// The observed station.
-        station: VertexId,
-        /// Observation time.
-        t: Timestamp,
-        /// Observed value.
-        value: f64,
-    },
-}
-
-fn encode_store_mutation(m: &StoreMutation, w: &mut ByteWriter) {
-    match m {
-        StoreMutation::AddStation { labels, props } => {
-            w.u8(0);
-            w.labels(labels);
-            w.property_map(props);
-        }
-        StoreMutation::AddTrip {
-            src,
-            dst,
-            labels,
-            props,
-        } => {
-            w.u8(1);
-            w.u64(src.raw());
-            w.u64(dst.raw());
-            w.labels(labels);
-            w.property_map(props);
-        }
-        StoreMutation::Observe { station, t, value } => {
-            w.u8(2);
-            w.u64(station.raw());
-            w.timestamp(*t);
-            w.f64(*value);
-        }
-    }
-}
-
-fn decode_store_mutation(r: &mut ByteReader<'_>) -> Result<StoreMutation> {
-    Ok(match r.u8()? {
-        0 => StoreMutation::AddStation {
-            labels: r.labels()?,
-            props: r.property_map()?,
-        },
-        1 => StoreMutation::AddTrip {
-            src: VertexId::new(r.u64()?),
-            dst: VertexId::new(r.u64()?),
-            labels: r.labels()?,
-            props: r.property_map()?,
-        },
-        2 => StoreMutation::Observe {
-            station: VertexId::new(r.u64()?),
-            t: r.timestamp()?,
-            value: r.f64()?,
-        },
-        tag => return Err(corrupt_tag("storage", tag)),
-    })
-}
-
-macro_rules! impl_durable_station_store {
-    ($store:ty, $tag:expr) => {
-        impl Durable for $store {
-            type Mutation = StoreMutation;
-            const STORE_TAG: [u8; 4] = *$tag;
-
-            fn fresh() -> Self {
-                <$store>::new()
-            }
-
-            fn encode_state(&self, w: &mut ByteWriter) {
-                self.encode_state(w);
-            }
-
-            fn decode_state(r: &mut ByteReader<'_>) -> Result<Self> {
-                <$store>::decode_state(r)
-            }
-
-            fn encode_mutation(m: &StoreMutation, w: &mut ByteWriter) {
-                encode_store_mutation(m, w);
-            }
-
-            fn decode_mutation(r: &mut ByteReader<'_>) -> Result<StoreMutation> {
-                decode_store_mutation(r)
-            }
-
-            fn apply(&mut self, m: &StoreMutation) -> Result<()> {
-                match m {
-                    StoreMutation::AddStation { labels, props } => {
-                        self.add_station(labels.iter().cloned(), props.clone());
-                        Ok(())
-                    }
-                    StoreMutation::AddTrip {
-                        src,
-                        dst,
-                        labels,
-                        props,
-                    } => {
-                        self.add_trip(*src, *dst, labels.iter().cloned(), props.clone())?;
-                        Ok(())
-                    }
-                    StoreMutation::Observe { station, t, value } => {
-                        self.observe(*station, *t, *value)
-                    }
-                }
-            }
-        }
-    };
-}
-
-impl_durable_station_store!(AllInGraphStore, b"AIGS");
-impl_durable_station_store!(PolyglotStore, b"POLY");
 
 // ---- HyGraph ----------------------------------------------------------
 
@@ -703,17 +564,6 @@ impl crate::sharded::ShardRouted for TsMutation {
     }
 }
 
-impl crate::sharded::ShardRouted for StoreMutation {
-    /// Observations follow their station's shard; station/trip creation
-    /// (allocated densely on replay) spreads by commit sequence number.
-    fn shard_affinity(&self, router: &ShardRouter) -> Option<usize> {
-        match self {
-            StoreMutation::Observe { station, .. } => Some(router.of_vertex(*station)),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,33 +590,6 @@ mod tests {
         ];
         for m in &ms {
             assert_eq!(&roundtrip_mutation::<TsStore>(m), m);
-        }
-    }
-
-    #[test]
-    fn store_mutations_roundtrip() {
-        let mut props = PropertyMap::new();
-        props.set("capacity", hygraph_types::Value::Int(30));
-        let ms = [
-            StoreMutation::AddStation {
-                labels: vec![Label::new("Station")],
-                props: props.clone(),
-            },
-            StoreMutation::AddTrip {
-                src: VertexId::new(0),
-                dst: VertexId::new(1),
-                labels: vec![Label::new("Trip")],
-                props,
-            },
-            StoreMutation::Observe {
-                station: VertexId::new(0),
-                t: Timestamp::from_millis(1234),
-                value: 17.0,
-            },
-        ];
-        for m in &ms {
-            assert_eq!(&roundtrip_mutation::<AllInGraphStore>(m), m);
-            assert_eq!(&roundtrip_mutation::<PolyglotStore>(m), m);
         }
     }
 
@@ -847,8 +670,6 @@ mod tests {
         assert!(<TsStore as Durable>::decode_mutation(&mut r).is_err());
         let mut r = ByteReader::new(&bytes);
         assert!(<HyGraph as Durable>::decode_mutation(&mut r).is_err());
-        let mut r = ByteReader::new(&bytes);
-        assert!(<AllInGraphStore as Durable>::decode_mutation(&mut r).is_err());
     }
 
     #[test]
@@ -914,33 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_mutation_never_reaches_the_log() {
-        let dir = scratch_dir("durable-reject");
-        {
-            let mut store: ShardedStore<PolyglotStore> = ShardedStore::open(&dir, 1).unwrap();
-            store
-                .commit(StoreMutation::AddStation {
-                    labels: vec![Label::new("Station")],
-                    props: PropertyMap::new(),
-                })
-                .unwrap();
-            let before = store.next_csn();
-            // observing an unknown vertex is rejected by the state
-            let err = store.commit(StoreMutation::Observe {
-                station: VertexId::new(999),
-                t: Timestamp::from_millis(0),
-                value: 1.0,
-            });
-            assert!(err.is_err());
-            assert_eq!(store.next_csn(), before, "frame was retracted");
-            store.close().unwrap();
-        }
-        // reopen replays cleanly — the rejected record is absent
-        let store: ShardedStore<PolyglotStore> = ShardedStore::open(&dir, 1).unwrap();
-        assert_eq!(store.get().stations().len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    #[test]
     fn foreign_store_type_cannot_hijack_a_directory() {
         let dir = crate::fault::scratch_dir("foreign-open");
         {
@@ -960,7 +754,7 @@ mod tests {
         // opening the TsStore directory as a different store type is a
         // hard error and must not delete or rewrite anything
         let before = crate::fault::snapshot_dir(&dir).unwrap();
-        assert!(ShardedStore::<PolyglotStore>::open(&dir, 1).is_err());
+        assert!(ShardedStore::<HyGraph>::open(&dir, 1).is_err());
         assert_eq!(
             crate::fault::snapshot_dir(&dir).unwrap(),
             before,

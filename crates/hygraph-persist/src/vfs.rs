@@ -382,97 +382,8 @@ impl Vfs for MemVfs {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// The OS filesystem, except that once armed the next segment write
-    /// persists at most `quota` bytes and then errors — a disk filling
-    /// up mid-`write`.
-    #[derive(Default)]
-    pub(crate) struct ShortWrite {
-        quota: Arc<Mutex<Option<usize>>>,
-    }
-
-    impl ShortWrite {
-        /// Arms the fault for the next segment write.
-        pub(crate) fn fail_next_write_after(&self, quota: usize) {
-            *self.quota.lock().unwrap() = Some(quota);
-        }
-
-        fn wrap(&self, inner: Box<dyn AppendFile>) -> Box<dyn AppendFile> {
-            Box::new(ShortFile {
-                inner,
-                quota: Arc::clone(&self.quota),
-            })
-        }
-    }
-
-    struct ShortFile {
-        inner: Box<dyn AppendFile>,
-        quota: Arc<Mutex<Option<usize>>>,
-    }
-
-    impl AppendFile for ShortFile {
-        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-            match self.quota.lock().unwrap().take() {
-                Some(quota) => {
-                    self.inner.write_all(&buf[..quota.min(buf.len())])?;
-                    Err(io::Error::other("injected write fault"))
-                }
-                None => self.inner.write_all(buf),
-            }
-        }
-
-        fn sync_data(&mut self) -> io::Result<()> {
-            self.inner.sync_data()
-        }
-
-        fn rewind(&mut self, len: u64) -> io::Result<()> {
-            self.inner.rewind(len)
-        }
-    }
-
-    impl Vfs for ShortWrite {
-        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-            OsVfs.create_dir_all(dir)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            OsVfs.exists(path)
-        }
-        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-            OsVfs.list(dir)
-        }
-        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            OsVfs.read(path)
-        }
-        fn read_head(&self, path: &Path, n: usize) -> io::Result<Vec<u8>> {
-            OsVfs.read_head(path, n)
-        }
-        fn write_renamed(&self, tmp: &Path, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
-            OsVfs.write_renamed(tmp, path, parts)
-        }
-        fn create_append(&self, path: &Path, header: &[&[u8]]) -> io::Result<Box<dyn AppendFile>> {
-            Ok(self.wrap(OsVfs.create_append(path, header)?))
-        }
-        fn open_append(&self, path: &Path) -> io::Result<Box<dyn AppendFile>> {
-            Ok(self.wrap(OsVfs.open_append(path)?))
-        }
-        fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-            OsVfs.truncate(path, len)
-        }
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            OsVfs.rename(from, to)
-        }
-        fn remove_file(&self, path: &Path) -> io::Result<()> {
-            OsVfs.remove_file(path)
-        }
-        fn remove_dir_all(&self, dir: &Path) -> io::Result<()> {
-            OsVfs.remove_dir_all(dir)
-        }
-        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-            OsVfs.sync_dir(dir)
-        }
-    }
 
     #[test]
     fn mem_vfs_behaves_like_a_directory_tree() {

@@ -707,35 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_sync_is_safe_to_retry() {
-        let dir = scratch_dir("retry");
-        let vfs = Arc::new(crate::vfs::tests::ShortWrite::default());
-        let mut wal = Wal::create(vfs.clone(), &dir, TAG, 4096).unwrap();
-        wal.append(0, b"first");
-        wal.sync().unwrap();
-        wal.append(0, b"second");
-        wal.append(0, b"third");
-        // the write persists 7 bytes of the batch, then errors (ENOSPC)
-        vfs.fail_next_write_after(7);
-        assert!(wal.sync().is_err());
-        assert_eq!(wal.durable_lsn(), 1, "failed batch not reported durable");
-        // the retry must not append the batch after the torn fragment:
-        // all three records recover, in order, with nothing in between
-        wal.sync().unwrap();
-        assert_eq!(wal.durable_lsn(), 3);
-        let (seen, _) = collect(&dir, 0);
-        assert_eq!(
-            seen,
-            vec![
-                (0, b"first".to_vec()),
-                (1, b"second".to_vec()),
-                (2, b"third".to_vec()),
-            ]
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn commit_timestamps_roundtrip_through_recovery() {
         let dir = scratch_dir("wal-ts");
         let mut wal = Wal::create(OsVfs::shared(), &dir, TAG, 4096).unwrap();

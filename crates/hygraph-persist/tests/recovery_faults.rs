@@ -19,10 +19,8 @@
 
 use hygraph_core::ElementRef;
 use hygraph_persist::fault::{restore_dir, scratch_dir, snapshot_dir, truncate_file};
-use hygraph_persist::{
-    Durable, HgMutation, PersistConfig, ShardRouted, ShardedStore, StoreMutation, TsMutation,
-};
-use hygraph_storage::{AllInGraphStore, PolyglotStore};
+use hygraph_persist::{Durable, HgMutation, PersistConfig, ShardRouted, ShardedStore, TsMutation};
+use hygraph_storage::{AllInGraphStore, PolyglotStore, StoreMutation};
 use hygraph_ts::TsStore;
 use hygraph_types::{
     Interval, Label, PropertyMap, PropertyValue, SeriesId, Timestamp, Value, VertexId,

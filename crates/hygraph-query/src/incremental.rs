@@ -348,12 +348,6 @@ impl IncState {
         }
     }
 
-    /// Number of stored matches (passing or not) — exposed for tests
-    /// and capacity accounting.
-    pub fn match_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Advances the state across one committed mutation batch and
     /// returns the edit script against the previous snapshot.
     ///

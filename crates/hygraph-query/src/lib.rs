@@ -27,9 +27,9 @@
 //! brute-force evaluator under `tests/oracle` that shares none of the
 //! engine's evaluation code. Prefix a query with
 //! `EXPLAIN` to get the optimized plan rendering instead of rows. The
-//! roadmap's four *hybrid operators* (Q1 hybrid matching, Q2 hybrid
-//! aggregation, Q3 correlation reachability, Q4 segmentation snapshots)
-//! have first-class programmatic APIs in [`hybrid`].
+//! roadmap's four *hybrid operators* of the paper's Table 2 (Q1 hybrid
+//! matching … Q4 segmentation snapshots) are not HyQL: their
+//! programmatic APIs live in `hygraph_analytics::hybrid`.
 //!
 //! # Language reference
 //!
@@ -116,7 +116,6 @@
 
 pub mod ast;
 pub mod exec;
-pub mod hybrid;
 pub mod incremental;
 pub mod lexer;
 pub mod optimize;

@@ -19,13 +19,17 @@
 //! (simple time-range fetch up to hybrid graph+series aggregation) — and
 //! must return **identical answers**; only their access paths (and hence
 //! latencies) differ. [`harness`] measures mean response time and
-//! coefficient of variation per query, regenerating Table 1.
+//! coefficient of variation per query, regenerating Table 1. Both also
+//! go durable over `hygraph-persist` ([`durable`]), logging the
+//! station/trip/observe vocabulary [`StoreMutation`].
 
 pub mod all_in_graph;
 pub mod backend;
+pub mod durable;
 pub mod harness;
 pub mod polyglot;
 
 pub use all_in_graph::AllInGraphStore;
 pub use backend::{QueryId, StorageBackend};
+pub use durable::StoreMutation;
 pub use polyglot::PolyglotStore;

@@ -71,14 +71,6 @@ impl HistoryConfig {
             ..Self::default()
         }
     }
-
-    /// A config retaining `secs` seconds of history.
-    pub fn retaining_secs(secs: i64) -> Self {
-        Self {
-            retain_ms: secs.saturating_mul(1_000),
-            ..Self::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -96,8 +88,6 @@ mod tests {
     #[test]
     fn helpers_set_the_right_fields() {
         assert!(!HistoryConfig::disabled().enabled);
-        assert_eq!(HistoryConfig::retaining_secs(30).retain_ms, 30_000);
-        assert_eq!(HistoryConfig::retaining_secs(0).retain_ms, 0);
     }
 
     #[test]

@@ -211,12 +211,6 @@ impl MultiSeries {
         Ok(())
     }
 
-    /// The observation tuple at time `t`, if present.
-    pub fn row_at(&self, t: Timestamp) -> Option<Vec<f64>> {
-        let i = self.times.binary_search(&t).ok()?;
-        Some(self.columns.iter().map(|c| c[i]).collect())
-    }
-
     /// The observation tuple at position `i`.
     pub fn row(&self, i: usize) -> Option<(Timestamp, Vec<f64>)> {
         let t = *self.times.get(i)?;
@@ -292,31 +286,6 @@ impl MultiSeries {
         Some(acc)
     }
 
-    /// Adds a new variable column aligned to the existing time axis.
-    pub fn add_column(&mut self, name: impl Into<String>, values: Vec<f64>) -> Result<()> {
-        if values.len() != self.len() {
-            return Err(HyGraphError::ArityMismatch {
-                expected: self.len(),
-                got: values.len(),
-            });
-        }
-        let blocks: Vec<Summary> = values.chunks(SUMMARY_BLOCK).map(Summary::of).collect();
-        self.block_pyrs.push(Pyramid::build(
-            blocks[..self.completed_blocks()].to_vec(),
-            TsOptions::from_env().rollup_fanout,
-        ));
-        self.block_sums.push(blocks);
-        self.names.push(name.into());
-        self.columns.push(values);
-        Ok(())
-    }
-
-    /// Iterates `(Timestamp, row)` pairs. Rows are freshly allocated per
-    /// item; prefer [`Self::column`] access in hot loops.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (Timestamp, Vec<f64>)> + '_ {
-        (0..self.len()).map(move |i| self.row(i).expect("index in range"))
-    }
-
     /// Checks chronological integrity and column alignment.
     pub fn validate(&self) -> Result<()> {
         for col in &self.columns {
@@ -361,8 +330,8 @@ mod tests {
         let m = sample();
         assert_eq!(m.len(), 3);
         assert_eq!(m.arity(), 2);
-        assert_eq!(m.row_at(ts(20)), Some(vec![101.0, 7.0]));
-        assert_eq!(m.row_at(ts(21)), None);
+        assert_eq!(m.row(1), Some((ts(20), vec![101.0, 7.0])));
+        assert_eq!(m.row(3), None);
         assert_eq!(m.column_by_name("volume"), Some(&[5.0, 7.0, 2.0][..]));
         assert_eq!(m.column_by_name("missing"), None);
     }
@@ -420,23 +389,6 @@ mod tests {
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.column_by_name("price"), Some(&[101.0, 99.5][..]));
         assert_eq!(sub.arity(), 2);
-    }
-
-    #[test]
-    fn add_column_aligned() {
-        let mut m = sample();
-        m.add_column("spread", vec![0.1, 0.2, 0.3]).unwrap();
-        assert_eq!(m.arity(), 3);
-        assert!(m.add_column("bad", vec![1.0]).is_err());
-        assert!(m.validate().is_ok());
-    }
-
-    #[test]
-    fn iter_rows_order() {
-        let m = sample();
-        let rows: Vec<_> = m.iter_rows().collect();
-        assert_eq!(rows[0], (ts(10), vec![100.0, 5.0]));
-        assert_eq!(rows[2], (ts(30), vec![99.5, 2.0]));
     }
 
     #[test]

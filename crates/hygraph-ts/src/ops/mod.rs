@@ -17,5 +17,4 @@ pub mod resample;
 pub mod sax;
 pub mod segment;
 pub mod stats;
-pub mod stream;
 pub mod subsequence;

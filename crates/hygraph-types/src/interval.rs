@@ -58,12 +58,6 @@ impl Interval {
         }
     }
 
-    /// Interval of length `len` starting at `start`.
-    #[inline]
-    pub fn starting_at(start: Timestamp, len: Duration) -> Self {
-        Self::new(start, start + len)
-    }
-
     /// Whether the interval contains no instants.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -121,13 +115,6 @@ impl Interval {
     #[inline]
     pub fn union(&self, other: &Interval) -> Option<Interval> {
         (self.overlaps(other) || self.is_adjacent(other)).then(|| self.hull(other))
-    }
-
-    /// Clamps (truncates) `self` to lie within `bound`; empty result maps
-    /// to `None`.
-    #[inline]
-    pub fn clamp_to(&self, bound: &Interval) -> Option<Interval> {
-        self.intersect(bound)
     }
 
     /// Closes a right-open interval at `end` (used when an element is

@@ -36,11 +36,6 @@ impl PropertyValue {
             PropertyValue::Series(id) => Some(*id),
         }
     }
-
-    /// Whether this is a time-series-valued property.
-    pub fn is_series(&self) -> bool {
-        matches!(self, PropertyValue::Series(_))
-    }
 }
 
 impl<T: Into<Value>> From<T> for PropertyValue {
@@ -211,7 +206,10 @@ mod tests {
             "series value is not static"
         );
         assert_eq!(m.series_value("name"), None);
-        assert!(m.get_str("balance").unwrap().is_series());
+        assert_eq!(
+            m.get_str("balance"),
+            Some(&PropertyValue::Series(SeriesId::new(3)))
+        );
         let series: Vec<_> = m.series_entries().collect();
         assert_eq!(
             series,

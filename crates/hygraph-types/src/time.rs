@@ -55,12 +55,6 @@ impl Timestamp {
         Self(self.0.saturating_sub(d.0))
     }
 
-    /// The duration elapsed from `earlier` to `self` (may be negative).
-    #[inline]
-    pub fn since(self, earlier: Timestamp) -> Duration {
-        Duration(self.0 - earlier.0)
-    }
-
     /// Truncates the timestamp down to a multiple of `bucket` (tumbling
     /// window assignment). `bucket` must be positive.
     ///
@@ -72,12 +66,6 @@ impl Timestamp {
         // i128 arithmetic: flooring MIN/MAX would otherwise overflow i64
         let floored = (self.0 as i128).div_euclid(b) * b;
         Timestamp(floored.clamp(i64::MIN as i128, i64::MAX as i128) as i64)
-    }
-
-    /// Midpoint between two timestamps, without overflow.
-    #[inline]
-    pub fn midpoint(self, other: Timestamp) -> Timestamp {
-        Timestamp(self.0 / 2 + other.0 / 2 + (self.0 % 2 + other.0 % 2) / 2)
     }
 }
 
@@ -200,16 +188,6 @@ impl Duration {
         self.0 > 0
     }
 
-    /// Integer division of two durations (how many `other` fit in `self`).
-    /// Named `div` deliberately: `Div::div` would have to return another
-    /// `Duration`, but a duration ratio is a dimensionless count.
-    #[inline]
-    #[allow(clippy::should_implement_trait)]
-    pub fn div(self, other: Duration) -> i64 {
-        debug_assert!(other.0 != 0);
-        self.0 / other.0
-    }
-
     /// Scales the duration by an integer factor.
     #[inline]
     pub const fn scale(self, k: i64) -> Duration {
@@ -321,15 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_no_overflow() {
-        assert_eq!(Timestamp::MAX.midpoint(Timestamp::MAX), Timestamp::MAX);
-        assert_eq!(
-            Timestamp::from_millis(2).midpoint(Timestamp::from_millis(4)),
-            Timestamp::from_millis(3)
-        );
-    }
-
-    #[test]
     fn duration_display_units() {
         assert_eq!(format!("{}", Duration::from_days(2)), "2d");
         assert_eq!(format!("{}", Duration::from_hours(3)), "3h");
@@ -351,7 +320,6 @@ mod tests {
         assert_eq!(Duration::from_millis(-5).abs(), Duration::from_millis(5));
         assert!(Duration::from_millis(1).is_positive());
         assert!(!Duration::ZERO.is_positive());
-        assert_eq!(Duration::from_hours(2).div(Duration::from_mins(30)), 4);
         assert_eq!(Duration::from_mins(1).scale(3), Duration::from_mins(3));
     }
 }

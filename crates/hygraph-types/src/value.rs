@@ -48,19 +48,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Human-readable type name, used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Time(_) => "timestamp",
-            Value::Span(_) => "duration",
-        }
-    }
-
     /// Whether this is [`Value::Null`].
     #[inline]
     pub fn is_null(&self) -> bool {
@@ -97,22 +84,6 @@ impl Value {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Timestamp view.
-    pub fn as_time(&self) -> Option<Timestamp> {
-        match self {
-            Value::Time(t) => Some(*t),
-            _ => None,
-        }
-    }
-
-    /// Duration view.
-    pub fn as_span(&self) -> Option<Duration> {
-        match self {
-            Value::Span(d) => Some(*d),
             _ => None,
         }
     }

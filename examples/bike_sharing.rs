@@ -3,10 +3,10 @@
 //!
 //! Run with: `cargo run --release --example bike_sharing`
 
+use hygraph::analytics::hybrid;
 use hygraph::datagen::bike::{self, BikeConfig};
 use hygraph::prelude::*;
 use hygraph::query;
-use hygraph::query_engine::hybrid;
 use hygraph::types::parallel::ExecMode;
 
 fn main() -> Result<()> {

@@ -90,7 +90,7 @@ fn main() -> Result<()> {
     // demand pattern — pooled context for cold-start stations
     let hg = data.to_hygraph();
     let anchor = data.stations[rows[0].0];
-    let regime = hygraph::query_engine::hybrid::correlation_reachability(
+    let regime = hygraph::analytics::hybrid::correlation_reachability(
         &hg,
         anchor,
         Duration::from_mins(30),

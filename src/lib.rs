@@ -43,8 +43,8 @@
 //! | [`ts`] | time-series substrate: [`ts::TimeSeries`], chunked [`ts::TsStore`], the full operator library |
 //! | [`graph`] | temporal property graphs: storage, snapshots, traversal, pattern matching, algorithms |
 //! | [`core`] | the HGM model: [`core::HyGraph`], builders, import/export interfaces, views |
-//! | [`query`] | HyQL: the hybrid declarative query language + the four roadmap hybrid operators |
-//! | [`analytics`] | metricEvolution, hybrid embeddings/clustering/classification, contextual detection, pattern mining, the fraud pipeline |
+//! | [`query`] | HyQL: the hybrid declarative query language |
+//! | [`analytics`] | the four roadmap hybrid operators (Table 2's Q1–Q4), metricEvolution, hybrid embeddings/clustering/classification, contextual detection, pattern mining, the fraud pipeline |
 //! | [`datagen`] | deterministic synthetic datasets (bike sharing, fraud, random) |
 //! | [`storage`] | the Table-1 experiment: all-in-graph vs polyglot persistence backends |
 //! | [`persist`] | durable storage engine: write-ahead log, checkpoints, crash recovery, per-shard WAL streams |

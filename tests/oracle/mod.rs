@@ -39,7 +39,8 @@ use hygraph::graph::{EdgeData, VertexData};
 use hygraph::query_engine::ast::{
     AggFunc, BinOp, EdgeDir, EdgePattern, Expr, NodePattern, Query, RowAggFunc, SeriesRef,
 };
-use hygraph::types::{Duration, EdgeId, Interval, Timestamp, Value, VertexId};
+use hygraph::query_engine::QueryResult;
+use hygraph::types::{Duration, EdgeId, HyGraphError, Interval, Timestamp, Value, VertexId};
 use std::cmp::Ordering;
 
 /// One result row.
@@ -95,6 +96,21 @@ impl Answer {
             }
         }
         Ok(())
+    }
+}
+
+/// Whether the engine's outcome `got` for `q` over `hg` is correct:
+/// both succeed and the oracle [admits](Answer::admits) the rows, or
+/// both fail and the engine's error names the oracle's offending item.
+pub fn agrees(
+    hg: &HyGraph,
+    q: &Query,
+    got: &Result<QueryResult, HyGraphError>,
+) -> Result<(), String> {
+    match (got, evaluate(hg, q)) {
+        (Ok(r), Ok(answer)) => answer.admits(&r.columns, &r.rows),
+        (Err(e), Err(item)) if e.to_string().contains(&item) => Ok(()),
+        (got, want) => Err(format!("outcome diverges: engine {got:?}, oracle {want:?}")),
     }
 }
 

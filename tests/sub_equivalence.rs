@@ -4,7 +4,11 @@
 //! scratch after every committed mutation batch — across random HyQL
 //! shapes (incremental and rerun-mode), random mutation sequences
 //! (including failing batches, which take the rebuild path), and both
-//! execution modes of the from-scratch oracle.
+//! execution modes of the from-scratch run. The final snapshots are
+//! also checked against the brute-force evaluator under `tests/oracle`,
+//! which shares no evaluation code with the engine.
+
+mod oracle;
 
 use hygraph::persist::{Durable, HgMutation};
 use hygraph::prelude::*;
@@ -195,6 +199,13 @@ proptest! {
                 }
             }
         }
+        // the final snapshots are correct answers, not just the answers
+        // a re-run of the same engine gives
+        for (id, text, snap) in &subs {
+            let q = hq::parser::parse(text).expect("pool queries parse");
+            oracle::agrees(&hg, &q, &Ok(snap.clone()))
+                .map_err(|e| TestCaseError::fail(format!("sub {id} ({text:?}): {e}")))?;
+        }
         let closed = sink.closed.lock().unwrap();
         prop_assert!(
             closed.is_empty(),
@@ -258,6 +269,7 @@ fn fixed_mixed_batch_converges_every_shape() {
             encoded(&fresh),
             "{text:?} diverged after the mixed batch"
         );
+        oracle::agrees(&hg, &q, &Ok(snap.clone())).unwrap();
     }
     assert!(sink.closed.lock().unwrap().is_empty());
 }

@@ -3,8 +3,12 @@
 //! replay of the store up to commit `i` — the same determinism contract
 //! that makes WAL recovery exact — and `AS OF NOW()` must be
 //! byte-identical to the plain, bound-free query. Both execution modes
-//! of the oracle are exercised, and `BETWEEN` windows must union
-//! exactly the epochs the window saw.
+//! of the replay are exercised, and `BETWEEN` windows must union
+//! exactly the epochs the window saw. `AS OF` answers are also checked
+//! against the brute-force evaluator under `tests/oracle` on the
+//! replayed state.
+
+mod oracle;
 
 use hygraph::persist::{Durable, HgMutation};
 use hygraph::prelude::*;
@@ -133,14 +137,14 @@ proptest! {
             "history retains exactly the non-empty applied batches"
         );
 
-        // oracle: an independent replay from the same fixture
+        // an independent replay from the same fixture
         let mut replay = instance();
-        let mut oracle: Vec<(i64, HyGraph)> = Vec::new();
+        let mut replayed: Vec<(i64, HyGraph)> = Vec::new();
         for (ts, batch) in &commits {
             for m in batch {
                 replay.apply(m).expect("applied once, must apply again");
             }
-            oracle.push((*ts, replay.clone()));
+            replayed.push((*ts, replay.clone()));
         }
         prop_assert_eq!(
             state_bytes(&replay), state_bytes(&live),
@@ -149,9 +153,9 @@ proptest! {
 
         // AS OF t_i (and mid-epoch t_i + 500) reconstructs commit i's
         // state bit for bit, and queries over it match a fresh
-        // execution on the oracle graph in both execution modes
-        for (i, (ts, oracle_state)) in oracle.iter().enumerate() {
-            let is_last = i + 1 == oracle.len();
+        // execution on the replayed graph in both execution modes
+        for (i, (ts, replayed_state)) in replayed.iter().enumerate() {
+            let is_last = i + 1 == replayed.len();
             for probe in [*ts, *ts + 500] {
                 let snap = match history.snapshot_at(probe) {
                     Ok(SnapshotResolution::Past(past)) => {
@@ -160,23 +164,30 @@ proptest! {
                     }
                     Ok(SnapshotResolution::Live) => {
                         // at/after the newest commit the live store is
-                        // the answer — and it equals the last oracle
+                        // the answer — and it equals the last replay
                         prop_assert!(is_last, "only the last commit resolves Live");
                         std::sync::Arc::new(live.clone())
                     }
                     Err(e) => return Err(TestCaseError::fail(format!("AS OF {probe}: {e}"))),
                 };
                 prop_assert_eq!(
-                    state_bytes(&snap), state_bytes(oracle_state),
+                    state_bytes(&snap), state_bytes(replayed_state),
                     "AS OF {} is not the state after commit {}", probe, i
                 );
                 for text in QUERIES {
                     let q = hq::parser::parse(text).expect("pool queries parse");
+                    let as_of = hq::run_instrumented_bound(
+                        &live, text, None, Some(&mut history),
+                        Some(hq::TemporalBound::AsOf(Timestamp::from_millis(probe))),
+                    );
+                    oracle::agrees(replayed_state, &q, &as_of).map_err(|e| {
+                        TestCaseError::fail(format!("AS OF {probe} {text:?}: {e}"))
+                    })?;
                     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
                         let got = hq::execute(&snap, &q, mode)
                             .map_err(|e| TestCaseError::fail(format!("{text:?}: {e}")))?;
-                        let want = hq::execute(oracle_state, &q, mode)
-                            .map_err(|e| TestCaseError::fail(format!("oracle {text:?}: {e}")))?;
+                        let want = hq::execute(replayed_state, &q, mode)
+                            .map_err(|e| TestCaseError::fail(format!("replay {text:?}: {e}")))?;
                         prop_assert_eq!(
                             &encoded(&got), &encoded(&want),
                             "AS OF {} diverged for {:?} ({:?})", probe, text, mode
@@ -211,11 +222,11 @@ proptest! {
         }
 
         // BETWEEN [0, last]: exactly the union of every epoch's rows
-        // (first-seen order), matching execute_epochs over the oracle
-        if let Some((last_ts, _)) = oracle.last() {
+        // (first-seen order), matching execute_epochs over the replays
+        if let Some((last_ts, _)) = replayed.last() {
             let mut states: Vec<std::sync::Arc<HyGraph>> =
                 vec![std::sync::Arc::new(instance())];
-            states.extend(oracle.iter().map(|(_, g)| std::sync::Arc::new(g.clone())));
+            states.extend(replayed.iter().map(|(_, g)| std::sync::Arc::new(g.clone())));
             for text in QUERIES {
                 let q = hq::parser::parse(text).expect("pool queries parse");
                 let planned = hq::plan_query(&q).expect("pool queries plan");
