@@ -32,6 +32,7 @@ use hygraph_ts::MultiSeries;
 use hygraph_types::bytes::{ByteReader, ByteWriter};
 use hygraph_types::pmap::PMap;
 use hygraph_types::{HyGraphError, Result, SeriesId, SubgraphId};
+use std::convert::Infallible;
 
 const MAGIC: &[u8; 4] = b"HGB1";
 
@@ -52,10 +53,25 @@ fn kind_from_byte(b: u8) -> Result<ElementKind> {
 
 /// Encodes the full instance state into `w`.
 pub fn encode_hygraph(hg: &HyGraph, w: &mut ByteWriter) {
+    let Ok(()) = encode_hygraph_streamed(hg, w, &mut |_| Ok::<(), Infallible>(()));
+}
+
+/// [`encode_hygraph`] for a caller that streams the encoding out: after
+/// each section, and after each series and subgraph, `drain(w)` may
+/// write out and empty what `w` holds. The bytes drained, in order,
+/// followed by what `w` holds at the end, are exactly
+/// [`encode_hygraph`]'s — which is this with a drain that keeps
+/// everything in `w`.
+pub fn encode_hygraph_streamed<E>(
+    hg: &HyGraph,
+    w: &mut ByteWriter,
+    drain: &mut dyn FnMut(&mut ByteWriter) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
     w.raw(MAGIC);
     w.u64(hg.next_series);
     w.u64(hg.next_subgraph);
     graph_codec::encode_graph(&hg.graph, w);
+    drain(w)?;
     // kinds, in id order (graph iteration is id-ordered)
     for v in hg.graph.vertices() {
         w.u8(kind_byte(
@@ -82,6 +98,7 @@ pub fn encode_hygraph(hg: &HyGraph, w: &mut ByteWriter) {
         w.u64(e.raw());
         w.u64(s.raw());
     }
+    drain(w)?;
     // series set, id-ordered
     w.len_of(hg.series.len());
     for (id, s) in hg.series.iter() {
@@ -99,6 +116,7 @@ pub fn encode_hygraph(hg: &HyGraph, w: &mut ByteWriter) {
                 w.f64(*v);
             }
         }
+        drain(w)?;
     }
     // subgraphs, id-ordered
     w.len_of(hg.subgraphs.len());
@@ -117,7 +135,9 @@ pub fn encode_hygraph(hg: &HyGraph, w: &mut ByteWriter) {
             w.u64(e.raw());
             w.interval(&iv);
         }
+        drain(w)?;
     }
+    Ok(())
 }
 
 /// Decodes an instance previously written by [`encode_hygraph`].

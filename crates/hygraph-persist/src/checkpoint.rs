@@ -20,8 +20,14 @@
 //! instead of skipping it as torn — skipping would fall back to an
 //! older state and let the next checkpoint purge the file.
 //!
-//! Checkpoints are staged to a `.tmp` sibling and renamed over the
-//! final name only after `fsync`: an existing intact checkpoint is
+//! A checkpoint streams to disk ([`CheckpointWriter`]). It is staged
+//! to a `.tmp` sibling whose header goes out first with its length and
+//! CRC zeroed; the payload follows in chunks of about [`CHUNK_BYTES`],
+//! each folded into an incremental CRC as it is written, so the encoded
+//! state is never held whole. Once the last chunk is out, the length
+//! and CRC are patched into the header, the file is `fdatasync`ed,
+//! renamed over the final name, and the directory `fsync`ed — each a
+//! separate [`Vfs`] call. An existing intact checkpoint is therefore
 //! never truncated, and a crash mid-write leaves at most a stray
 //! `.tmp` (ignored on load, swept by [`purge_older`]). Should a file
 //! under the final name still end up with a length or CRC that
@@ -31,8 +37,8 @@
 //! segments below its LSN are purged; never before, so the fallback
 //! always has the log it needs.
 
-use crate::vfs::Vfs;
-use hygraph_types::bytes::crc32;
+use crate::vfs::{AppendFile, Vfs};
+use hygraph_types::bytes::{crc32, ByteWriter, Crc32};
 use hygraph_types::{HyGraphError, Result};
 use std::path::{Path, PathBuf};
 
@@ -65,14 +71,106 @@ pub fn list_checkpoints(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>
     Ok(out)
 }
 
-/// Writes and fsyncs a checkpoint of `state` at `lsn`, stamped with the
-/// history `watermark` (commit timestamp of the newest covered
-/// transaction; 0 when untracked). Returns its path.
+/// Payload bytes a streaming encoder gathers before
+/// [`CheckpointWriter::drain`] writes them out: the write unit of a
+/// checkpoint, and with one series' encoding the most it buffers.
+pub const CHUNK_BYTES: usize = 1 << 20;
+
+/// A checkpoint being written, one chunk at a time.
 ///
-/// The bytes are staged to a `.tmp` sibling and renamed into place
-/// only after `fsync`, so a checkpoint already under the final name is
-/// never truncated: a crash at any point leaves either the old file or
-/// the complete new one.
+/// [`CheckpointWriter::create`] stages the file as a `.tmp` sibling of
+/// its final name and writes the header with its length and CRC fields
+/// zeroed, then the watermark. [`CheckpointWriter::append`] checksums
+/// and writes payload bytes as they come. [`CheckpointWriter::commit`]
+/// fills in the header, makes the file durable, renames it over the
+/// final name and makes the rename durable: a checkpoint already under
+/// that name is never truncated, and a crash at any point leaves either
+/// the old file or the complete new one, plus at most a stray `.tmp`
+/// that loading ignores and [`purge_older`] sweeps. A writer dropped
+/// uncommitted (an I/O error, an oversized state) leaves the same.
+pub struct CheckpointWriter<'a> {
+    vfs: &'a dyn Vfs,
+    tmp: PathBuf,
+    path: PathBuf,
+    file: Box<dyn AppendFile>,
+    crc: Crc32,
+    payload_len: u64,
+}
+
+impl<'a> CheckpointWriter<'a> {
+    /// Starts the checkpoint of `dir` at `lsn`, stamped with the history
+    /// `watermark` (commit timestamp of the newest covered transaction;
+    /// 0 when untracked).
+    pub fn create(
+        vfs: &'a dyn Vfs,
+        dir: &Path,
+        tag: [u8; 4],
+        lsn: u64,
+        watermark: i64,
+    ) -> Result<Self> {
+        let path = dir.join(checkpoint_name(lsn));
+        let tmp = dir.join(format!("{}.tmp", checkpoint_name(lsn)));
+        let file = vfs.create_append(&tmp, &[CKPT_MAGIC, &tag, &[0; 8]])?;
+        let mut writer = Self {
+            vfs,
+            tmp,
+            path,
+            file,
+            crc: Crc32::new(),
+            payload_len: 0,
+        };
+        writer.append(&watermark.to_le_bytes())?;
+        Ok(writer)
+    }
+
+    /// Appends payload bytes. Refuses, before writing them, bytes that
+    /// would take the payload past the header's `u32` length field: a
+    /// wrapped length would make the checkpoint unreadable, and it
+    /// would then license purging the WAL needed to recover.
+    pub fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        let len = self.payload_len + bytes.len() as u64;
+        if len > u64::from(u32::MAX) {
+            return Err(HyGraphError::invalid(format!(
+                "checkpoint state passes {} bytes, the u32 header limit",
+                u32::MAX,
+            )));
+        }
+        self.crc.update(bytes);
+        self.file.write_all(bytes)?;
+        self.payload_len = len;
+        Ok(())
+    }
+
+    /// Appends and empties `w` once it holds [`CHUNK_BYTES`] or more —
+    /// the drain a streaming encoder calls at its boundaries.
+    pub fn drain(&mut self, w: &mut ByteWriter) -> Result<()> {
+        if w.len() >= CHUNK_BYTES {
+            self.append(w.as_bytes())?;
+            w.clear();
+        }
+        Ok(())
+    }
+
+    /// Fills in the header, `fdatasync`s the file, renames it into place
+    /// and `fsync`s the directory. Returns the checkpoint's path.
+    pub fn commit(mut self) -> Result<PathBuf> {
+        let len = u32::try_from(self.payload_len).expect("bounded by append");
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&self.crc.finish().to_le_bytes());
+        self.file.patch((CKPT_MAGIC.len() + 4) as u64, &header)?;
+        self.file.sync_data()?;
+        self.vfs.rename(&self.tmp, &self.path)?;
+        if let Some(dir) = self.path.parent() {
+            self.vfs.sync_dir(dir)?;
+        }
+        Ok(self.path)
+    }
+}
+
+/// Writes and syncs a checkpoint of `state` at `lsn`, stamped with the
+/// history `watermark`, in one piece (see [`CheckpointWriter`]).
+/// Returns its path.
 pub fn write_checkpoint(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -81,29 +179,9 @@ pub fn write_checkpoint(
     watermark: i64,
     state: &[u8],
 ) -> Result<PathBuf> {
-    let payload_len = state.len().saturating_add(WATERMARK_BYTES);
-    let len = u32::try_from(payload_len).map_err(|_| {
-        // refuse before any file is touched: an oversized length field
-        // would be silently wrapped, and the unreadable checkpoint would
-        // then license purging the WAL needed to recover
-        HyGraphError::invalid(format!(
-            "checkpoint state is {} bytes, above the {}-byte u32 header limit",
-            state.len(),
-            u32::MAX,
-        ))
-    })?;
-    let path = dir.join(checkpoint_name(lsn));
-    let tmp = dir.join(format!("{}.tmp", checkpoint_name(lsn)));
-    let mut payload = Vec::with_capacity(payload_len);
-    payload.extend_from_slice(&watermark.to_le_bytes());
-    payload.extend_from_slice(state);
-    let header = (len.to_le_bytes(), crc32(&payload).to_le_bytes());
-    vfs.write_renamed(
-        &tmp,
-        &path,
-        &[CKPT_MAGIC, &tag, &header.0, &header.1, &payload],
-    )?;
-    Ok(path)
+    let mut file = CheckpointWriter::create(vfs, dir, tag, lsn, watermark)?;
+    file.append(state)?;
+    file.commit()
 }
 
 /// Validates one checkpoint file: `Ok(Some((watermark, state)))` if
@@ -113,7 +191,7 @@ pub fn write_checkpoint(
 /// (intact magic, foreign tag). Skipping either silently would make
 /// the caller re-initialise over live data.
 fn read_checkpoint(vfs: &dyn Vfs, path: &Path, tag: [u8; 4]) -> Result<Option<(i64, Vec<u8>)>> {
-    let Ok(bytes) = vfs.read(path) else {
+    let Ok(mut bytes) = vfs.read(path) else {
         return Ok(None);
     };
     if !crate::wal::check_magic("checkpoint", path, &bytes, CKPT_MAGIC)? {
@@ -139,11 +217,14 @@ fn read_checkpoint(vfs: &dyn Vfs, path: &Path, tag: [u8; 4]) -> Result<Option<(i
         return Ok(None);
     }
     // payload = watermark prefix ++ state; too short is torn
-    let Some((prefix, state)) = payload.split_at_checked(WATERMARK_BYTES) else {
+    let Some(prefix) = payload.get(..WATERMARK_BYTES) else {
         return Ok(None);
     };
     let watermark = i64::from_le_bytes(prefix.try_into().expect("8 bytes"));
-    Ok(Some((watermark, state.to_vec())))
+    // the state is the file's tail: shift it down in place rather than
+    // copy it into a second state-sized buffer
+    bytes.drain(..CKPT_HEADER_BYTES + WATERMARK_BYTES);
+    Ok(Some((watermark, bytes)))
 }
 
 /// Loads the newest *intact* checkpoint: torn or corrupt files are

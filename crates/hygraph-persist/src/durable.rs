@@ -53,6 +53,21 @@ pub trait Durable: Sized {
     /// bytes, bit for bit.
     fn encode_state(&self, w: &mut ByteWriter);
 
+    /// [`Durable::encode_state`] for a caller that streams the encoding
+    /// out (a checkpoint): the encoder may call `drain(w)` at boundaries
+    /// inside the state, and `drain` may write out and empty what `w`
+    /// holds. The bytes drained, in order, followed by what `w` holds at
+    /// the end, are exactly [`Durable::encode_state`]'s. The default
+    /// encodes in one piece and never drains.
+    fn encode_state_streamed(
+        &self,
+        w: &mut ByteWriter,
+        _drain: &mut dyn FnMut(&mut ByteWriter) -> Result<()>,
+    ) -> Result<()> {
+        self.encode_state(w);
+        Ok(())
+    }
+
     /// Decodes a state written by [`Durable::encode_state`]. Input is
     /// untrusted: errors, never panics, on malformed bytes.
     fn decode_state(r: &mut ByteReader<'_>) -> Result<Self>;

@@ -25,24 +25,41 @@ pub const FRAME_HEADER_BYTES: usize = 8;
 /// not trigger a multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: u32 = 256 * 1024 * 1024;
 
+/// Starts a frame at the end of `out`: reserves its header and writes
+/// `lsn`. The caller encodes the record straight after it, then calls
+/// [`finish_frame`] with the returned start offset — nothing is staged
+/// in a buffer of its own.
+pub fn begin_frame(out: &mut ByteWriter, lsn: u64) -> usize {
+    let start = out.len();
+    out.raw(&[0; FRAME_HEADER_BYTES]);
+    out.u64(lsn);
+    start
+}
+
+/// Fills in the header of the frame [`begin_frame`] started at `start`:
+/// the length and CRC of everything written after the header since.
+pub fn finish_frame(out: &mut ByteWriter, start: usize) {
+    let payload = &out.as_bytes()[start + FRAME_HEADER_BYTES..];
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    out.patch(start, &header);
+}
+
 /// Appends one frame carrying `lsn` and `record` to `out`.
-pub fn append_frame(out: &mut Vec<u8>, lsn: u64, record: &[u8]) {
-    let mut payload = ByteWriter::with_capacity(10 + record.len());
-    payload.u64(lsn);
-    payload.raw(record);
-    let payload = payload.into_bytes();
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+pub fn append_frame(out: &mut ByteWriter, lsn: u64, record: &[u8]) {
+    let start = begin_frame(out, lsn);
+    out.raw(record);
+    finish_frame(out, start);
 }
 
 /// Writes one frame through an arbitrary [`std::io::Write`] sink —
 /// exercised against [`crate::fault::FailingWriter`] to prove IO errors
 /// propagate instead of corrupting silently.
 pub fn write_frame<W: std::io::Write>(out: &mut W, lsn: u64, record: &[u8]) -> Result<()> {
-    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + 10 + record.len());
+    let mut buf = ByteWriter::with_capacity(FRAME_HEADER_BYTES + 10 + record.len());
     append_frame(&mut buf, lsn, record);
-    out.write_all(&buf)?;
+    out.write_all(buf.as_bytes())?;
     Ok(())
 }
 
@@ -125,10 +142,11 @@ mod tests {
 
     #[test]
     fn roundtrip_multiple_frames() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, 7, b"alpha");
-        append_frame(&mut buf, 8, b"");
-        append_frame(&mut buf, 9, b"gamma-record");
+        let mut w = ByteWriter::new();
+        append_frame(&mut w, 7, b"alpha");
+        append_frame(&mut w, 8, b"");
+        append_frame(&mut w, 9, b"gamma-record");
+        let buf = w.into_bytes();
         let (frames, valid) = scan_frames(&buf);
         assert_eq!(valid, buf.len());
         assert_eq!(frames.len(), 3);
@@ -139,10 +157,11 @@ mod tests {
 
     #[test]
     fn truncation_at_every_byte_never_panics_and_keeps_prefix() {
-        let mut buf = Vec::new();
+        let mut w = ByteWriter::new();
         for lsn in 0..5u64 {
-            append_frame(&mut buf, lsn, format!("record-{lsn}").as_bytes());
+            append_frame(&mut w, lsn, format!("record-{lsn}").as_bytes());
         }
+        let buf = w.into_bytes();
         let (all, _) = scan_frames(&buf);
         assert_eq!(all.len(), 5);
         let frame_starts: Vec<usize> = {
@@ -165,9 +184,10 @@ mod tests {
 
     #[test]
     fn corrupt_byte_detected() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, 0, b"first");
-        append_frame(&mut buf, 1, b"second");
+        let mut w = ByteWriter::new();
+        append_frame(&mut w, 0, b"first");
+        append_frame(&mut w, 1, b"second");
+        let buf = w.into_bytes();
         let full = scan_frames(&buf).0.len();
         assert_eq!(full, 2);
         for i in 0..buf.len() {

@@ -63,6 +63,7 @@ use crate::wal::Wal;
 use hygraph_types::bytes::{ByteReader, ByteWriter};
 use hygraph_types::shard::ShardRouter;
 use hygraph_types::{HyGraphError, Result};
+use std::borrow::Borrow;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -127,13 +128,6 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<ShardMeta> {
         next_lsns.push(r.u64()?);
     }
     Ok(ShardMeta { epoch, next_lsns })
-}
-
-fn encode_record<S: Durable>(csn: u64, m: &S::Mutation) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(csn);
-    S::encode_mutation(m, &mut w);
-    w.into_bytes()
 }
 
 fn decode_record<S: Durable>(record: &[u8]) -> Result<(u64, S::Mutation)> {
@@ -521,21 +515,24 @@ where
         &self.state
     }
 
-    /// Stages one mutation: routes it to its shard, appends
-    /// `[CSN ++ record]` to that shard's WAL, then applies. Returns the
-    /// CSN. Not durable until the next [`ShardedStore::sync`]. A
-    /// mutation the state rejects is retracted from its shard's log and
-    /// the error returned.
-    pub fn stage(&mut self, m: S::Mutation) -> Result<u64> {
+    /// Stages one mutation, owned or borrowed: routes it to its shard,
+    /// encodes `[CSN ++ record]` straight into that shard's WAL batch,
+    /// then applies. Returns the CSN. Not durable until the next
+    /// [`ShardedStore::sync`]. A mutation the state rejects is retracted
+    /// from its shard's log and the error returned.
+    pub fn stage(&mut self, m: impl Borrow<S::Mutation>) -> Result<u64> {
+        let m = m.borrow();
         let csn = self.next_csn;
         let shard = m
             .shard_affinity(&self.router)
             .unwrap_or_else(|| self.router.of_csn(csn));
-        let record = encode_record::<S>(csn, &m);
         let wal = &mut self.wals[shard];
         let mark = wal.mark();
-        wal.append(self.commit_ts, &record);
-        match self.state.apply(&m) {
+        wal.append_with(self.commit_ts, |w| {
+            w.u64(csn);
+            S::encode_mutation(m, w);
+        });
+        match self.state.apply(m) {
             Ok(()) => {
                 self.next_csn += 1;
                 self.since_checkpoint += 1;
@@ -554,13 +551,15 @@ where
 
     /// Commits one mutation: stage + fsync of its shard. On return it
     /// is durable.
-    pub fn commit(&mut self, m: S::Mutation) -> Result<u64> {
+    pub fn commit(&mut self, m: impl Borrow<S::Mutation>) -> Result<u64> {
         let csn = self.stage(m)?;
         self.sync()?;
         Ok(csn)
     }
 
-    /// Group commit: stages every mutation, then makes the whole batch
+    /// Group commit: stages every mutation (owned or borrowed, so a
+    /// caller that keeps its batch passes `batch.iter()` and nothing is
+    /// cloned), then makes the whole batch
     /// durable with one fsync *per touched shard*. Returns the batch's
     /// CSN range. If a mutation is rejected the batch stops there —
     /// earlier mutations stay staged (and the sync of that prefix is
@@ -570,9 +569,9 @@ where
     /// lost — the WAL either winds the torn batch back for a clean
     /// retry or poisons itself, so a persistent failure resurfaces on
     /// the next durability call.
-    pub fn commit_batch(
+    pub fn commit_batch<M: Borrow<S::Mutation>>(
         &mut self,
-        mutations: impl IntoIterator<Item = S::Mutation>,
+        mutations: impl IntoIterator<Item = M>,
     ) -> Result<Range<u64>> {
         let start = self.next_csn;
         let mut staged = Ok(());
@@ -609,6 +608,12 @@ where
     /// Snapshots the full state (plus the shard meta) at the current
     /// CSN, then rotates every shard stream and purges segments and
     /// checkpoints the snapshot supersedes. No-op on a quiescent store.
+    ///
+    /// The snapshot streams: meta and state are encoded into one buffer
+    /// that is checksummed and written out whenever it passes
+    /// [`checkpoint::CHUNK_BYTES`] at a boundary the state's encoder
+    /// offers ([`Durable::encode_state_streamed`]), so the encoded state
+    /// is never held whole.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.sync_all_wals()?;
         let csn = self.next_csn;
@@ -616,7 +621,14 @@ where
             return Ok(());
         }
         let start = std::time::Instant::now();
-        let mut w = ByteWriter::new();
+        let mut file = checkpoint::CheckpointWriter::create(
+            &*self.vfs,
+            &self.dir,
+            S::STORE_TAG,
+            csn,
+            self.commit_ts,
+        )?;
+        let mut w = ByteWriter::with_capacity(checkpoint::CHUNK_BYTES);
         encode_meta(
             &ShardMeta {
                 epoch: self.epoch,
@@ -624,15 +636,10 @@ where
             },
             &mut w,
         );
-        self.state.encode_state(&mut w);
-        checkpoint::write_checkpoint(
-            &*self.vfs,
-            &self.dir,
-            S::STORE_TAG,
-            csn,
-            self.commit_ts,
-            &w.into_bytes(),
-        )?;
+        self.state
+            .encode_state_streamed(&mut w, &mut |w| file.drain(w))?;
+        file.append(w.as_bytes())?;
+        file.commit()?;
         checkpoint::purge_older(&*self.vfs, &self.dir, csn)?;
         for wal in &mut self.wals {
             let lsn = wal.next_lsn();

@@ -266,6 +266,14 @@ impl Durable for HyGraph {
         hygraph_core::binio::encode_hygraph(self, w);
     }
 
+    fn encode_state_streamed(
+        &self,
+        w: &mut ByteWriter,
+        drain: &mut dyn FnMut(&mut ByteWriter) -> Result<()>,
+    ) -> Result<()> {
+        hygraph_core::binio::encode_hygraph_streamed(self, w, drain)
+    }
+
     fn decode_state(r: &mut ByteReader<'_>) -> Result<Self> {
         hygraph_core::binio::decode_hygraph(r)
     }

@@ -4,15 +4,23 @@
 //! they list, read, rename or remove, goes through one [`Vfs`]. Two
 //! implementations exist:
 //!
-//! * [`OsVfs`] — the real filesystem, making the `std::fs` calls the
-//!   durability protocol depends on: a checkpoint is written to a
-//!   `.tmp` sibling, `fsync`ed, renamed into place and the directory
-//!   `fsync`ed; a segment is appended to and `fdatasync`ed.
+//! * [`OsVfs`] — the real filesystem, one `std::fs` call per operation.
 //! * [`MemVfs`] — a map of paths to bytes. A store over it runs the
 //!   same protocol (checkpoints, segment rotation and purge), so it stays
 //!   bounded the same way a directory does; it just never reaches a
 //!   disk. Cloning it copies every file, which is the image a crash at
 //!   that instant would leave behind.
+//!
+//! The trait has no compound operations: the durability protocol is a
+//! sequence of single calls made by its callers, so a test `Vfs` sees
+//! (and can drop) each step. A segment is created with
+//! [`Vfs::create_append`], appended to and `fdatasync`ed
+//! ([`AppendFile::sync_data`]), and its directory `fsync`ed
+//! ([`Vfs::sync_dir`]) once after creation. A checkpoint is created as
+//! a `.tmp` sibling, appended to in chunks, its header patched
+//! ([`AppendFile::patch`]), `fdatasync`ed, renamed over its final name
+//! ([`Vfs::rename`]), and the directory `fsync`ed
+//! (`crate::checkpoint::CheckpointWriter`).
 //!
 //! Where data lives is therefore one choice, made when a store is
 //! opened, and not a second execution path.
@@ -23,10 +31,16 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// An open, append-only file: the active WAL segment.
+/// An open file written at its end: the active WAL segment, or a
+/// checkpoint being staged.
 pub trait AppendFile: Send {
     /// Appends all of `buf` (on error, a prefix may have landed).
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
+
+    /// Overwrites bytes already written, from `offset` on, leaving the
+    /// append position at the end: fills in a header reserved before
+    /// what it describes was written.
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()>;
 
     /// Makes every appended byte durable (`fdatasync`).
     fn sync_data(&mut self) -> io::Result<()>;
@@ -54,12 +68,6 @@ pub trait Vfs: Send + Sync {
     /// At most the first `n` bytes of `path`.
     fn read_head(&self, path: &Path, n: usize) -> io::Result<Vec<u8>>;
 
-    /// Writes `parts` back to back into `tmp`, makes it durable
-    /// (`fsync`), renames it over `path` and makes the rename durable
-    /// (`fsync` of the parent directory): a crash leaves either the old
-    /// `path` or the complete new one, never a torn file under the name.
-    fn write_renamed(&self, tmp: &Path, path: &Path, parts: &[&[u8]]) -> io::Result<()>;
-
     /// Creates (or truncates) `path`, writes `header` and returns it open
     /// for appends.
     fn create_append(&self, path: &Path, header: &[&[u8]]) -> io::Result<Box<dyn AppendFile>>;
@@ -70,7 +78,7 @@ pub trait Vfs: Send + Sync {
     /// Truncates `path` to `len` bytes.
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()>;
 
-    /// Renames `from` to `to`.
+    /// Renames `from` to `to`, replacing any file at `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
 
     /// Removes the file `path`.
@@ -103,6 +111,13 @@ impl AppendFile for File {
 
     fn sync_data(&mut self) -> io::Result<()> {
         File::sync_data(self)
+    }
+
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        use std::io::{Seek as _, SeekFrom};
+        self.seek(SeekFrom::Start(offset))?;
+        io::Write::write_all(self, bytes)?;
+        self.seek(SeekFrom::End(0)).map(|_| ())
     }
 
     fn rewind(&mut self, len: u64) -> io::Result<()> {
@@ -142,21 +157,6 @@ impl Vfs for OsVfs {
         Ok(head)
     }
 
-    fn write_renamed(&self, tmp: &Path, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
-        {
-            let mut file = File::create(tmp)?;
-            for part in parts {
-                io::Write::write_all(&mut file, part)?;
-            }
-            file.sync_all()?;
-        }
-        std::fs::rename(tmp, path)?;
-        match path.parent() {
-            Some(dir) => self.sync_dir(dir),
-            None => Ok(()),
-        }
-    }
-
     fn create_append(&self, path: &Path, header: &[&[u8]]) -> io::Result<Box<dyn AppendFile>> {
         let mut file = OpenOptions::new()
             .create(true)
@@ -170,7 +170,11 @@ impl Vfs for OsVfs {
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn AppendFile>> {
-        Ok(Box::new(OpenOptions::new().append(true).open(path)?))
+        use std::io::{Seek as _, SeekFrom};
+        // not `O_APPEND`, under which `patch` would append too
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        file.seek(SeekFrom::End(0))?;
+        Ok(Box::new(file))
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
@@ -242,14 +246,13 @@ fn file_mut<'a>(tree: &'a mut Tree, path: &Path) -> io::Result<&'a mut Vec<u8>> 
     }
 }
 
-/// Puts `bytes` at `path`, replacing any file there; like the OS, it
-/// refuses when `path`'s directory does not exist.
-fn put(tree: &mut Tree, path: &Path, bytes: Vec<u8>) -> io::Result<()> {
+/// Like the OS, refuses a new entry at `path` when its directory does
+/// not exist.
+fn check_parent(tree: &Tree, path: &Path) -> io::Result<()> {
     let parent = path.parent().unwrap_or(Path::new(""));
     if !parent.as_os_str().is_empty() && !matches!(tree.get(parent), Some(Node::Dir)) {
         return Err(not_found(parent));
     }
-    tree.insert(path.to_path_buf(), Node::File(bytes));
     Ok(())
 }
 
@@ -276,6 +279,17 @@ struct MemFile {
 impl AppendFile for MemFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         file_mut(&mut lock(&self.tree), &self.path)?.extend_from_slice(buf);
+        Ok(())
+    }
+
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        let mut tree = lock(&self.tree);
+        let file = file_mut(&mut tree, &self.path)?;
+        let at = usize::try_from(offset)
+            .ok()
+            .filter(|&at| at + bytes.len() <= file.len())
+            .ok_or_else(|| io::Error::other("patch beyond the end of the file"))?;
+        file[at..at + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -332,13 +346,11 @@ impl Vfs for MemVfs {
         file_mut(&mut lock(&self.tree), path).map(|bytes| bytes[..n.min(bytes.len())].to_vec())
     }
 
-    fn write_renamed(&self, _tmp: &Path, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
-        // one lock hold: the staging file is never visible
-        put(&mut lock(&self.tree), path, parts.concat())
-    }
-
     fn create_append(&self, path: &Path, header: &[&[u8]]) -> io::Result<Box<dyn AppendFile>> {
-        put(&mut lock(&self.tree), path, header.concat())?;
+        let mut tree = lock(&self.tree);
+        check_parent(&tree, path)?;
+        tree.insert(path.to_path_buf(), Node::File(header.concat()));
+        drop(tree);
         Ok(self.handle(path))
     }
 
@@ -354,9 +366,11 @@ impl Vfs for MemVfs {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let mut tree = lock(&self.tree);
-        let bytes = file_mut(&mut tree, from)?.clone();
-        put(&mut tree, to, bytes)?;
-        tree.remove(from);
+        file_mut(&mut tree, from)?;
+        check_parent(&tree, to)?;
+        // the bytes move, uncopied
+        let node = tree.remove(from).expect("checked above");
+        tree.insert(to.to_path_buf(), node);
         Ok(())
     }
 
@@ -403,8 +417,11 @@ mod tests {
         f.rewind(6).unwrap();
         assert_eq!(fs.read(&root.join("a")).unwrap(), b"head-b");
         assert_eq!(fs.read_head(&root.join("a"), 2).unwrap(), b"he");
-        fs.write_renamed(&root.join("b.tmp"), &root.join("b"), &[b"1", b"2"])
-            .unwrap();
+        let mut b = fs.create_append(&root.join("b.tmp"), &[b"1"]).unwrap();
+        b.write_all(b"?").unwrap();
+        b.patch(1, b"2").unwrap();
+        assert!(b.patch(1, b"23").is_err(), "a patch stays inside the file");
+        fs.rename(&root.join("b.tmp"), &root.join("b")).unwrap();
         let mut names = fs.list(root).unwrap();
         names.sort();
         assert_eq!(names, ["a", "b", "sub"], "entries of the directory only");

@@ -23,9 +23,10 @@
 //! torn one: recovery refuses with [`HyGraphError::UnsupportedFormat`]
 //! before it removes or truncates anything.
 
-use crate::frame::{append_frame, read_frame, FrameOutcome};
+use crate::frame::{begin_frame, finish_frame, read_frame, FrameOutcome};
 use crate::vfs::{AppendFile, Vfs};
 use hygraph_metrics as metrics;
+use hygraph_types::bytes::ByteWriter;
 use hygraph_types::{HyGraphError, Result};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -136,8 +137,8 @@ pub struct Wal {
     segment_bytes: u64,
     active: Option<ActiveSegment>,
     /// Frames appended but not yet written+synced (the group-commit
-    /// batch).
-    pending: Vec<u8>,
+    /// batch), each encoded here in place.
+    pending: ByteWriter,
     /// LSN of the first pending frame (base for a new segment).
     pending_base: u64,
     next_lsn: u64,
@@ -167,7 +168,7 @@ impl Wal {
             tag,
             segment_bytes: segment_bytes.max(1),
             active: None,
-            pending: Vec::new(),
+            pending: ByteWriter::new(),
             pending_base: 0,
             next_lsn: 0,
             durable_lsn: 0,
@@ -315,7 +316,7 @@ impl Wal {
             tag,
             segment_bytes: segment_bytes.max(1),
             active,
-            pending: Vec::new(),
+            pending: ByteWriter::new(),
             pending_base: next_lsn,
             next_lsn,
             durable_lsn: next_lsn,
@@ -343,15 +344,23 @@ impl Wal {
     /// group-commit batch and returns its LSN. The record is *not*
     /// durable until [`Wal::sync`] returns.
     pub fn append(&mut self, ts: i64, record: &[u8]) -> u64 {
+        self.append_with(ts, |w| w.raw(record))
+    }
+
+    /// [`Wal::append`] of the record `encode` writes: it encodes straight
+    /// into the batch, after the frame header, LSN and timestamp, and
+    /// the header is filled in after it — the record is never staged in
+    /// a buffer of its own.
+    pub fn append_with(&mut self, ts: i64, encode: impl FnOnce(&mut ByteWriter)) -> u64 {
         let start = metrics::enabled().then(Instant::now);
         let lsn = self.next_lsn;
         if self.pending.is_empty() {
             self.pending_base = lsn;
         }
-        let mut stamped = Vec::with_capacity(TS_PREFIX_BYTES + record.len());
-        stamped.extend_from_slice(&ts.to_le_bytes());
-        stamped.extend_from_slice(record);
-        append_frame(&mut self.pending, lsn, &stamped);
+        let frame = begin_frame(&mut self.pending, lsn);
+        self.pending.raw(&ts.to_le_bytes());
+        encode(&mut self.pending);
+        finish_frame(&mut self.pending, frame);
         self.next_lsn += 1;
         if let Some(m) = metrics::get() {
             m.persist.wal_appends.inc();
@@ -432,7 +441,7 @@ impl Wal {
             rotated = true;
         }
         let a = self.active.as_mut().expect("active segment opened above");
-        if let Err(e) = a.file.write_all(&self.pending) {
+        if let Err(e) = a.file.write_all(self.pending.as_bytes()) {
             // part of the batch may already be in the file: wind the
             // segment (and the write cursor) back to the known-good
             // length so a retried sync starts exactly where the last
@@ -749,11 +758,12 @@ mod tests {
     fn legacy_v1_segment_is_refused_and_left_untouched() {
         let dir = scratch_dir("wal-v1");
         // hand-write a v1 segment: old header, frames without ts prefix
-        let mut bytes = b"HGWL1".to_vec();
-        bytes.extend_from_slice(&TAG);
+        let mut bytes = ByteWriter::new();
+        bytes.raw(b"HGWL1");
+        bytes.raw(&TAG);
         crate::frame::append_frame(&mut bytes, 0, b"old-a");
         crate::frame::append_frame(&mut bytes, 1, b"old-b");
-        std::fs::write(dir.join(segment_name(0)), &bytes).unwrap();
+        std::fs::write(dir.join(segment_name(0)), bytes.as_bytes()).unwrap();
         assert_refused_untouched(&dir, "HGWL1");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,11 +4,13 @@
 //! acknowledged commit, reopens to exactly the acknowledged prefix —
 //! the same contract a directory gives — while checkpoints and segment
 //! purges keep its files bounded. The copy that matters is the crash
-//! image, which keeps only what the store made durable: a skipped
-//! `fdatasync` of a segment, or a skipped directory fsync after a
-//! segment is created, loses an acknowledged commit there. Over the OS
-//! filesystem, the same wrapper cuts a segment write short, and the WAL
-//! must wind the torn batch back.
+//! image, which keeps only what the store made durable: a file's bytes
+//! as of its last `sync_data`, under the names its directory held at
+//! that directory's last `sync_dir`. A skipped `fdatasync` of a segment
+//! or of a staged checkpoint, or a skipped directory fsync after a
+//! segment is created or a checkpoint renamed into place, loses an
+//! acknowledged commit there. Over the OS filesystem, the same wrapper
+//! cuts a write short, and the WAL must wind the torn batch back.
 
 use hygraph_core::HyGraph;
 use hygraph_persist::fault::scratch_dir;
@@ -25,57 +27,79 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// A [`Vfs`] over `V` (the OS filesystem or a [`MemVfs`]) that can cut
-/// one segment write short and records what is durable.
+/// one write short and records what is durable.
 #[derive(Default)]
 struct FaultVfs<V> {
     inner: V,
     state: Arc<Mutex<Faults>>,
 }
 
+/// What a power cut would keep, modelled per file (an inode, so a
+/// rename moves a name, not the data) and per directory listing. Not
+/// modelled: directories themselves — one made by `create_dir_all`, or
+/// removed with everything under it by `remove_dir_all`, is durable at
+/// once.
 #[derive(Default)]
 struct Faults {
-    /// Once armed, the next segment write persists at most this many
+    /// Once armed, the next append-file write persists at most this many
     /// bytes and then errors — a disk filling up mid-`write`.
     quota: Option<usize>,
-    /// Each append file's (WAL segment's) length at its last
-    /// `sync_data`. Every other file is written by `write_renamed`,
-    /// durable when it returns.
-    synced: BTreeMap<PathBuf, u64>,
-    /// Append files created since their directory's last `sync_dir`.
-    /// Not modelled: a directory made by `create_dir_all`, a `rename`
-    /// and a removal count as durable at once.
-    unlinked: BTreeSet<PathBuf>,
+    /// The inode under each file path now.
+    inodes: BTreeMap<PathBuf, u64>,
+    next_inode: u64,
+    /// Each inode's bytes at its last `sync_data`; none before the first.
+    synced: BTreeMap<u64, Vec<u8>>,
+    /// Each directory's `(path, inode)` file entries at its last
+    /// `sync_dir`; none before the first.
+    listed: BTreeMap<PathBuf, BTreeMap<PathBuf, u64>>,
+    /// Every directory made through this `Vfs` (and its ancestors).
+    dirs: BTreeSet<PathBuf>,
+}
+
+impl Faults {
+    /// The inode at `path`, a new one if nothing was recorded there (a
+    /// file made before the wrapper counts as never synced).
+    fn inode(&mut self, path: &Path) -> u64 {
+        if let Some(&inode) = self.inodes.get(path) {
+            return inode;
+        }
+        self.next_inode += 1;
+        self.inodes.insert(path.to_path_buf(), self.next_inode);
+        self.next_inode
+    }
 }
 
 impl<V: Vfs> FaultVfs<V> {
-    /// Arms the short write for the next segment write.
+    /// Arms the short write for the next append-file write.
     fn fail_next_write_after(&self, quota: usize) {
         self.state.lock().unwrap().quota = Some(quota);
     }
 
     fn wrap(&self, path: &Path, inner: Box<dyn AppendFile>) -> io::Result<Box<dyn AppendFile>> {
+        let bytes = self.inner.read(path)?;
+        let inode = self.state.lock().unwrap().inode(path);
         Ok(Box::new(FaultFile {
             inner,
-            path: path.to_path_buf(),
-            len: self.inner.read(path)?.len() as u64,
+            inode,
+            bytes,
             state: Arc::clone(&self.state),
         }))
     }
 }
 
 impl FaultVfs<MemVfs> {
-    /// What a power cut would leave: every append file cut back to its
-    /// durable length (a file never synced is empty), and gone if its
-    /// directory entry was never synced.
+    /// What a power cut would leave: every directory, holding the files
+    /// it listed at its last `sync_dir`, each with the bytes it had at
+    /// its last `sync_data` (empty if never synced).
     fn crash_image(&self) -> MemVfs {
-        let image = self.inner.clone();
+        let image = MemVfs::new();
         let state = self.state.lock().unwrap();
-        for (path, &synced) in &state.synced {
-            let len = image.read(path).expect("tracked files exist").len() as u64;
-            image.truncate(path, synced.min(len)).unwrap();
+        for dir in &state.dirs {
+            image.create_dir_all(dir).unwrap();
         }
-        for path in &state.unlinked {
-            image.remove_file(path).unwrap();
+        for (path, inode) in state.listed.values().flatten() {
+            let bytes = state.synced.get(inode).map_or(&[][..], Vec::as_slice);
+            image.create_append(path, &[bytes]).unwrap();
         }
         image
     }
@@ -83,8 +107,9 @@ impl FaultVfs<MemVfs> {
 
 struct FaultFile {
     inner: Box<dyn AppendFile>,
-    path: PathBuf,
-    len: u64,
+    inode: u64,
+    /// The file's bytes as written so far: what `sync_data` makes durable.
+    bytes: Vec<u8>,
     state: Arc<Mutex<Faults>>,
 }
 
@@ -93,31 +118,41 @@ impl AppendFile for FaultFile {
         let quota = self.state.lock().unwrap().quota.take();
         let kept = &buf[..quota.unwrap_or(buf.len()).min(buf.len())];
         self.inner.write_all(kept)?;
-        self.len += kept.len() as u64;
+        self.bytes.extend_from_slice(kept);
         match quota {
             Some(_) => Err(io::Error::other("injected write fault")),
             None => Ok(()),
         }
     }
 
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        self.inner.patch(offset, bytes)?;
+        let at = offset as usize;
+        self.bytes[at..at + bytes.len()].copy_from_slice(bytes);
+        Ok(())
+    }
+
     fn sync_data(&mut self) -> io::Result<()> {
         self.inner.sync_data()?;
         let mut state = self.state.lock().unwrap();
-        state.synced.insert(self.path.clone(), self.len);
+        state.synced.insert(self.inode, self.bytes.clone());
         Ok(())
     }
 
     fn rewind(&mut self, len: u64) -> io::Result<()> {
-        // the WAL rewinds only to its last synced length: `synced` stands
         self.inner.rewind(len)?;
-        self.len = len;
+        self.bytes.truncate(len as usize);
         Ok(())
     }
 }
 
 impl<V: Vfs> Vfs for FaultVfs<V> {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(dir)
+        self.inner.create_dir_all(dir)?;
+        let mut state = self.state.lock().unwrap();
+        let made = dir.ancestors().filter(|d| !d.as_os_str().is_empty());
+        state.dirs.extend(made.map(Path::to_path_buf));
+        Ok(())
     }
     fn exists(&self, path: &Path) -> bool {
         self.inner.exists(path)
@@ -131,15 +166,8 @@ impl<V: Vfs> Vfs for FaultVfs<V> {
     fn read_head(&self, path: &Path, n: usize) -> io::Result<Vec<u8>> {
         self.inner.read_head(path, n)
     }
-    fn write_renamed(&self, tmp: &Path, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
-        self.inner.write_renamed(tmp, path, parts)
-    }
     fn create_append(&self, path: &Path, header: &[&[u8]]) -> io::Result<Box<dyn AppendFile>> {
         let file = self.inner.create_append(path, header)?;
-        let mut state = self.state.lock().unwrap();
-        state.synced.insert(path.to_path_buf(), 0);
-        state.unlinked.insert(path.to_path_buf());
-        drop(state);
         self.wrap(path, file)
     }
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn AppendFile>> {
@@ -152,30 +180,34 @@ impl<V: Vfs> Vfs for FaultVfs<V> {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.inner.rename(from, to)?;
         let mut state = self.state.lock().unwrap();
-        state.unlinked.remove(from);
-        if let Some(len) = state.synced.remove(from) {
-            state.synced.insert(to.to_path_buf(), len);
+        if let Some(inode) = state.inodes.remove(from) {
+            state.inodes.insert(to.to_path_buf(), inode);
         }
         Ok(())
     }
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         self.inner.remove_file(path)?;
-        let mut state = self.state.lock().unwrap();
-        state.synced.remove(path);
-        state.unlinked.remove(path);
+        self.state.lock().unwrap().inodes.remove(path);
         Ok(())
     }
     fn remove_dir_all(&self, dir: &Path) -> io::Result<()> {
         self.inner.remove_dir_all(dir)?;
         let mut state = self.state.lock().unwrap();
-        state.synced.retain(|p, _| !p.starts_with(dir));
-        state.unlinked.retain(|p| !p.starts_with(dir));
+        state.inodes.retain(|p, _| !p.starts_with(dir));
+        state.listed.retain(|d, _| !d.starts_with(dir));
+        state.dirs.retain(|d| !d.starts_with(dir));
         Ok(())
     }
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         self.inner.sync_dir(dir)?;
         let mut state = self.state.lock().unwrap();
-        state.unlinked.retain(|p| p.parent() != Some(dir));
+        let entries = state
+            .inodes
+            .iter()
+            .filter(|(p, _)| p.parent() == Some(dir))
+            .map(|(p, &inode)| (p.clone(), inode))
+            .collect();
+        state.listed.insert(dir.to_path_buf(), entries);
         Ok(())
     }
 }

@@ -444,14 +444,11 @@ impl Engine {
         let pre_v = store.get().topology().vertex_capacity();
         let pre_e = store.get().topology().edge_capacity();
         let before = store.next_csn();
-        // history and subscribers read the batch after the commit; with
-        // neither, it moves into the store uncloned
-        let outcome = if ts.is_some() || notify {
-            store.commit_batch(mutations.iter().cloned())
-        } else {
-            store.commit_batch(mutations.drain(..))
-        };
-        let outcome = outcome.map(|range| (range.start, range.end - range.start));
+        // the store encodes and applies by reference: the batch stays
+        // here, uncloned, for subscribers and history
+        let outcome = store
+            .commit_batch(mutations.iter())
+            .map(|range| (range.start, range.end - range.start));
         // a failed batch keeps its staged prefix; the CSN delta is
         // exactly how many mutations applied
         let applied_n = (store.next_csn() - before) as usize;

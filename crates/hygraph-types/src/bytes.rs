@@ -15,9 +15,11 @@
 //! input surfaces as [`HyGraphError::Corrupt`], never a panic — the
 //! recovery path leans on this to detect torn or damaged frames.
 //!
-//! The module also hosts [`crc32`], the CRC-32/ISO-HDLC checksum used to
-//! guard WAL frames and checkpoint payloads (no external dependency,
-//! per the workspace's offline policy).
+//! The module also hosts [`crc32`] and its incremental form [`Crc32`]:
+//! the CRC-32/ISO-HDLC checksum that guards WAL frames, checkpoint
+//! payloads and wire frames. It is table-driven, slice-by-16 (sixteen
+//! 256-entry tables built once, sixteen input bytes per step), with no
+//! external dependency, per the workspace's offline policy.
 
 use crate::error::{HyGraphError, Result};
 use crate::ids::Label;
@@ -26,17 +28,20 @@ use crate::property::{PropertyMap, PropertyValue};
 use crate::time::{Duration, Timestamp};
 use crate::value::Value;
 use crate::SeriesId;
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
-// CRC-32 (ISO-HDLC / zlib polynomial 0xEDB88320), table-driven.
+// CRC-32 (ISO-HDLC / zlib polynomial 0xEDB88320), slice-by-16.
 // ---------------------------------------------------------------------
 
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+/// Sixteen 256-entry tables: `[0]` is the classic byte-at-a-time table,
+/// and `[k][b]` is the CRC contribution of byte `b` followed by `k` zero
+/// bytes, so one step folds sixteen input bytes with sixteen lookups.
+fn crc_tables() -> &'static [[u32; 256]; 16] {
+    static TABLES: OnceLock<[[u32; 256]; 16]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 16];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -47,18 +52,78 @@ fn crc_table() -> &'static [u32; 256] {
             }
             *slot = c;
         }
-        table
+        for k in 1..16 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
+        t
     })
+}
+
+/// An incremental CRC-32 (ISO-HDLC, the zlib/PNG polynomial): feeding
+/// the pieces of a byte run to [`Crc32::update`] in order and calling
+/// [`Crc32::finish`] gives the [`crc32`] of the whole run, so a caller
+/// can checksum data it never holds in one buffer.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// The checksum of no bytes yet.
+    pub fn new() -> Self {
+        Self { state: 0xFFFF_FFFF }
+    }
+
+    /// Folds `data` into the checksum.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = crc_tables();
+        let mut c = self.state;
+        let (blocks, tail) = data.as_chunks::<16>();
+        for b in blocks {
+            let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t[15][(x & 0xFF) as usize]
+                ^ t[14][((x >> 8) & 0xFF) as usize]
+                ^ t[13][((x >> 16) & 0xFF) as usize]
+                ^ t[12][(x >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &b in tail {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// The checksum of every byte fed so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
 }
 
 /// CRC-32 checksum (ISO-HDLC, the zlib/PNG polynomial) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -108,6 +173,20 @@ impl ByteWriter {
     /// measures encodings reuses one buffer instead of allocating.
     pub fn clear(&mut self) {
         self.buf.clear();
+    }
+
+    /// Cuts the written bytes back to the first `len` (a retracted tail).
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
+    /// Overwrites already written bytes from offset `at` on — a header
+    /// reserved before what it describes was written.
+    ///
+    /// # Panics
+    /// If `at + bytes.len()` exceeds [`ByteWriter::len`].
+    pub fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
     }
 
     /// One raw byte.
@@ -434,12 +513,66 @@ mod tests {
     use super::*;
     use crate::props;
 
+    /// The byte-at-a-time table CRC the sliced kernel replaced: the
+    /// reference the kernel is checked against.
+    fn bytewise_crc32(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *slot = c;
+        }
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // standard check value of CRC-32/ISO-HDLC
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(Crc32::new().finish(), 0);
+        let mut crc = Crc32::new();
+        for part in [&b"1234"[..], b"", b"56789"] {
+            crc.update(part);
+        }
+        assert_eq!(crc.finish(), 0xCBF4_3926);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    proptest::proptest! {
+        /// The sliced kernel and its incremental form agree with the
+        /// bytewise reference on every length up to 4096, from every
+        /// start offset within a 16-byte block, whatever the split.
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            data in proptest::collection::vec(0u8..=255, 0..=4096 + 15),
+            cuts in proptest::collection::vec(0usize..=4096, 0..8),
+        ) {
+            for offset in 0..16.min(data.len() + 1) {
+                let run = &data[offset..];
+                let want = bytewise_crc32(run);
+                proptest::prop_assert_eq!(crc32(run), want, "offset {}", offset);
+                let mut at: Vec<usize> = cuts.iter().map(|c| c % (run.len() + 1)).collect();
+                at.sort_unstable();
+                let mut crc = Crc32::new();
+                let mut from = 0;
+                for &to in at.iter().chain([run.len()].iter()) {
+                    crc.update(&run[from..to]);
+                    from = to;
+                }
+                proptest::prop_assert_eq!(crc.finish(), want, "offset {}, cuts {:?}", offset, at);
+            }
+        }
     }
 
     #[test]
